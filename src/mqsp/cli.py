@@ -140,18 +140,11 @@ def _format_necessary(report: NecessaryReport) -> str:
 # -- input helpers ------------------------------------------------------------
 
 
-def _load_pair(path: str):
+def _load(loader, path: str):
+    """Read a document with ``loader`` (``documents.load_pair`` or
+    ``documents.load_sequence``), turning its failures into input errors."""
     try:
-        return documents.load_pair(path)
-    except (documents.DocumentError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _load_sequence(path: str):
-    try:
-        return documents.load_sequence(path)
+        return loader(path)
     except (documents.DocumentError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     except OSError as exc:
@@ -168,7 +161,7 @@ def _check_steps(steps: int) -> None:
 
 def cmd_decide(args) -> int:
     _check_steps(args.steps)
-    pair = _load_pair(args.input)
+    pair = _load(documents.load_pair, args.input)
     trace = run_decision(pair, args.steps, args.tolerance)
     verdict = "constructible" if trace.accepted else "not constructible"
     print(f"result: {verdict} in {args.steps} steps (tolerance {args.tolerance:g})")
@@ -179,7 +172,7 @@ def cmd_decide(args) -> int:
 
 def cmd_synthesize(args) -> int:
     _check_steps(args.steps)
-    pair = _load_pair(args.input)
+    pair = _load(documents.load_pair, args.input)
     result = synthesize(pair, args.steps, args.tolerance)
     if not result.constructible:
         print(f"result: not constructible in {args.steps} steps")
@@ -199,8 +192,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    pair = _load_pair(args.pair)
-    seq = _load_sequence(args.sequence)
+    pair = _load(documents.load_pair, args.pair)
+    seq = _load(documents.load_sequence, args.sequence)
     if seq.variables != pair.variables:
         raise InputError(
             f"variable-count mismatch: pair has {pair.variables}, "
@@ -237,7 +230,7 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     _check_steps(args.steps)
-    pair = _load_pair(args.input)
+    pair = _load(documents.load_pair, args.input)
     report = check_necessary(pair, args.steps, args.tolerance)
     print(_format_necessary(report))
     print(f"result: {'all filters pass' if report.all_ok else 'rejected by a filter'}")

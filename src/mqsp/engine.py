@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .laurent import EPS, LaurentPoly
-from .su2 import MqspSequence, PQPair, half_diff, half_sum
+from .su2 import MqspSequence, PQPair
 
 REASON_BASE = "final pair is not a pure phase rotation"
 REASON_DEGREE = "degree sum neither equals the step count nor leaves room for padding"
@@ -158,13 +158,11 @@ def reduce_step(pair: PQPair, j: int, phi: float) -> PQPair:
     ``j``, the degree in that variable drops by exactly one and the other
     degrees are unchanged.
     """
-    m = pair.variables
-    cos_part = half_sum(j, m)
-    sin_part = half_diff(j, m)
+    p, q = pair.p, pair.q
     e = cmath.exp(1j * phi)
     ec = e.conjugate()
-    new_p = cos_part * pair.p * ec - sin_part * pair.q * e
-    new_q = cos_part * pair.q * e - sin_part * pair.p * ec
+    new_p = p.mul_half(j, 1, factor_first=True) * ec - q.mul_half(j, -1, factor_first=True) * e
+    new_q = q.mul_half(j, 1, factor_first=True) * e - p.mul_half(j, -1, factor_first=True) * ec
     return PQPair(new_p, new_q)
 
 
@@ -177,13 +175,10 @@ def effective_degrees(pair: PQPair, tol: float = EPS) -> tuple[int, ...]:
     the tolerance and must not masquerade as surviving degree.
     """
     cutoff = tol * max(1.0, pair.p.max_modulus(), pair.q.max_modulus())
-    degs = [0] * pair.variables
-    for exps, coeff in pair.p.terms.items():
-        if abs(coeff) > cutoff:
-            for i, e in enumerate(exps):
-                if abs(e) > degs[i]:
-                    degs[i] = abs(e)
-    return tuple(degs)
+    visible = [exps for exps, coeff in pair.p.terms.items() if abs(coeff) > cutoff]
+    if not visible:
+        return (0,) * pair.variables
+    return tuple(max(map(abs, column)) for column in zip(*visible))
 
 
 def run_decision(pair: PQPair, n: int, tol: float = EPS) -> DecisionTrace:

@@ -14,6 +14,7 @@ modulus of the operands, floored at 1 so that unit-scale coefficient sets
 from __future__ import annotations
 
 import cmath
+import math
 from typing import Iterator, Mapping
 
 #: Default relative tolerance for zero tests and coefficient comparisons.
@@ -30,6 +31,9 @@ DROP_EPS = 1e-15
 
 Exponents = tuple[int, ...]
 
+_HALF = complex(0.5)
+_MINUS_HALF = complex(-0.5)
+
 
 class LaurentPoly:
     """A Laurent polynomial in a fixed number of variables.
@@ -39,10 +43,11 @@ class LaurentPoly:
     the reference scale are dropped.  The reference scale defaults to the
     input's own maximum modulus (floored at 1); operations pass the scale of
     their operands instead, which keeps dropping behaviour stable under
-    unimodular rescaling.
+    unimodular rescaling.  The maximum modulus of the kept terms is recorded
+    at construction, since every operation reads it for its drop scale.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_max_modulus")
 
     def __init__(
         self,
@@ -53,24 +58,18 @@ class LaurentPoly:
     ):
         if variables < 1:
             raise ValueError(f"need at least one variable, got {variables}")
+        validated: dict[Exponents, complex] = {}
+        for exps, coeff in (terms or {}).items():
+            key = tuple(exps)
+            if len(key) != variables:
+                raise ValueError(
+                    f"exponent vector {key} has length {len(key)}, expected {variables}"
+                )
+            validated[key] = complex(coeff)
+        if drop_scale is None:
+            drop_scale = max(1.0, max(map(abs, validated.values()), default=0.0))
         self.variables = variables
-        cleaned: dict[Exponents, complex] = {}
-        if terms:
-            if drop_scale is None:
-                drop_scale = max(1.0, max(abs(c) for c in terms.values()))
-            cutoff = DROP_EPS * drop_scale
-            for exps, coeff in terms.items():
-                key = tuple(exps)
-                if len(key) != variables:
-                    raise ValueError(
-                        f"exponent vector {key} has length {len(key)}, expected {variables}"
-                    )
-                value = complex(coeff)
-                if not cmath.isfinite(value):
-                    raise ValueError(f"non-finite coefficient {value!r} at {key}")
-                if abs(value) > cutoff:
-                    cleaned[key] = value
-        self.terms = cleaned
+        self.terms, self._max_modulus = _cut(validated, drop_scale)
 
     # -- constructors -----------------------------------------------------
 
@@ -86,11 +85,26 @@ class LaurentPoly:
     def monomial(cls, variables: int, exponents: Exponents, coeff: complex = 1.0) -> LaurentPoly:
         return cls(variables, {tuple(exponents): coeff})
 
+    @classmethod
+    def _from_arithmetic(
+        cls, variables: int, terms: dict[Exponents, complex], drop_scale: float
+    ) -> LaurentPoly:
+        """Wrap the result of internal arithmetic on valid polynomials.
+
+        Keys are already exponent tuples of the right length and values are
+        complex, so only the ``DROP_EPS`` cut at ``drop_scale`` and the
+        finiteness check are applied.  Takes ownership of ``terms``.
+        """
+        out = cls.__new__(cls)
+        out.variables = variables
+        out.terms, out._max_modulus = _cut(terms, drop_scale)
+        return out
+
     # -- queries ----------------------------------------------------------
 
     def max_modulus(self) -> float:
         """Largest coefficient modulus; 0 for the zero polynomial."""
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return self._max_modulus
 
     def is_zero(self, tol: float = EPS) -> bool:
         mod = self.max_modulus()
@@ -117,7 +131,7 @@ class LaurentPoly:
         picked = {
             k[:i] + (0,) + k[i + 1 :]: c for k, c in self.terms.items() if k[i] == exponent
         }
-        return LaurentPoly(self.variables, picked, drop_scale=max(1.0, self.max_modulus()))
+        return LaurentPoly._from_arithmetic(self.variables, picked, max(1.0, self.max_modulus()))
 
     # -- involutions and substitutions --------------------------------------
 
@@ -128,7 +142,7 @@ class LaurentPoly:
     def invert_vars(self) -> LaurentPoly:
         """Substitute a_j -> a_j^{-1} for every variable (negate all exponents)."""
         flipped = {tuple(-e for e in k): c for k, c in self.terms.items()}
-        return LaurentPoly(self.variables, flipped, drop_scale=max(1.0, self.max_modulus()))
+        return LaurentPoly._from_arithmetic(self.variables, flipped, max(1.0, self.max_modulus()))
 
     def negate_var(self, j: int) -> LaurentPoly:
         """Substitute a_j -> -a_j: flip the sign of terms with odd j-exponent."""
@@ -149,7 +163,7 @@ class LaurentPoly:
         merged = dict(self.terms)
         for k, c in other.terms.items():
             merged[k] = merged.get(k, 0j) + c
-        return LaurentPoly(self.variables, merged, drop_scale=self._pair_scale(other))
+        return LaurentPoly._from_arithmetic(self.variables, merged, self._pair_scale(other))
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -158,7 +172,7 @@ class LaurentPoly:
         merged = dict(self.terms)
         for k, c in other.terms.items():
             merged[k] = merged.get(k, 0j) - c
-        return LaurentPoly(self.variables, merged, drop_scale=self._pair_scale(other))
+        return LaurentPoly._from_arithmetic(self.variables, merged, self._pair_scale(other))
 
     def __neg__(self) -> LaurentPoly:
         return self._same_support(lambda k, c: -c)
@@ -171,16 +185,67 @@ class LaurentPoly:
                 for k2, c2 in other.terms.items():
                     k = tuple(a + b for a, b in zip(k1, k2))
                     out[k] = out.get(k, 0j) + c1 * c2
-            return LaurentPoly(self.variables, out, drop_scale=self._pair_scale(other))
+            return LaurentPoly._from_arithmetic(self.variables, out, self._pair_scale(other))
         if isinstance(other, (int, float, complex)):
             c = complex(other)
             scaled = {k: v * c for k, v in self.terms.items()}
-            return LaurentPoly(
-                self.variables, scaled, drop_scale=max(1.0, self.max_modulus() * abs(c))
+            return LaurentPoly._from_arithmetic(
+                self.variables, scaled, max(1.0, self.max_modulus() * abs(c))
             )
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def mul_half(self, j: int, sign: int, *, factor_first: bool = False) -> LaurentPoly:
+        """Multiply by (a_j + sign * a_j^{-1}) / 2 in one pass over the terms.
+
+        This is the step kernel of sequence evaluation and reduction.  The
+        result is bitwise the general product with the two-term factor
+        (``half_sum`` for ``sign`` +1, ``half_diff`` for -1): every output
+        coefficient is 0.5 c[k - e_j] + (+-0.5) c[k + e_j] accumulated onto
+        0j, cut at the same drop scale.  Key order is that of
+        ``self * factor`` (both shifts of each term in turn), or with
+        ``factor_first`` that of ``factor * self`` (every raised key, then
+        every lowered one); ties between equal moduli are broken by that
+        order downstream.
+        """
+        i = self._index(j)
+        low = _HALF if sign > 0 else _MINUS_HALF
+        out: dict[Exponents, complex] = {}
+        if self.terms:
+            # shifted keys are rebuilt column-wise, which beats slicing per term
+            columns = list(zip(*self.terms))
+            exponents = columns[i]
+            columns[i] = map((1).__add__, exponents)
+            raised = zip(*columns)
+            columns[i] = map((-1).__add__, exponents)
+            lowered = zip(*columns)
+            get = out.get
+            values = self.terms.values()
+            if factor_first:
+                for key, c in zip(raised, values):
+                    out[key] = get(key, 0j) + _HALF * c
+                for key, c in zip(lowered, values):
+                    out[key] = get(key, 0j) + low * c
+            else:
+                for up, down, c in zip(raised, lowered, values):
+                    out[up] = get(up, 0j) + c * _HALF
+                    out[down] = get(down, 0j) + c * low
+        return LaurentPoly._from_arithmetic(self.variables, out, max(1.0, self.max_modulus()))
+
+    def _times_phase(self, phase: complex) -> LaurentPoly:
+        """Multiply by the constant polynomial ``phase``, rounded as a diagonal
+        z-rotation entry of the matrix product rounds it.
+
+        The matrix product adds each top-row product to a zero off-diagonal
+        product, so the terms are cut twice: at the product's scale, which
+        includes |phase|, and again at the result's own scale.
+        """
+        scaled, top = _cut(
+            {k: 0j + c * phase for k, c in self.terms.items()},
+            max(1.0, self.max_modulus(), abs(phase)),
+        )
+        return LaurentPoly._from_arithmetic(self.variables, scaled, max(1.0, top))
 
     # -- comparisons ----------------------------------------------------------
 
@@ -237,6 +302,28 @@ class LaurentPoly:
         return max(1.0, self.max_modulus(), other.max_modulus())
 
     def _same_support(self, fn) -> LaurentPoly:
+        """Apply a modulus-preserving map (conjugation, sign flips) to every term."""
         out = LaurentPoly(self.variables)
         out.terms = {k: fn(k, c) for k, c in self.terms.items()}
+        out._max_modulus = self._max_modulus
         return out
+
+
+def _cut(terms: dict[Exponents, complex], drop_scale: float) -> tuple[dict, float]:
+    """Drop the terms of modulus at most ``DROP_EPS * drop_scale``.
+
+    Returns the kept terms (``terms`` itself when nothing is dropped) and
+    their maximum modulus.  Raises ValueError on a non-finite coefficient.
+    """
+    sizes = list(map(abs, terms.values()))
+    if not sum(sizes) < math.inf:  # a non-finite coefficient, or a huge sum
+        for key, value in terms.items():
+            if not cmath.isfinite(value):
+                raise ValueError(f"non-finite coefficient {value!r} at {key}")
+    cutoff = DROP_EPS * drop_scale
+    top = max(sizes, default=0.0)
+    if top <= cutoff:
+        return {}, 0.0
+    if min(sizes) > cutoff:
+        return terms, top
+    return {k: v for (k, v), size in zip(terms.items(), sizes) if size > cutoff}, top

@@ -3,8 +3,12 @@
 The building blocks of an interleaved signal-processing product: one signal
 operator per variable, constant z-rotations, their matrix products, and the
 (P, Q) top-row embedding whose bottom row is forced to be
-(-star(invert_vars(Q)), star(invert_vars(P))).  Multiplying such matrices out
-term by term is the brute-force evaluation oracle for parameter sequences.
+(-star(invert_vars(Q)), star(invert_vars(P))).
+
+``evaluate_sequence`` carries only the top row and applies each factor with
+the shift-add step kernel ``LaurentPoly.mul_half``.  Multiplying the full
+``Mat2`` factors out term by term is the independent test oracle: the kernel
+reproduces its top row bit for bit.
 """
 
 from __future__ import annotations
@@ -120,12 +124,17 @@ class PQPair:
         return self.p.variables
 
     def normalization_defect(self) -> float:
-        combo = self.p * self.p.torus_conjugate() + self.q * self.q.torus_conjugate()
-        return combo.max_deviation(LaurentPoly.constant(self.variables, 1.0))
+        combo, one = self._unit_norm_terms()
+        return combo.max_deviation(one)
 
     def is_normalized(self, tol: float = EPS) -> bool:
+        combo, one = self._unit_norm_terms()
+        return combo.approx_eq(one, tol)
+
+    def _unit_norm_terms(self) -> tuple[LaurentPoly, LaurentPoly]:
+        """Both sides of the unit-norm identity: p*p~ + q*q~ and the constant 1."""
         combo = self.p * self.p.torus_conjugate() + self.q * self.q.torus_conjugate()
-        return combo.approx_eq(LaurentPoly.constant(self.variables, 1.0), tol)
+        return combo, LaurentPoly.constant(self.variables, 1.0)
 
     def max_deviation(self, other: PQPair) -> float:
         return max(self.p.max_deviation(other.p), self.q.max_deviation(other.q))
@@ -179,9 +188,20 @@ def pair_to_matrix(pair: PQPair) -> Mat2:
 def evaluate_sequence(seq: MqspSequence) -> PQPair:
     """Multiply out z(phi_0) A(s_1) z(phi_1) ... A(s_n) z(phi_n) and return the top row.
 
-    For an empty sequence this is (e^{i phi_0}, 0).
+    Only the top row is carried: each step maps (p, q) to
+    ((p c + q s) e^{i phi}, (p s + q c) e^{-i phi}) with c, s the cosine and
+    sine parts of A(s_k), one ``mul_half`` pass per product.  The result is
+    bitwise the top row of the ``Mat2`` product of ``z_rotation`` and
+    ``signal_operator`` factors, which stays as the test oracle.  For an
+    empty sequence this is (e^{i phi_0}, 0).
     """
-    mat = z_rotation(seq.phases[0], seq.variables)
+    m = seq.variables
+    p = LaurentPoly.constant(m, cmath.exp(1j * seq.phases[0]))
+    q = LaurentPoly.zero(m)
     for phi, s in zip(seq.phases[1:], seq.indices):
-        mat = mat @ signal_operator(s, seq.variables) @ z_rotation(phi, seq.variables)
-    return PQPair(mat.a, mat.b)
+        phase = cmath.exp(1j * phi)
+        p, q = (
+            (p.mul_half(s, 1) + q.mul_half(s, -1))._times_phase(phase),
+            (p.mul_half(s, -1) + q.mul_half(s, 1))._times_phase(phase.conjugate()),
+        )
+    return PQPair(p, q)

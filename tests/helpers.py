@@ -45,3 +45,10 @@ def extend_sequence(seq: MqspSequence, index: int, phase: float) -> MqspSequence
     return MqspSequence(
         seq.variables, seq.phases + (phase,), seq.indices + (index,)
     )
+
+
+def fingerprint(poly: LaurentPoly) -> list[tuple[tuple[int, ...], str]]:
+    """Terms in storage order with the repr of each coefficient: equal
+    fingerprints mean bitwise-equal values (signed zeros included) and the
+    same key order."""
+    return [(key, repr(coeff)) for key, coeff in poly.terms.items()]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import pytest
@@ -29,7 +30,7 @@ from mqsp import (
     z_rotation,
 )
 from mqsp.fixtures import counterexample_pair, identity_pair, signal_pair
-from helpers import oracle_pair, perturb_pair
+from helpers import fingerprint, oracle_pair, perturb_pair
 
 TOL = 1e-9
 
@@ -116,6 +117,43 @@ def test_reduce_step_lowers_touched_degree_only():
         for other in range(1, 4):
             if other != j:
                 assert after[other - 1] == degrees[other - 1]
+
+
+def product_form_reduction(pair: PQPair, j: int, phi: float) -> PQPair:
+    """reduce_step written with general polynomial products, factor first."""
+    m = pair.variables
+    e = cmath.exp(1j * phi)
+    ec = e.conjugate()
+    new_p = half_sum(j, m) * pair.p * ec - half_diff(j, m) * pair.q * e
+    new_q = half_sum(j, m) * pair.q * e - half_diff(j, m) * pair.p * ec
+    return PQPair(new_p, new_q)
+
+
+def scaled_pair(pair: PQPair, scale: float) -> PQPair:
+    m = pair.variables
+    return PQPair(
+        LaurentPoly(m, {k: c * scale for k, c in pair.p.terms.items()}),
+        LaurentPoly(m, {k: c * scale for k, c in pair.q.terms.items()}),
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("scale", [1.0, 3.7, 1e-3])
+def test_reduce_step_is_bitwise_the_product_form(m, mode, scale):
+    # the shift-add kernel must round exactly like the general products:
+    # same values (signed zeros included), same dropped terms, same key order
+    for seed in range(3):
+        pair, _ = oracle_pair(m, 6 + seed, 100 * m + seed, mode)
+        pair = scaled_pair(pair, scale)
+        degrees = pair.p.degrees()
+        for j in range(1, m + 1):
+            matched = find_phase(pair, j, degrees[j - 1], TOL)
+            for phi in {0.0, math.pi / 2, -0.7 + seed, matched or 0.0}:
+                kernel = reduce_step(pair, j, phi)
+                product = product_form_reduction(pair, j, phi)
+                assert fingerprint(kernel.p) == fingerprint(product.p)
+                assert fingerprint(kernel.q) == fingerprint(product.q)
 
 
 # -- decide -----------------------------------------------------------------------

@@ -9,16 +9,18 @@ import pytest
 from mqsp import (
     LaurentPoly,
     MqspSequence,
+    OracleConfig,
     PQPair,
     evaluate_sequence,
     half_diff,
     half_sum,
     identity_matrix,
     pair_to_matrix,
+    random_sequence,
     signal_operator,
     z_rotation,
 )
-from helpers import extend_sequence, oracle_pair
+from helpers import extend_sequence, fingerprint, oracle_pair
 
 TOL = 1e-9
 
@@ -112,6 +114,41 @@ def test_evaluate_identity_padding():
     pair = evaluate_sequence(MqspSequence(1, (0.0, math.pi / 2, -math.pi / 2), (1, 1)))
     assert pair.p.approx_eq(LaurentPoly.constant(1, 1.0), 1e-15)
     assert pair.q.is_zero(1e-15)
+
+
+def matrix_oracle_top_row(seq: MqspSequence) -> PQPair:
+    """Top row of the full Mat2 product z(phi_0) A(s_1) z(phi_1) ... A(s_n) z(phi_n)."""
+    mat = z_rotation(seq.phases[0], seq.variables)
+    for phi, s in zip(seq.phases[1:], seq.indices):
+        mat = mat @ signal_operator(s, seq.variables) @ z_rotation(phi, seq.variables)
+    return PQPair(mat.a, mat.b)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_evaluate_is_bitwise_the_matrix_oracle(m, mode):
+    # the shift-add kernel must round exactly like the matrix product:
+    # same values (signed zeros included), same dropped terms, same key order
+    for seed in range(3):
+        for n in (1, 2, 5, 9):
+            seq = random_sequence(OracleConfig(m, n, 1000 * m + 10 * seed + n, mode))
+            kernel = evaluate_sequence(seq)
+            oracle = matrix_oracle_top_row(seq)
+            assert fingerprint(kernel.p) == fingerprint(oracle.p)
+            assert fingerprint(kernel.q) == fingerprint(oracle.q)
+
+
+def test_phase_factor_cuts_like_the_matrix_product():
+    # e^{-0.514116 i} as evaluated in double precision: its modulus rounds
+    # just below 1, so a plain scalar product cuts at a smaller scale and
+    # keeps the tiny term; the matrix product with the z-rotation entry
+    # drops it, and so must the kernel
+    phase = complex(0.8707277809370632, -0.49176532157566544)
+    tiny = complex(2.459462400377877e-16, 1.984820003680756e-15)
+    poly = LaurentPoly(1, {(0,): 2.0, (2,): tiny})
+    oracle = poly * LaurentPoly.constant(1, phase) + LaurentPoly.zero(1)
+    assert len(poly * phase) == 2
+    assert fingerprint(poly._times_phase(phase)) == fingerprint(oracle)
 
 
 def test_sequence_validation():
