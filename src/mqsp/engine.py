@@ -120,7 +120,11 @@ def find_phase(pair: PQPair, j: int, degree: int, tol: float = EPS) -> float | N
 
     Both slices zero counts as vacuously satisfied with phi = 0.  Otherwise
     the candidate ratio is taken at the largest-modulus Q term (for
-    stability) and verified term-wise across the whole slice.  Unimodularity
+    stability) and verified term-wise across the whole slice.  Among Q terms
+    of exactly equal modulus the first in the slice's key order wins, which
+    is the storage order of Q's terms, not the sorted exponent order; so
+    the returned angle can depend on the order in which the terms were
+    produced, within the tolerance the verification allows.  Unimodularity
     of the ratio is measured as a modulus mismatch at the floored coefficient
     scale, like every other comparison; a scale-free test on the ratio itself
     would amplify the absolute rounding error carried by small slices.  The
@@ -280,7 +284,8 @@ def check_necessary(pair: PQPair, n: int, tol: float = EPS) -> NecessaryReport:
 
     Checks the inversion symmetries P(a^{-1}) = P(a) and Q(a^{-1}) = -Q(a),
     per-variable degree equality of P and Q, P != 0, matching parity of the
-    degree sum and the step count, and the unit-norm identity.
+    degree sum and the step count, and the unit-norm identity (sampled on a
+    torus grid, see ``PQPair.is_normalized``).
     """
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
@@ -290,9 +295,7 @@ def check_necessary(pair: PQPair, n: int, tol: float = EPS) -> NecessaryReport:
     return NecessaryReport(
         symmetry_p=p.invert_vars().approx_eq(p, tol),
         symmetry_q=q.invert_vars().approx_eq(-q, tol),
-        degree_equality=all(
-            p.degree(j) == q.degree(j) for j in range(1, pair.variables + 1)
-        ),
+        degree_equality=degrees == q.degrees(),
         p_nonzero=not p.is_zero(tol),
         parity_ok=(total - n) % 2 == 0,
         normalization_ok=pair.is_normalized(tol),

@@ -14,7 +14,9 @@ reproduces its top row bit for bit.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from operator import mul
 
 from .laurent import EPS, LaurentPoly
 
@@ -107,7 +109,12 @@ class PQPair:
     pair realizable by some parameter sequence additionally satisfies the
     unit-norm identity p*p~ + q*q~ = 1 (with x~ = star(invert_vars(x))),
     which is |p|^2 + |q|^2 = 1 for variables on the unit circle; use
-    ``is_normalized`` to test for it.
+    ``is_normalized`` to test for it.  The identity is not multiplied out:
+    |p|^2 + |q|^2 is sampled on a torus grid just large enough to hold its
+    coefficients and transformed back (see ``_unit_norm_deviation``), which
+    costs O(G * sum_j N_j) for a grid of G = prod_j N_j points, N_j about
+    twice the span of variable j, instead of the product's O(L^2) in the
+    term count L.
     """
 
     p: LaurentPoly
@@ -124,17 +131,14 @@ class PQPair:
         return self.p.variables
 
     def normalization_defect(self) -> float:
-        combo, one = self._unit_norm_terms()
-        return combo.max_deviation(one)
+        """Largest coefficient-wise |difference| of p*p~ + q*q~ against 1."""
+        return _unit_norm_deviation(self.p, self.q)[0]
 
     def is_normalized(self, tol: float = EPS) -> bool:
-        combo, one = self._unit_norm_terms()
-        return combo.approx_eq(one, tol)
-
-    def _unit_norm_terms(self) -> tuple[LaurentPoly, LaurentPoly]:
-        """Both sides of the unit-norm identity: p*p~ + q*q~ and the constant 1."""
-        combo = self.p * self.p.torus_conjugate() + self.q * self.q.torus_conjugate()
-        return combo, LaurentPoly.constant(self.variables, 1.0)
+        """The unit-norm identity within ``tol`` relative to the coefficient
+        scale, the test ``LaurentPoly.approx_eq`` makes."""
+        deviation, scale = _unit_norm_deviation(self.p, self.q)
+        return deviation <= tol * scale
 
     def max_deviation(self, other: PQPair) -> float:
         return max(self.p.max_deviation(other.p), self.q.max_deviation(other.q))
@@ -205,3 +209,68 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
             (p.mul_half(s, -1) + q.mul_half(s, 1))._times_phase(phase.conjugate()),
         )
     return PQPair(p, q)
+
+
+def _unit_norm_deviation(p: LaurentPoly, q: LaurentPoly) -> tuple[float, float]:
+    """Largest deviation of a coefficient of p*p~ + q*q~ from the constant 1,
+    and the coefficient scale max(1, max |coefficient|).
+
+    On the unit torus p*p~ + q*q~ equals |p|^2 + |q|^2.  Its j-exponents are
+    differences of two j-exponents of one polynomial.  With stride sigma_j the
+    greatest common divisor of those differences in p and in q (2 when each
+    polynomial's j-exponents share one parity, as in every realizable pair),
+    and span s_j the larger of (max - min) / sigma_j + 1 over p and q, every
+    lag in b_j = a_j^sigma_j lies in [-(s_j - 1), s_j - 1].  So each
+    polynomial is shifted to b-exponents 0..s_j - 1 (a unimodular factor on
+    the torus), evaluated on N_j = 2 s_j - 1 roots of unity per axis, and the
+    sum of squared moduli is transformed back: the coefficients come out
+    exact up to rounding, for any input.  The samples are real, so the
+    coefficients are Hermitian and only the lags with a non-negative last
+    component are computed.
+    """
+    polys = [poly for poly in (p, q) if poly.terms]
+    columns = [list(zip(*poly.terms)) for poly in polys]
+    lows = [list(map(min, column)) for column in columns]
+    strides, spans = [], []
+    for i in range(p.variables):
+        axis = [(column[i], low[i]) for column, low in zip(columns, lows)]
+        stride = math.gcd(*(e - lo for exps, lo in axis for e in exps)) or 1
+        strides.append(stride)
+        spans.append(max(((max(exps) - lo) // stride + 1 for exps, lo in axis), default=1))
+    points = [2 * s - 1 for s in spans]
+
+    forward, inverse = [], []
+    for s, n in zip(spans, points):
+        roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+        forward.append([[roots[t * u % n] for u in range(s)] for t in range(n)])
+        inverse.append([[roots[-lag * t % n] / n for t in range(n)] for lag in range(n)])
+    inverse[-1] = inverse[-1][: spans[-1]]  # Hermitian: lags 0..s-1 on the last axis
+
+    places = [math.prod(spans[i + 1 :]) for i in range(len(spans))]
+    samples = [0.0] * math.prod(points)
+    for poly, low in zip(polys, lows):
+        dense = [0j] * math.prod(spans)
+        for key, coeff in poly.terms.items():
+            at = zip(key, low, strides, places)
+            dense[sum((e - lo) // st * pl for e, lo, st, pl in at)] = coeff
+        values = _separable_transform(dense, forward)
+        samples = [f + v.real * v.real + v.imag * v.imag for f, v in zip(samples, values)]
+
+    coeffs = _separable_transform(samples, inverse)
+    sizes = list(map(abs, coeffs))
+    scale = max(1.0, max(sizes))
+    sizes[0] = abs(coeffs[0] - 1.0)
+    return max(sizes), scale
+
+
+def _separable_transform(values: list, matrices: list[list[list[complex]]]) -> list:
+    """Apply one matrix per axis to a row-major grid, the last axis first.
+
+    Each pass contracts the trailing axis with the rows of its matrix and
+    moves the result to the front, so after all passes the axes are back in
+    their original order, each of length ``len(matrices[i])``.
+    """
+    for matrix in reversed(matrices):
+        rows = list(zip(*[iter(values)] * len(matrix[0])))
+        values = [sum(map(mul, w, row)) for w in matrix for row in rows]
+    return values

@@ -30,7 +30,7 @@ from mqsp import (
 )
 from mqsp.fixtures import counterexample_pair
 from mqsp.su2 import evaluate_sequence
-from helpers import oracle_pair, perturb_pair
+from helpers import corpus_configs, oracle_pair, perturb_pair
 
 TOL = 1e-9
 ANGLE_MODES = ("continuous", "discrete")
@@ -47,33 +47,15 @@ class CorpusEntry:
     roundtrip: object
 
 
-# Seed base for the corpus.  Roughly 0.2% of random instances are deep
-# single-variable chains whose top coefficient slices stay near 1e-3 for many
-# consecutive levels; those amplify the input's double-rounding defect beyond
-# any fixed tolerance and are undecidable at 1e-9 in any working precision
-# (see test_conditioning.py).  The base below was checked to contain none.
-CORPUS_SEED_BASE = 2000
-
-
 @pytest.fixture(scope="module")
 def corpus():
     """528 seeded instances spanning m in 1..3, n in 0..10, both angle modes,
     with their pairs and roundtrip diagnostics; built once and timed."""
     entries = []
-    counter = 0
     start = time.perf_counter()
-    for variables in (1, 2, 3):
-        for steps in range(11):
-            for mode in ANGLE_MODES:
-                for _ in range(8):
-                    cfg = OracleConfig(
-                        variables, steps, seed=CORPUS_SEED_BASE + counter, angle_mode=mode
-                    )
-                    counter += 1
-                    seq = random_sequence(cfg)
-                    entries.append(
-                        CorpusEntry(cfg, evaluate_sequence(seq), roundtrip_check(seq, TOL))
-                    )
+    for cfg in corpus_configs():
+        seq = random_sequence(cfg)
+        entries.append(CorpusEntry(cfg, evaluate_sequence(seq), roundtrip_check(seq, TOL)))
     elapsed = time.perf_counter() - start
     return entries, elapsed
 

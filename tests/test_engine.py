@@ -11,6 +11,7 @@ from mqsp import (
     BaseAccept,
     LaurentPoly,
     MqspSequence,
+    NecessaryReport,
     PhaseReduction,
     PQPair,
     Reject,
@@ -22,6 +23,7 @@ from mqsp import (
     half_sum,
     pair_to_matrix,
     qsp1_characterize,
+    random_sequence,
     reduce_step,
     run_decision,
     signal_operator,
@@ -30,7 +32,13 @@ from mqsp import (
     z_rotation,
 )
 from mqsp.fixtures import counterexample_pair, identity_pair, signal_pair
-from helpers import fingerprint, oracle_pair, perturb_pair
+from helpers import (
+    corpus_configs,
+    fingerprint,
+    oracle_pair,
+    perturb_pair,
+    unit_norm_product,
+)
 
 TOL = 1e-9
 
@@ -62,6 +70,18 @@ def test_find_phase_vacuous_when_both_slices_vanish():
 def test_find_phase_rejects_non_unimodular_ratio():
     pair = PQPair(half_sum(1, 1) * 2.0, half_diff(1, 1))
     assert find_phase(pair, 1, 1, TOL) is None
+
+
+def test_find_phase_ties_go_to_the_first_stored_term():
+    # two Q terms of exactly equal modulus in the a_1^1 slice, whose P
+    # partners differ in angle by 1e-10, well inside the verification
+    # tolerance: the angle is read at whichever Q term is stored first
+    phi_a, phi_b = 0.3, 0.3 + 1e-10
+    p = LaurentPoly(2, {(1, 1): 0.5 * cmath.exp(2j * phi_a), (1, -1): 0.5 * cmath.exp(2j * phi_b)})
+    first_a = PQPair(p, LaurentPoly(2, {(1, 1): 0.5, (1, -1): 0.5}))
+    first_b = PQPair(p, LaurentPoly(2, {(1, -1): 0.5, (1, 1): 0.5}))
+    assert find_phase(first_a, 1, 1, TOL) == pytest.approx(phi_a, abs=1e-14)
+    assert find_phase(first_b, 1, 1, TOL) == pytest.approx(phi_b, abs=1e-14)
 
 
 def test_find_phase_principal_branch():
@@ -261,6 +281,43 @@ def test_check_necessary_flags_parity():
     # flags are computed independently: everything else still passes
     assert report.symmetry_p and report.symmetry_q and report.normalization_ok
     assert report.degree_equality and report.p_nonzero
+
+
+def product_form_report(pair: PQPair, n: int) -> NecessaryReport:
+    """check_necessary with the unit-norm identity multiplied out in full and
+    the degrees compared one variable at a time."""
+    p, q = pair.p, pair.q
+    one = LaurentPoly.constant(pair.variables, 1.0)
+    return NecessaryReport(
+        symmetry_p=p.invert_vars().approx_eq(p, TOL),
+        symmetry_q=q.invert_vars().approx_eq(-q, TOL),
+        degree_equality=all(p.degree(j) == q.degree(j) for j in range(1, pair.variables + 1)),
+        p_nonzero=not p.is_zero(TOL),
+        parity_ok=(sum(p.degrees()) - n) % 2 == 0,
+        normalization_ok=unit_norm_product(pair).approx_eq(one, TOL),
+        degrees=p.degrees(),
+        degree_sum=sum(p.degrees()),
+        steps=n,
+    )
+
+
+def test_check_necessary_is_the_product_form_report():
+    witness = counterexample_pair()
+    unequal_degrees = PQPair(witness.p, LaurentPoly.zero(2))
+    for pair in (witness, unequal_degrees):
+        for n in (4, 5, 6):
+            assert check_necessary(pair, n, TOL) == product_form_report(pair, n)
+    assert not check_necessary(unequal_degrees, 4, TOL).degree_equality
+    # the acceptance corpus, each pair also with one coefficient moved by 1e-3
+    for i, cfg in enumerate(corpus_configs()):
+        pair = evaluate_sequence(random_sequence(cfg))
+        report = check_necessary(pair, cfg.steps, TOL)
+        assert report == product_form_report(pair, cfg.steps)
+        assert report.all_ok
+        broken = perturb_pair(pair, i)
+        report = check_necessary(broken, cfg.steps, TOL)
+        assert report == product_form_report(broken, cfg.steps)
+        assert not report.normalization_ok
 
 
 def test_check_necessary_counterexample_all_true_yet_rejected():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import pytest
@@ -20,7 +21,7 @@ from mqsp import (
     signal_operator,
     z_rotation,
 )
-from helpers import extend_sequence, fingerprint, oracle_pair
+from helpers import extend_sequence, fingerprint, oracle_pair, perturb_pair, unit_norm_product
 
 TOL = 1e-9
 
@@ -244,3 +245,92 @@ def test_evaluated_pair_symmetries(seed, m, n, mode):
         assert pair.p.degree(j) == pair.q.degree(j)
     assert not pair.p.is_zero(TOL)
     assert (sum(pair.p.degrees()) - n) % 2 == 0
+
+
+# -- unit-norm filter ------------------------------------------------------------------
+
+
+def assert_filter_matches_product(pair: PQPair) -> None:
+    one = LaurentPoly.constant(pair.variables, 1.0)
+    product = unit_norm_product(pair)
+    assert abs(pair.normalization_defect() - product.max_deviation(one)) <= 1e-13
+    assert pair.is_normalized(TOL) == product.approx_eq(one, TOL)
+
+
+def with_off_parity_term(poly: LaurentPoly, coeff: complex) -> LaurentPoly:
+    """Add a term one step above the first key in variable 1, so that variable
+    1's exponents no longer share one parity (stride 1 on that axis)."""
+    terms = dict(poly.terms)
+    key = next(iter(terms), (0,) * poly.variables)
+    shifted = (key[0] + 1,) + key[1:]
+    terms[shifted] = terms.get(shifted, 0j) + coeff
+    return LaurentPoly(poly.variables, terms)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_unit_norm_filter_matches_the_product(m, mode):
+    for seed in range(3):
+        pair, _ = oracle_pair(m, (12, 9, 7, 6)[m - 1] + seed, 300 * m + seed, mode)
+        cases = [
+            pair,
+            perturb_pair(pair, seed),
+            PQPair(with_off_parity_term(pair.p, 1e-3j), pair.q),
+            PQPair(pair.p, with_off_parity_term(pair.q, -1e-3)),
+            # scaled: deviation 6e-10 (normalized), 2e-9 (not), and a scale above 1
+            PQPair(pair.p * (1 + 3e-10), pair.q * (1 + 3e-10)),
+            PQPair(pair.p * (1 + 1e-9), pair.q * (1 + 1e-9)),
+            PQPair(pair.p * 3.7, pair.q * 3.7),
+        ]
+        verdicts = []
+        for case in cases:
+            assert_filter_matches_product(case)
+            verdicts.append(case.is_normalized(TOL))
+        assert verdicts == [True, False, False, False, True, False, False]
+
+
+ZERO2 = LaurentPoly.zero(2)
+HALF_UP = LaurentPoly(2, {(0, 0): 0.5, (1, 0): 0.5})
+HALF_DOWN = LaurentPoly(2, {(0, 0): 0.5, (1, 0): -0.5})
+WIDE = LaurentPoly(2, {(600, -400): 0.5, (-600, 400): 0.5})
+WIDE_ODD = LaurentPoly(2, {(600, -400): 0.5, (-600, 400): -0.5})
+
+
+@pytest.mark.parametrize(
+    "pair,defect",
+    [
+        pytest.param(PQPair(ZERO2, ZERO2), 1.0, id="both-zero"),
+        pytest.param(PQPair(ZERO2, LaurentPoly(2, {(3, -1): 1j})), 0.0, id="p-zero"),
+        pytest.param(PQPair(ZERO2, half_diff(1, 2)), 0.5, id="p-zero-unnormalized"),
+        pytest.param(PQPair(LaurentPoly.constant(2, cmath.exp(0.3j)), ZERO2), 0.0, id="q-zero"),
+        pytest.param(PQPair(half_sum(2, 2), ZERO2), 0.5, id="q-zero-unnormalized"),
+        pytest.param(
+            PQPair(LaurentPoly.constant(2, 0.6), LaurentPoly.constant(2, 0.8j)), 0.0, id="constant"
+        ),
+        pytest.param(
+            PQPair(LaurentPoly.constant(2, 0.6), LaurentPoly.constant(2, 0.6)),
+            0.28,
+            id="constant-unnormalized",
+        ),
+        # 0.5 + 0.5 a_1 and 0.5 -+ 0.5 a_1 mix parities (stride 1); the lag-1
+        # cross terms cancel between P and Q, or add up
+        pytest.param(PQPair(HALF_UP, HALF_DOWN), 0.0, id="mixed-parity"),
+        pytest.param(PQPair(HALF_UP, HALF_UP), 0.5, id="mixed-parity-unnormalized"),
+        pytest.param(
+            PQPair(LaurentPoly(2, {(1000, -999): cmath.exp(0.3j)}), ZERO2), 0.0, id="far-monomial"
+        ),
+        # exponents 1200 and 800 apart: a stride of 1200 and 800 keeps the
+        # grid at 3 x 3 points instead of 1201 x 801
+        pytest.param(PQPair(WIDE, WIDE_ODD), 0.0, id="wide-sparse"),
+        pytest.param(PQPair(WIDE, WIDE), 0.5, id="wide-sparse-unnormalized"),
+        pytest.param(
+            PQPair(LaurentPoly(2, {(1001, 6): 0.6}), LaurentPoly(2, {(-2000, 7): 0.8})),
+            0.0,
+            id="far-monomials-own-offsets",
+        ),
+    ],
+)
+def test_unit_norm_filter_edge_cases(pair, defect):
+    assert_filter_matches_product(pair)
+    assert pair.normalization_defect() == pytest.approx(defect, abs=1e-15)
+    assert pair.is_normalized(TOL) == (defect == 0.0)
