@@ -109,12 +109,13 @@ class PQPair:
     pair realizable by some parameter sequence additionally satisfies the
     unit-norm identity p*p~ + q*q~ = 1 (with x~ = star(invert_vars(x))),
     which is |p|^2 + |q|^2 = 1 for variables on the unit circle; use
-    ``is_normalized`` to test for it.  The identity is not multiplied out:
-    |p|^2 + |q|^2 is sampled on a torus grid just large enough to hold its
-    coefficients and transformed back (see ``_unit_norm_deviation``), which
-    costs O(G * sum_j N_j) for a grid of G = prod_j N_j points, N_j about
-    twice the span of variable j, instead of the product's O(L^2) in the
-    term count L.
+    ``is_normalized`` to test for it.  The identity is usually not
+    multiplied out: |p|^2 + |q|^2 is sampled on a torus grid just large
+    enough to hold its coefficients and transformed back (see
+    ``_unit_norm_deviation``), which costs O(G * sum_j N_j) for a grid of
+    G = prod_j N_j points, N_j about twice the span of variable j, instead of
+    the product's O(L^2) in the term count L.  A sparse pair whose grid would
+    cost more than that product is multiplied out instead.
     """
 
     p: LaurentPoly
@@ -211,6 +212,11 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     return PQPair(p, q)
 
 
+# One term pair of the multiplied-out identity (tuple and dict work per
+# pair) costs about as much as four multiply-adds of the grid transforms.
+_TERM_PAIR_COST = 4
+
+
 def _unit_norm_deviation(p: LaurentPoly, q: LaurentPoly) -> tuple[float, float]:
     """Largest deviation of a coefficient of p*p~ + q*q~ from the constant 1,
     and the coefficient scale max(1, max |coefficient|).
@@ -227,6 +233,12 @@ def _unit_norm_deviation(p: LaurentPoly, q: LaurentPoly) -> tuple[float, float]:
     exact up to rounding, for any input.  The samples are real, so the
     coefficients are Hermitian and only the lags with a non-negative last
     component are computed.
+
+    The grid follows the exponent box, not the term count, so a sparse pair
+    spread over a wide box would need far more points than it has term
+    pairs.  When the grid work prod_j N_j * sum_j N_j exceeds the product's
+    |p|^2 + |q|^2 term pairs (weighted by ``_TERM_PAIR_COST``), the identity
+    is multiplied out instead; both ways are exact up to rounding.
     """
     polys = [poly for poly in (p, q) if poly.terms]
     columns = [list(zip(*poly.terms)) for poly in polys]
@@ -238,13 +250,28 @@ def _unit_norm_deviation(p: LaurentPoly, q: LaurentPoly) -> tuple[float, float]:
         strides.append(stride)
         spans.append(max(((max(exps) - lo) // stride + 1 for exps, lo in axis), default=1))
     points = [2 * s - 1 for s in spans]
+    if math.prod(points) * sum(points) > _TERM_PAIR_COST * (len(p) ** 2 + len(q) ** 2):
+        combo = p * p.torus_conjugate() + q * q.torus_conjugate()
+        one = LaurentPoly.constant(p.variables, 1.0)
+        return combo.max_deviation(one), max(1.0, combo.max_modulus())
+    return _sampled_deviation(polys, lows, strides, spans)
 
+
+def _sampled_deviation(
+    polys: list[LaurentPoly], lows: list[list[int]], strides: list[int], spans: list[int]
+) -> tuple[float, float]:
+    """``_unit_norm_deviation`` on the torus grid: each polynomial is placed
+    at b-exponents (e - low) / stride, evaluated, and |p|^2 + |q|^2 is
+    transformed back."""
+    points = [2 * s - 1 for s in spans]
     forward, inverse = [], []
-    for s, n in zip(spans, points):
+    last = len(spans) - 1
+    for i, (s, n) in enumerate(zip(spans, points)):
         roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
         forward.append([[roots[t * u % n] for u in range(s)] for t in range(n)])
-        inverse.append([[roots[-lag * t % n] / n for t in range(n)] for lag in range(n)])
-    inverse[-1] = inverse[-1][: spans[-1]]  # Hermitian: lags 0..s-1 on the last axis
+        # Hermitian: lags 0..s-1 suffice on the last axis
+        lags = range(s if i == last else n)
+        inverse.append([[roots[-lag * t % n] / n for t in range(n)] for lag in lags])
 
     places = [math.prod(spans[i + 1 :]) for i in range(len(spans))]
     samples = [0.0] * math.prod(points)

@@ -21,6 +21,7 @@ from mqsp import (
     signal_operator,
     z_rotation,
 )
+from mqsp import su2
 from helpers import extend_sequence, fingerprint, oracle_pair, perturb_pair, unit_norm_product
 
 TOL = 1e-9
@@ -267,8 +268,17 @@ def with_off_parity_term(poly: LaurentPoly, coeff: complex) -> LaurentPoly:
     return LaurentPoly(poly.variables, terms)
 
 
+@pytest.fixture(params=["chosen", "sampled", "multiplied"])
+def unit_norm_method(request, monkeypatch):
+    """Run a filter test with the method the input selects, or force the
+    torus grid (an infinite term-pair cost) or the product (a zero one)."""
+    cost = {"chosen": su2._TERM_PAIR_COST, "sampled": math.inf, "multiplied": 0}
+    monkeypatch.setattr(su2, "_TERM_PAIR_COST", cost[request.param])
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.usefixtures("unit_norm_method")
 def test_unit_norm_filter_matches_the_product(m, mode):
     for seed in range(3):
         pair, _ = oracle_pair(m, (12, 9, 7, 6)[m - 1] + seed, 300 * m + seed, mode)
@@ -330,7 +340,44 @@ WIDE_ODD = LaurentPoly(2, {(600, -400): 0.5, (-600, 400): -0.5})
         ),
     ],
 )
+@pytest.mark.usefixtures("unit_norm_method")
 def test_unit_norm_filter_edge_cases(pair, defect):
     assert_filter_matches_product(pair)
     assert pair.normalization_defect() == pytest.approx(defect, abs=1e-15)
     assert pair.is_normalized(TOL) == (defect == 0.0)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        # a span of 100001 at stride 1: twiddle tables of about 2e10 entries
+        pytest.param(
+            PQPair(LaurentPoly(1, {(0,): 0.5, (1,): 0.5, (100000,): 1e-3}), LaurentPoly.zero(1)),
+            id="span-100001",
+        ),
+        # two opposite corners of a 20-variable box: a grid of 3^20 points
+        pytest.param(
+            PQPair(LaurentPoly(20, {(0,) * 20: 0.5, (1,) * 20: 0.5}), LaurentPoly.zero(20)),
+            id="m20-corners",
+        ),
+    ],
+)
+def test_sparse_wide_pair_is_multiplied_out(pair, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("sampled on a torus grid")
+
+    monkeypatch.setattr(su2, "_sampled_deviation", no_grid)
+    assert_filter_matches_product(pair)
+    assert not pair.is_normalized(TOL)
+
+
+@pytest.mark.parametrize("m,n", [(1, 40), (2, 16), (3, 8), (4, 8)])
+def test_realizable_pair_is_sampled(m, n, monkeypatch):
+    pair, _ = oracle_pair(m, n, 11 * m + n)
+
+    def no_product(self, other):
+        raise AssertionError("multiplied the identity out")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", no_product)
+    assert pair.is_normalized(TOL)
+    assert pair.normalization_defect() <= TOL
