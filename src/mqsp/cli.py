@@ -2,7 +2,8 @@
 
 Exit codes are uniform across subcommands: 0 for success / a true decision,
 1 for a false decision or a verification mismatch, 2 for usage or input
-errors.  Reports go to standard output, errors to standard error.
+errors, unreadable inputs and unwritable outputs included.  Reports go to
+standard output, errors to standard error.
 """
 
 from __future__ import annotations
@@ -142,13 +143,13 @@ def _format_necessary(report: NecessaryReport) -> str:
 
 def _load(loader, path: str):
     """Read a document with ``loader`` (``documents.load_pair`` or
-    ``documents.load_sequence``), turning its failures into input errors."""
+    ``documents.load_sequence``), turning parse and validation failures
+    into input errors that name the file; ``OSError`` is reported by
+    ``main``."""
     try:
         return loader(path)
     except (documents.DocumentError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
 
 
 def _check_steps(steps: int) -> None:
@@ -178,16 +179,12 @@ def cmd_synthesize(args) -> int:
         print(f"result: not constructible in {args.steps} steps")
         print(_format_trace(result.trace))
         return EXIT_FALSE
-    doc = documents.sequence_to_document(result.sequence)
     if args.output:
-        try:
-            documents.save_sequence(result.sequence, args.output)
-        except OSError as exc:
-            raise InputError(str(exc)) from exc
+        documents.save_sequence(result.sequence, args.output)
         print(f"result: constructible in {args.steps} steps")
         print(f"wrote sequence document to {args.output}")
     else:
-        sys.stdout.write(documents.dumps(doc))
+        sys.stdout.write(documents.dumps(documents.sequence_to_document(result.sequence)))
     return EXIT_TRUE
 
 
@@ -218,11 +215,8 @@ def cmd_gen(args) -> int:
         "name": f"oracle-m{cfg.variables}-n{cfg.steps}-seed{cfg.seed}",
         "source": f"{cfg.angle_mode} angles, seed {cfg.seed} (mt19937)",
     }
-    try:
-        documents.save_pair(pair, args.pair_out, metadata)
-        documents.save_sequence(seq, args.sequence_out)
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
+    documents.save_pair(pair, args.pair_out, metadata)
+    documents.save_sequence(seq, args.sequence_out)
     print(f"wrote pair document to {args.pair_out}")
     print(f"wrote sequence document to {args.sequence_out}")
     return EXIT_TRUE
@@ -242,16 +236,12 @@ def cmd_fixture(args) -> int:
         pair = fixtures.fixture_pair(args.name)
     except KeyError as exc:
         raise InputError(str(exc.args[0])) from exc
-    doc = documents.pair_to_document(pair, fixtures.fixture_metadata(args.name))
+    metadata = fixtures.fixture_metadata(args.name)
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(documents.dumps(doc))
-        except OSError as exc:
-            raise InputError(str(exc)) from exc
+        documents.save_pair(pair, args.output, metadata)
         print(f"wrote {args.name} pair document to {args.output}")
     else:
-        sys.stdout.write(documents.dumps(doc))
+        sys.stdout.write(documents.dumps(documents.pair_to_document(pair, metadata)))
     return EXIT_TRUE
 
 
@@ -263,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -121,15 +121,15 @@ def find_phase(pair: PQPair, j: int, degree: int, tol: float = EPS) -> float | N
     Both slices zero counts as vacuously satisfied with phi = 0.  Otherwise
     the candidate ratio is taken at the largest-modulus Q term (for
     stability) and verified term-wise across the whole slice.  Among Q terms
-    of exactly equal modulus the first in the slice's key order wins, which
-    is the storage order of Q's terms, not the sorted exponent order; so
-    the returned angle can depend on the order in which the terms were
-    produced, within the tolerance the verification allows.  Unimodularity
-    of the ratio is measured as a modulus mismatch at the floored coefficient
-    scale, like every other comparison; a scale-free test on the ratio itself
-    would amplify the absolute rounding error carried by small slices.  The
-    returned angle is the principal representative in (-pi/2, pi/2]; any
-    representative mod pi reproduces the pair.
+    of exactly equal modulus the one with the lexicographically largest
+    exponent vector is the reference, so the returned angle depends on the
+    polynomials alone, not on the order in which their terms are stored.
+    Unimodularity of the ratio is measured as a modulus mismatch at the
+    floored coefficient scale, like every other comparison; a scale-free
+    test on the ratio itself would amplify the absolute rounding error
+    carried by small slices.  The returned angle is the principal
+    representative in (-pi/2, pi/2]; any representative mod pi reproduces
+    the pair.
     """
     cp = pair.p.coeff_slice(j, degree)
     cq = pair.q.coeff_slice(j, degree)
@@ -139,7 +139,8 @@ def find_phase(pair: PQPair, j: int, degree: int, tol: float = EPS) -> float | N
         return 0.0
     if p_zero or q_zero:
         return None
-    ref = max(cq.terms, key=lambda k: abs(cq.terms[k]))
+    top = cq.max_modulus()
+    ref = max(k for k, c in cq.terms.items() if abs(c) == top)
     top_p = cp.terms.get(ref, 0j)
     top_q = cq.terms[ref]
     scale = max(1.0, cp.max_modulus(), cq.max_modulus())
@@ -165,8 +166,8 @@ def reduce_step(pair: PQPair, j: int, phi: float) -> PQPair:
     p, q = pair.p, pair.q
     e = cmath.exp(1j * phi)
     ec = e.conjugate()
-    new_p = p.mul_half(j, 1, factor_first=True) * ec - q.mul_half(j, -1, factor_first=True) * e
-    new_q = q.mul_half(j, 1, factor_first=True) * e - p.mul_half(j, -1, factor_first=True) * ec
+    new_p = p.mul_half(j, 1) * ec - q.mul_half(j, -1) * e
+    new_q = q.mul_half(j, 1) * e - p.mul_half(j, -1) * ec
     return PQPair(new_p, new_q)
 
 

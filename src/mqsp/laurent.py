@@ -40,22 +40,16 @@ class LaurentPoly:
 
     The zero polynomial is the empty mapping.  Construction normalizes the
     term mapping: coefficients whose modulus is at most ``DROP_EPS`` times
-    the reference scale are dropped.  The reference scale defaults to the
-    input's own maximum modulus (floored at 1); operations pass the scale of
-    their operands instead, which keeps dropping behaviour stable under
-    unimodular rescaling.  The maximum modulus of the kept terms is recorded
-    at construction, since every operation reads it for its drop scale.
+    the input's own maximum modulus (floored at 1) are dropped.  Operations
+    cut at the scale of their operands instead, which keeps dropping
+    behaviour stable under unimodular rescaling.  The maximum modulus of the
+    kept terms is recorded at construction, since every operation reads it
+    for its drop scale.
     """
 
     __slots__ = ("variables", "terms", "_max_modulus")
 
-    def __init__(
-        self,
-        variables: int,
-        terms: Mapping[Exponents, complex] | None = None,
-        *,
-        drop_scale: float | None = None,
-    ):
+    def __init__(self, variables: int, terms: Mapping[Exponents, complex] | None = None):
         if variables < 1:
             raise ValueError(f"need at least one variable, got {variables}")
         validated: dict[Exponents, complex] = {}
@@ -66,8 +60,7 @@ class LaurentPoly:
                     f"exponent vector {key} has length {len(key)}, expected {variables}"
                 )
             validated[key] = complex(coeff)
-        if drop_scale is None:
-            drop_scale = max(1.0, max(map(abs, validated.values()), default=0.0))
+        drop_scale = max(1.0, max(map(abs, validated.values()), default=0.0))
         self.variables = variables
         self.terms, self._max_modulus = _cut(validated, drop_scale)
 
@@ -196,18 +189,17 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def mul_half(self, j: int, sign: int, *, factor_first: bool = False) -> LaurentPoly:
+    def mul_half(self, j: int, sign: int) -> LaurentPoly:
         """Multiply by (a_j + sign * a_j^{-1}) / 2 in one pass over the terms.
 
         This is the step kernel of sequence evaluation and reduction.  The
-        result is bitwise the general product with the two-term factor
-        (``half_sum`` for ``sign`` +1, ``half_diff`` for -1): every output
-        coefficient is 0.5 c[k - e_j] + (+-0.5) c[k + e_j] accumulated onto
-        0j, cut at the same drop scale.  Key order is that of
-        ``self * factor`` (both shifts of each term in turn), or with
-        ``factor_first`` that of ``factor * self`` (every raised key, then
-        every lowered one); ties between equal moduli are broken by that
-        order downstream.
+        result is bitwise the general product ``self * factor`` with the
+        two-term factor (``half_sum`` for ``sign`` +1, ``half_diff`` for -1):
+        every output coefficient is 0.5 c[k - e_j] + (+-0.5) c[k + e_j]
+        accumulated onto 0j, cut at the same drop scale, with keys in the
+        product's order (both shifts of each term in turn).  Each output
+        coefficient is a sum of at most two products, so its value does not
+        depend on the order in which the terms are stored.
         """
         i = self._index(j)
         low = _HALF if sign > 0 else _MINUS_HALF
@@ -221,16 +213,9 @@ class LaurentPoly:
             columns[i] = map((-1).__add__, exponents)
             lowered = zip(*columns)
             get = out.get
-            values = self.terms.values()
-            if factor_first:
-                for key, c in zip(raised, values):
-                    out[key] = get(key, 0j) + _HALF * c
-                for key, c in zip(lowered, values):
-                    out[key] = get(key, 0j) + low * c
-            else:
-                for up, down, c in zip(raised, lowered, values):
-                    out[up] = get(up, 0j) + c * _HALF
-                    out[down] = get(down, 0j) + c * low
+            for up, down, c in zip(raised, lowered, self.terms.values()):
+                out[up] = get(up, 0j) + c * _HALF
+                out[down] = get(down, 0j) + c * low
         return LaurentPoly._from_arithmetic(self.variables, out, max(1.0, self.max_modulus()))
 
     def _times_phase(self, phase: complex) -> LaurentPoly:

@@ -22,23 +22,15 @@ from .laurent import EPS, LaurentPoly
 
 
 def half_sum(j: int, variables: int) -> LaurentPoly:
-    """(a_j + a_j^{-1}) / 2 with the full ambient arity."""
-    exps = [0] * variables
-    exps[j - 1] = 1
-    up = tuple(exps)
-    exps[j - 1] = -1
-    down = tuple(exps)
-    return LaurentPoly(variables, {up: 0.5, down: 0.5})
+    """(a_j + a_j^{-1}) / 2 with the full ambient arity; IndexError
+    unless 1 <= j <= variables."""
+    return LaurentPoly.constant(variables, 1.0).mul_half(j, 1)
 
 
 def half_diff(j: int, variables: int) -> LaurentPoly:
-    """(a_j - a_j^{-1}) / 2 with the full ambient arity."""
-    exps = [0] * variables
-    exps[j - 1] = 1
-    up = tuple(exps)
-    exps[j - 1] = -1
-    down = tuple(exps)
-    return LaurentPoly(variables, {up: 0.5, down: -0.5})
+    """(a_j - a_j^{-1}) / 2 with the full ambient arity; IndexError
+    unless 1 <= j <= variables."""
+    return LaurentPoly.constant(variables, 1.0).mul_half(j, -1)
 
 
 @dataclass(frozen=True)
@@ -82,8 +74,6 @@ def identity_matrix(variables: int) -> Mat2:
 def signal_operator(j: int, variables: int) -> Mat2:
     """X-rotation-form signal operator of variable ``j``: diagonal entries
     (a_j + a_j^{-1})/2, off-diagonal entries (a_j - a_j^{-1})/2."""
-    if not 1 <= j <= variables:
-        raise IndexError(f"variable index {j} out of range 1..{variables}")
     cos_part = half_sum(j, variables)
     sin_part = half_diff(j, variables)
     return Mat2(cos_part, sin_part, sin_part, cos_part)

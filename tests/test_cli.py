@@ -101,6 +101,12 @@ def test_synthesize_counterexample_writes_nothing(ce_path, tmp_path):
     assert not out_path.exists()
 
 
+def test_synthesize_unwritable_output(identity_path, tmp_path, capsys):
+    out_path = tmp_path / "missing" / "seq.json"
+    assert main(["synthesize", identity_path, "--steps", "2", "-o", str(out_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -175,6 +181,16 @@ def test_gen_invalid_parameters(tmp_path):
     assert main(args) == 2
 
 
+def test_gen_unwritable_output(tmp_path, capsys):
+    args = [
+        "gen", "-m", "1", "--steps", "2", "--seed", "3",
+        "--pair-out", str(tmp_path / "missing" / "p.json"),
+        "--sequence-out", str(tmp_path / "s.json"),
+    ]
+    assert main(args) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # -- check -----------------------------------------------------------------------------
 
 
@@ -208,3 +224,9 @@ def test_fixture_to_stdout(capsys):
 def test_fixture_unknown_name(capsys):
     assert main(["fixture", "bogus"]) == 2
     assert "unknown fixture" in capsys.readouterr().err
+
+
+def test_fixture_unwritable_output(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.json"
+    assert main(["fixture", "identity", "-o", str(out_path)]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -51,6 +51,23 @@ def test_signal_operator_index_out_of_range():
         signal_operator(3, 2)
 
 
+@pytest.mark.parametrize("half", [half_sum, half_diff])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_half_factors_index_out_of_range(half, m):
+    for j in (0, m + 1):
+        with pytest.raises(IndexError):
+            half(j, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_half_factors_are_the_two_term_polynomials(m):
+    for j in range(1, m + 1):
+        up = tuple(1 if i == j else 0 for i in range(1, m + 1))
+        down = tuple(-e for e in up)
+        assert fingerprint(half_sum(j, m)) == fingerprint(LaurentPoly(m, {up: 0.5, down: 0.5}))
+        assert fingerprint(half_diff(j, m)) == fingerprint(LaurentPoly(m, {up: 0.5, down: -0.5}))
+
+
 def test_z_rotation_at_zero_is_identity():
     assert z_rotation(0.0, 2) == identity_matrix(2)
 
