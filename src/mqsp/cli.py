@@ -9,6 +9,7 @@ standard output, errors to standard error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import documents, fixtures
@@ -50,8 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
         if steps:
             p.add_argument("--steps", type=int, required=True, metavar="N",
                            help="number of signal operators")
-        p.add_argument("--tolerance", type=float, default=1e-9, metavar="TOL",
-                       help="relative tolerance for coefficient comparisons (default 1e-9)")
+        p.add_argument("--tolerance", type=_tolerance, default=1e-9, metavar="TOL",
+                       help="relative tolerance for coefficient comparisons, a finite "
+                            "number >= 0 (default 1e-9)")
 
     p = sub.add_parser("decide", help="decide constructibility of a pair in N steps")
     p.add_argument("input", help="pair document (JSON)")
@@ -150,6 +152,18 @@ def _load(loader, path: str):
         return loader(path)
     except (documents.DocumentError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _tolerance(text: str) -> float:
+    """``--tolerance``: a finite number >= 0.  An infinite tolerance would
+    accept any pair, and a NaN or negative one would reject every pair."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _check_steps(steps: int) -> None:

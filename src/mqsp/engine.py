@@ -12,17 +12,22 @@ exhausted and what remains is a pure phase rotation (unimodular constant P,
 zero Q).
 
 Every branch taken is recorded in a trace, from which one valid choice of
-angle and index parameters can be read off when the pair is accepted.
+angle and index parameters can be read off when the pair is accepted.  The
+level logic (degree scan, top-slice phase match, reduction, base case) is
+written once over the storage primitives of ``su2.PairBox`` and ``PQPair``:
+the pair is laid out once on its dense box, or kept as terms when that box
+would be mostly empty.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import sub
 
-from .laurent import EPS, LaurentPoly
-from .su2 import MqspSequence, PQPair
+from .laurent import EPS, _cut_values
+from .su2 import MqspSequence, PairBox, PQPair, _scaled
 
 REASON_BASE = "final pair is not a pure phase rotation"
 REASON_DEGREE = "degree sum neither equals the step count nor leaves room for padding"
@@ -38,12 +43,21 @@ class IdentityPad:
 
 @dataclass(frozen=True)
 class PhaseReduction:
-    """One signal operator peeled off variable ``index`` at angle ``phase``."""
+    """One signal operator peeled off variable ``index`` at angle ``phase``.
+
+    ``state`` is the reduced pair in the layout the decision runs on (a
+    ``PairBox`` or a ``PQPair``); ``reduced`` converts it to a ``PQPair``
+    when read.
+    """
 
     steps_left: int
     index: int
     phase: float
-    reduced: PQPair
+    state: PQPair | PairBox = field(repr=False)
+
+    @property
+    def reduced(self) -> PQPair:
+        return self.state.to_pair()
 
 
 @dataclass(frozen=True)
@@ -115,15 +129,17 @@ class NecessaryReport:
         )
 
 
-def find_phase(pair: PQPair, j: int, degree: int, tol: float = EPS) -> float | None:
+def find_phase(pair: PQPair | PairBox, j: int, degree: int, tol: float = EPS) -> float | None:
     """Angle phi with P-slice = e^{2i phi} Q-slice at a_j^degree, or None.
 
     Both slices zero counts as vacuously satisfied with phi = 0.  Otherwise
     the candidate ratio is taken at the largest-modulus Q term (for
     stability) and verified term-wise across the whole slice.  Among Q terms
     of exactly equal modulus the one with the lexicographically largest
-    exponent vector is the reference, so the returned angle depends on the
-    polynomials alone, not on the order in which their terms are stored.
+    exponent vector is the reference: the last maximum in the slice's flat
+    order, which is lexicographic in either layout.  So the returned angle
+    depends on the polynomials alone, not on how their terms are stored.
+    Each slice is cut at its polynomial's scale, as ``coeff_slice`` cuts it.
     Unimodularity of the ratio is measured as a modulus mismatch at the
     floored coefficient scale, like every other comparison; a scale-free
     test on the ratio itself would amplify the absolute rounding error
@@ -131,24 +147,26 @@ def find_phase(pair: PQPair, j: int, degree: int, tol: float = EPS) -> float | N
     representative in (-pi/2, pi/2]; any representative mod pi reproduces
     the pair.
     """
-    cp = pair.p.coeff_slice(j, degree)
-    cq = pair.q.coeff_slice(j, degree)
-    p_zero = cp.is_zero(tol)
-    q_zero = cq.is_zero(tol)
+    raw_p, raw_q = pair._top_slices(j, degree)
+    mod_p, mod_q = pair._moduli
+    cp, top_p = _cut_values(raw_p, max(1.0, mod_p))
+    cq, top_q = _cut_values(raw_q, max(1.0, mod_q))
+    p_zero = top_p <= tol * max(1.0, top_p)
+    q_zero = top_q <= tol * max(1.0, top_q)
     if p_zero and q_zero:
         return 0.0
     if p_zero or q_zero:
         return None
-    top = cq.max_modulus()
-    ref = max(k for k, c in cq.terms.items() if abs(c) == top)
-    top_p = cp.terms.get(ref, 0j)
-    top_q = cq.terms[ref]
-    scale = max(1.0, cp.max_modulus(), cq.max_modulus())
-    if top_p == 0 or abs(abs(top_p) - abs(top_q)) > tol * scale:
+    sizes = list(map(abs, cq))
+    ref = len(sizes) - 1 - sizes[::-1].index(top_q)
+    ref_p, ref_q = cp[ref], cq[ref]
+    if ref_p == 0 or abs(abs(ref_p) - abs(ref_q)) > tol * max(1.0, top_p, top_q):
         return None
-    ratio = top_p / top_q
+    ratio = ref_p / ref_q
     ratio /= abs(ratio)
-    if not cp.approx_eq(cq * ratio, tol):
+    # cp.approx_eq(cq * ratio, tol), on the aligned slices
+    turned, top_turned = _scaled((cq, top_q), ratio)
+    if max(map(abs, map(sub, cp, turned))) > tol * max(1.0, top_p, top_turned):
         return None
     phi = cmath.phase(ratio) / 2.0
     if phi <= -math.pi / 2.0:
@@ -156,22 +174,17 @@ def find_phase(pair: PQPair, j: int, degree: int, tol: float = EPS) -> float | N
     return phi
 
 
-def reduce_step(pair: PQPair, j: int, phi: float) -> PQPair:
+def reduce_step(pair: PQPair | PairBox, j: int, phi: float) -> PQPair | PairBox:
     """Right-multiply the pair's matrix by (A(a_j) e^{i phi s_z})^{-1}.
 
     With ``phi`` returned by ``find_phase`` at the top degree of variable
     ``j``, the degree in that variable drops by exactly one and the other
-    degrees are unchanged.
+    degrees are unchanged.  The result has the input's layout.
     """
-    p, q = pair.p, pair.q
-    e = cmath.exp(1j * phi)
-    ec = e.conjugate()
-    new_p = p.mul_half(j, 1) * ec - q.mul_half(j, -1) * e
-    new_q = q.mul_half(j, 1) * e - p.mul_half(j, -1) * ec
-    return PQPair(new_p, new_q)
+    return pair._peel(j, cmath.exp(1j * phi))
 
 
-def effective_degrees(pair: PQPair, tol: float = EPS) -> tuple[int, ...]:
+def effective_degrees(pair: PQPair | PairBox, tol: float = EPS) -> tuple[int, ...]:
     """Per-variable degrees of P counting only coefficients visible at ``tol``.
 
     Ignoring terms at or below tol times the (floored) coefficient scale
@@ -179,24 +192,24 @@ def effective_degrees(pair: PQPair, tol: float = EPS) -> tuple[int, ...]:
     comparisons: the residue left behind by a peeled factor sits far below
     the tolerance and must not masquerade as surviving degree.
     """
-    cutoff = tol * max(1.0, pair.p.max_modulus(), pair.q.max_modulus())
-    visible = [exps for exps, coeff in pair.p.terms.items() if abs(coeff) > cutoff]
-    if not visible:
-        return (0,) * pair.variables
-    return tuple(max(map(abs, column)) for column in zip(*visible))
+    degrees = pair._visible_degrees(tol * max(1.0, *pair._moduli))
+    return degrees or (0,) * pair.variables
 
 
 def run_decision(pair: PQPair, n: int, tol: float = EPS) -> DecisionTrace:
     """Decide constructibility in ``n`` steps, recording every branch.
 
-    The recursion only ever shrinks the step budget by one or two, so it is
-    realized as a loop.  Variables are scanned in ascending order and the
-    first phase match wins, which makes the trace deterministic.
+    The pair is laid out once: on its ``PairBox`` unless that box would be
+    too sparse, in which case its ``LaurentPoly`` terms are peeled with the
+    general products (both give bitwise the same trace).  The recursion only
+    ever shrinks the step budget by one or two, so it is realized as a loop.
+    Variables are scanned in ascending order and the first phase match
+    wins, which makes the trace deterministic.
     """
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
     steps: list[TraceStep] = []
-    current = pair
+    current = PairBox.from_pair(pair) or pair
     remaining = n
     while True:
         if remaining == 0:
@@ -229,14 +242,15 @@ def run_decision(pair: PQPair, n: int, tol: float = EPS) -> DecisionTrace:
         return DecisionTrace(tuple(steps))
 
 
-def _base_phase(pair: PQPair, tol: float) -> float | None:
+def _base_phase(pair: PQPair | PairBox, tol: float) -> float | None:
     """arg(P) if P is a unimodular constant and Q is zero, else None."""
-    c0 = pair.p.constant_coeff()
+    c0, rest = pair._origin()
+    mod_p, mod_q = pair._moduli
     if abs(abs(c0) - 1.0) > tol:
         return None
-    if not pair.p.approx_eq(LaurentPoly.constant(pair.variables, c0), tol):
+    if rest > tol * max(1.0, mod_p, abs(c0)):  # P.approx_eq(constant c0)
         return None
-    if not pair.q.is_zero(tol):
+    if mod_q > tol * max(1.0, mod_q):  # Q.is_zero
         return None
     return cmath.phase(c0)
 
@@ -336,10 +350,10 @@ def qsp1_characterize(pair: PQPair, n: int, tol: float = EPS) -> bool:
 
 
 def term_bound(pair: PQPair) -> int:
-    """Product over variables of (2 max(deg P, deg Q) + 1): the largest
+    """Number of slots of the pair's coefficient box (see ``PairBox``): the
+    product over variables of (span_j / stride_j + 1), with span_j the spread
+    of the j-exponents of P and Q and stride_j 2 when they share one parity,
+    else 1.  On a realizable pair this is prod_j (d_j + 1), the largest
     number of terms either component can carry at its degrees.  The decision
     runs in O(steps * variables * term_bound)."""
-    bound = 1
-    for j in range(1, pair.variables + 1):
-        bound *= 2 * max(pair.p.degree(j), pair.q.degree(j)) + 1
-    return bound
+    return math.prod(PairBox.lattice(pair)[2])

@@ -1,9 +1,12 @@
 """Sparse multivariable Laurent polynomials over complex coefficients.
 
 Polynomials are stored as mappings from exponent tuples (one signed integer
-per variable) to complex coefficients.  All values are immutable after
-construction and every operation returns a new polynomial, so instances can
-be shared freely between threads.
+per variable) to complex coefficients.  This is the form of the public API,
+the JSON documents and the test oracles; sequence evaluation and the
+decision's peel run on the dense ``su2.PairBox`` instead, and use these
+general products only for pairs whose box would be mostly empty.  All values
+are immutable after construction and every operation returns a new
+polynomial, so instances can be shared freely between threads.
 
 Coefficients live in double precision.  Equality and zero tests are
 tolerance-mediated: comparisons are relative to the maximum coefficient
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import add
 from typing import Iterator, Mapping
 
 #: Default relative tolerance for zero tests and coefficient comparisons.
@@ -23,16 +27,14 @@ EPS = 1e-9
 #: Relative cutoff below which stored coefficients are dropped at
 #: construction.  Deliberately at the rounding floor, far below EPS: the
 #: cutoff only exists to keep exact cancellations from leaving machine junk
-#: in the sparse form.  Every dropped coefficient injects its magnitude as
-#: noise, and downstream phase extraction divides that noise by the top
-#: coefficient-slice magnitude, so dropping anywhere near EPS would compound
-#: past the comparison tolerance over a chain of reductions.
+#: in the sparse form (the dense box zeroes the same coefficients).  Every
+#: dropped coefficient injects its magnitude as noise, and downstream phase
+#: extraction divides that noise by the top coefficient-slice magnitude, so
+#: dropping anywhere near EPS would compound past the comparison tolerance
+#: over a chain of reductions.
 DROP_EPS = 1e-15
 
 Exponents = tuple[int, ...]
-
-_HALF = complex(0.5)
-_MINUS_HALF = complex(-0.5)
 
 
 class LaurentPoly:
@@ -176,7 +178,7 @@ class LaurentPoly:
             out: dict[Exponents, complex] = {}
             for k1, c1 in self.terms.items():
                 for k2, c2 in other.terms.items():
-                    k = tuple(a + b for a, b in zip(k1, k2))
+                    k = tuple(map(add, k1, k2))
                     out[k] = out.get(k, 0j) + c1 * c2
             return LaurentPoly._from_arithmetic(self.variables, out, self._pair_scale(other))
         if isinstance(other, (int, float, complex)):
@@ -188,49 +190,6 @@ class LaurentPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def mul_half(self, j: int, sign: int) -> LaurentPoly:
-        """Multiply by (a_j + sign * a_j^{-1}) / 2 in one pass over the terms.
-
-        This is the step kernel of sequence evaluation and reduction.  The
-        result is bitwise the general product ``self * factor`` with the
-        two-term factor (``half_sum`` for ``sign`` +1, ``half_diff`` for -1):
-        every output coefficient is 0.5 c[k - e_j] + (+-0.5) c[k + e_j]
-        accumulated onto 0j, cut at the same drop scale, with keys in the
-        product's order (both shifts of each term in turn).  Each output
-        coefficient is a sum of at most two products, so its value does not
-        depend on the order in which the terms are stored.
-        """
-        i = self._index(j)
-        low = _HALF if sign > 0 else _MINUS_HALF
-        out: dict[Exponents, complex] = {}
-        if self.terms:
-            # shifted keys are rebuilt column-wise, which beats slicing per term
-            columns = list(zip(*self.terms))
-            exponents = columns[i]
-            columns[i] = map((1).__add__, exponents)
-            raised = zip(*columns)
-            columns[i] = map((-1).__add__, exponents)
-            lowered = zip(*columns)
-            get = out.get
-            for up, down, c in zip(raised, lowered, self.terms.values()):
-                out[up] = get(up, 0j) + c * _HALF
-                out[down] = get(down, 0j) + c * low
-        return LaurentPoly._from_arithmetic(self.variables, out, max(1.0, self.max_modulus()))
-
-    def _times_phase(self, phase: complex) -> LaurentPoly:
-        """Multiply by the constant polynomial ``phase``, rounded as a diagonal
-        z-rotation entry of the matrix product rounds it.
-
-        The matrix product adds each top-row product to a zero off-diagonal
-        product, so the terms are cut twice: at the product's scale, which
-        includes |phase|, and again at the result's own scale.
-        """
-        scaled, top = _cut(
-            {k: 0j + c * phase for k, c in self.terms.items()},
-            max(1.0, self.max_modulus(), abs(phase)),
-        )
-        return LaurentPoly._from_arithmetic(self.variables, scaled, max(1.0, top))
 
     # -- comparisons ----------------------------------------------------------
 
@@ -300,15 +259,30 @@ def _cut(terms: dict[Exponents, complex], drop_scale: float) -> tuple[dict, floa
     Returns the kept terms (``terms`` itself when nothing is dropped) and
     their maximum modulus.  Raises ValueError on a non-finite coefficient.
     """
-    sizes = list(map(abs, terms.values()))
+    values = list(terms.values())
+    kept, top = _cut_values(values, drop_scale, terms)
+    if kept is values:
+        return terms, top
+    return {key: value for key, value in zip(terms, kept) if value}, top
+
+
+def _cut_values(values: list, drop_scale: float, keys=None) -> tuple[list, float]:
+    """``_cut`` on a list of coefficients: the ones of modulus at most
+    ``DROP_EPS * drop_scale`` become exact zeros ``0j``.
+
+    Returns the list (``values`` itself when nothing changes) and the
+    maximum modulus of the kept values.  A non-finite value raises
+    ValueError, naming its key from ``keys`` (its position by default).
+    """
+    sizes = list(map(abs, values))
     if not sum(sizes) < math.inf:  # a non-finite coefficient, or a huge sum
-        for key, value in terms.items():
+        for key, value in zip(range(len(values)) if keys is None else keys, values):
             if not cmath.isfinite(value):
                 raise ValueError(f"non-finite coefficient {value!r} at {key}")
     cutoff = DROP_EPS * drop_scale
     top = max(sizes, default=0.0)
     if top <= cutoff:
-        return {}, 0.0
+        return [0j] * len(values), 0.0
     if min(sizes) > cutoff:
-        return terms, top
-    return {k: v for (k, v), size in zip(terms.items(), sizes) if size > cutoff}, top
+        return values, top
+    return [value if size > cutoff else 0j for value, size in zip(values, sizes)], top

@@ -5,10 +5,13 @@ operator per variable, constant z-rotations, their matrix products, and the
 (P, Q) top-row embedding whose bottom row is forced to be
 (-star(invert_vars(Q)), star(invert_vars(P))).
 
-``evaluate_sequence`` carries only the top row and applies each factor with
-the shift-add step kernel ``LaurentPoly.mul_half``.  Multiplying the full
-``Mat2`` factors out term by term is the independent test oracle: the kernel
-reproduces its top row bit for bit.
+``evaluate_sequence`` carries only the top row.  It steps the pair on a
+``PairBox``, P and Q as flat coefficient lists on one shared parity-lattice
+box, where multiplying by (a_j +- a_j^{-1})/2 is one shift-add pass; the
+decision in ``engine`` peels factors off with the same kernel.  A pair whose
+box would be mostly empty stays as ``LaurentPoly`` terms and uses the
+general products, which the kernel reproduces bit for bit.  Multiplying the
+full ``Mat2`` factors out term by term is the independent test oracle.
 """
 
 from __future__ import annotations
@@ -16,21 +19,29 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from operator import mul
+from itertools import compress, product, repeat
+from operator import add, mul, neg, sub
 
-from .laurent import EPS, LaurentPoly
+from .laurent import EPS, LaurentPoly, _cut_values
 
 
 def half_sum(j: int, variables: int) -> LaurentPoly:
     """(a_j + a_j^{-1}) / 2 with the full ambient arity; IndexError
     unless 1 <= j <= variables."""
-    return LaurentPoly.constant(variables, 1.0).mul_half(j, 1)
+    return _half_factor(j, variables, 0.5)
 
 
 def half_diff(j: int, variables: int) -> LaurentPoly:
     """(a_j - a_j^{-1}) / 2 with the full ambient arity; IndexError
     unless 1 <= j <= variables."""
-    return LaurentPoly.constant(variables, 1.0).mul_half(j, -1)
+    return _half_factor(j, variables, -0.5)
+
+
+def _half_factor(j: int, variables: int, low: float) -> LaurentPoly:
+    i = LaurentPoly.zero(variables)._index(j)
+    up = (0,) * i + (1,) + (0,) * (variables - 1 - i)
+    terms = {up: complex(0.5), tuple(map(neg, up)): complex(low)}
+    return LaurentPoly._from_arithmetic(variables, terms, 1.0)
 
 
 @dataclass(frozen=True)
@@ -137,6 +148,292 @@ class PQPair:
     def approx_eq(self, other: PQPair, tol: float = EPS) -> bool:
         return self.p.approx_eq(other.p, tol) and self.q.approx_eq(other.q, tol)
 
+    # -- storage primitives of the step logic, shared with PairBox ------------
+
+    def to_pair(self) -> PQPair:
+        return self
+
+    @property
+    def _moduli(self) -> tuple[float, float]:
+        return self.p.max_modulus(), self.q.max_modulus()
+
+    def _visible_degrees(self, cutoff: float) -> tuple[int, ...] | None:
+        terms = self.p.terms
+        visible = list(compress(terms, map(cutoff.__lt__, map(abs, terms.values()))))
+        if not visible:
+            return None
+        return tuple(max(map(abs, column)) for column in zip(*visible))
+
+    def _top_slices(self, j: int, exponent: int) -> tuple[list, list]:
+        i = self.p._index(j)
+        cp = {k: c for k, c in self.p.terms.items() if k[i] == exponent}
+        cq = {k: c for k, c in self.q.terms.items() if k[i] == exponent}
+        keys = sorted(cp.keys() | cq.keys())
+        return list(map(cp.get, keys, repeat(0j))), list(map(cq.get, keys, repeat(0j)))
+
+    def _origin(self) -> tuple[complex, float]:
+        rest = dict(self.p.terms)
+        c0 = rest.pop((0,) * self.variables, 0j)
+        return c0, max(map(abs, rest.values()), default=0.0)
+
+    def _extend(self, j: int, phase: complex) -> PQPair:
+        m = self.variables
+        cos_part, sin_part = half_sum(j, m), half_diff(j, m)
+        zero = LaurentPoly.zero(m)
+        p, q = self.p, self.q
+        # the trailing "+ zero" cuts a second time, as the Mat2 product does
+        return PQPair(
+            (p * cos_part + q * sin_part) * LaurentPoly.constant(m, phase) + zero,
+            (p * sin_part + q * cos_part) * LaurentPoly.constant(m, phase.conjugate()) + zero,
+        )
+
+    def _peel(self, j: int, e: complex) -> PQPair:
+        cos_part, sin_part = half_sum(j, self.variables), half_diff(j, self.variables)
+        ec = e.conjugate()
+        p, q = self.p, self.q
+        return PQPair(p * cos_part * ec - q * sin_part * e, q * cos_part * e - p * sin_part * ec)
+
+
+#: A pair or sequence is stepped on a ``PairBox`` while the box has at most
+#: this many slots per stored term (of the larger of P and Q).  A sparser
+#: one keeps its ``LaurentPoly`` terms and the general products, so a few
+#: terms spread over a wide or many-variable box stay cheap.
+_BOX_PER_TERM = 4
+
+_ZERO = 0j
+_HALF = complex(0.5)
+
+
+class PairBox:
+    """P and Q of one pair as flat coefficient lists on one shared box.
+
+    Variable i + 1 has ``rows[i]`` rows at the exponents
+    ``lows[i] + strides[i] * r``; the stride is 2 when all its exponents in P
+    and Q share one parity, as in every realizable pair, and 1 otherwise.
+    The lists are row-major, the last variable fastest, so flat order is
+    lexicographic exponent order.  Absent terms are exact zeros ``0j``, and
+    ``_moduli`` holds the largest |coefficient| of P and of Q.  A box is not
+    changed after construction.
+
+    The box and ``PQPair`` provide the same storage primitives, over which
+    ``evaluate_sequence`` and the peel in ``engine`` are written once:
+    ``_moduli``, ``_visible_degrees``, ``_top_slices``, ``_origin``,
+    ``_extend``, ``_peel`` and ``to_pair``.  Every step on the box is one
+    shift-add pass (``_halves``) followed by the ``DROP_EPS`` cuts that the
+    general ``LaurentPoly`` products make, at the same scales, so both
+    layouts give bitwise the same values.  After each step, the rows of the
+    stepped variable that are zero in P and Q are trimmed from its ends.
+    """
+
+    __slots__ = ("variables", "lows", "strides", "rows", "p", "q", "_moduli")
+
+    def __init__(self, variables, lows, strides, rows, p, q, moduli):
+        self.variables, self.p, self.q, self._moduli = variables, p, q, moduli
+        self.lows, self.strides, self.rows = tuple(lows), tuple(strides), tuple(rows)
+
+    @staticmethod
+    def lattice(pair: PQPair) -> tuple[list[int], list[int], list[int]]:
+        """Lowest exponent, stride and row count per variable of the box
+        that holds ``pair``."""
+        lows, strides, rows = [], [], []
+        for column in list(zip(*pair.p.terms, *pair.q.terms)) or [(0,)] * pair.variables:
+            low = min(column)
+            stride = 2 if len(set(map((1).__and__, column))) == 1 else 1
+            lows.append(low)
+            strides.append(stride)
+            rows.append((max(column) - low) // stride + 1)
+        return lows, strides, rows
+
+    @classmethod
+    def from_pair(cls, pair: PQPair) -> PairBox | None:
+        """The pair on its box, or None when the box would have more than
+        ``_BOX_PER_TERM`` slots per stored term."""
+        lows, strides, rows = cls.lattice(pair)
+        if math.prod(rows) > _BOX_PER_TERM * max(len(pair.p), len(pair.q)):
+            return None
+        return cls._placed(pair, lows, strides, rows)
+
+    @classmethod
+    def _placed(cls, pair: PQPair, lows, strides, rows) -> PairBox:
+        lists = []
+        for poly in (pair.p, pair.q):
+            index = [0] * len(poly)
+            for column, low, stride, n in zip(zip(*poly.terms), lows, strides, rows):
+                index = [at * n + (e - low) // stride for at, e in zip(index, column)]
+            values = [0j] * math.prod(rows)
+            for at, coeff in zip(index, poly.terms.values()):
+                values[at] = coeff
+            lists.append(values)
+        return cls(pair.variables, lows, strides, rows, *lists, pair._moduli)
+
+    def to_pair(self) -> PQPair:
+        stops = map(add, self.lows, map(mul, self.strides, self.rows))
+        keys = list(product(*map(range, self.lows, stops, self.strides)))
+        p = dict(compress(zip(keys, self.p), self.p))
+        q = dict(compress(zip(keys, self.q), self.q))
+        m = self.variables
+        return PQPair(LaurentPoly._from_arithmetic(m, p, 0.0), LaurentPoly._from_arithmetic(m, q, 0.0))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (PairBox, PQPair)):
+            return NotImplemented
+        return self.to_pair() == other.to_pair()
+
+    __hash__ = None
+
+    # -- storage primitives ---------------------------------------------------
+
+    def _visible_degrees(self, cutoff: float) -> tuple[int, ...] | None:
+        sizes = list(map(abs, self.p))
+        if not max(sizes) > cutoff:
+            return None
+        degrees = []
+        for i, low, stride in zip(range(self.variables), self.lows, self.strides):
+            # the largest |exponent| sits in the first or the last visible row
+            first, last = 0, self.rows[i] - 1
+            while not max(self._rows(sizes, i, first, first + 1)) > cutoff:
+                first += 1
+            while not max(self._rows(sizes, i, last, last + 1)) > cutoff:
+                last -= 1
+            degrees.append(max(abs(low + stride * first), abs(low + stride * last)))
+        return tuple(degrees)
+
+    def _top_slices(self, j: int, exponent: int) -> tuple[list, list]:
+        i = j - 1
+        r, off = divmod(exponent - self.lows[i], self.strides[i])
+        if off or not 0 <= r < self.rows[i]:
+            return [], []
+        return self._rows(self.p, i, r, r + 1), self._rows(self.q, i, r, r + 1)
+
+    def _origin(self) -> tuple[complex, float]:
+        sizes = list(map(abs, self.p))
+        index = 0
+        for low, stride, n in zip(self.lows, self.strides, self.rows):
+            r, off = divmod(-low, stride)
+            if off or not 0 <= r < n:
+                return 0j, max(sizes)
+            index = index * n + r
+        sizes[index] = 0.0
+        return self.p[index], max(sizes)
+
+    def _extend(self, j: int, phase: complex) -> PQPair | PairBox:
+        i = j - 1
+        (p_cos, p_sin), (q_cos, q_sin) = self._halves(i)
+        box = self._grown(
+            i,
+            _rotated(_combined(add, p_cos, q_sin), phase),
+            _rotated(_combined(add, p_sin, q_cos), phase.conjugate()),
+        )
+        terms = max(len(box.p) - box.p.count(0j), len(box.q) - box.q.count(0j))
+        return box.to_pair() if len(box.p) > _BOX_PER_TERM * terms else box
+
+    def _peel(self, j: int, e: complex) -> PairBox:
+        i = j - 1
+        ec = e.conjugate()
+        (p_cos, p_sin), (q_cos, q_sin) = self._halves(i)
+        return self._grown(
+            i,
+            _combined(sub, _scaled(p_cos, ec), _scaled(q_sin, e)),
+            _combined(sub, _scaled(q_cos, e), _scaled(p_sin, ec)),
+        )
+
+    # -- the step kernel and the box geometry -----------------------------------
+
+    def _halves(self, i: int) -> list[tuple[tuple, tuple]]:
+        """P and Q each times (a + a^{-1})/2 and times (a - a^{-1})/2, for a
+        the variable of axis ``i``: the step kernel.  Each product comes as
+        (values, maximum modulus), cut as the general product cuts it.
+
+        The product's coefficient at k is 0j + c[k - e] / 2 +- c[k + e] / 2,
+        and c[k - e] sits one row (two on a stride-1 axis) below c[k + e] on
+        the grown axis.  So the halved input is padded with zero rows below
+        and above, and one pass adds the two copies, another subtracts them.
+        Adding two terms commutes, and subtracting c[k + e] / 2 instead of
+        adding c[k + e] * (-0.5) changes at most the sign of a zero part,
+        which vanishes in the sum (the first term, 0j + x, has no -0.0
+        part), so the values are bitwise the product's.
+        """
+        block = math.prod(self.rows[i + 1 :])
+        chunk = self.rows[i] * block
+        zeros = [0j] * ((3 - self.strides[i]) * block)
+        out = []
+        for values, modulus in zip((self.p, self.q), self._moduli):
+            half = list(map(add, repeat(_ZERO), map(mul, values, repeat(_HALF))))
+            below, above = [], []
+            for at in range(0, len(half), chunk):
+                part = half[at : at + chunk]
+                below += zeros
+                below += part
+                above += part
+                above += zeros
+            scale = max(1.0, modulus)
+            out.append((
+                _cut_values(list(map(add, below, above)), scale),
+                _cut_values(list(map(sub, below, above)), scale),
+            ))
+        return out
+
+    def _grown(self, i: int, p: tuple, q: tuple) -> PairBox:
+        """The box after a step along axis ``i``, holding the new P and Q,
+        with the rows of that axis that are zero in both trimmed from its
+        ends."""
+        rows, lows = list(self.rows), list(self.lows)
+        rows[i] += 3 - self.strides[i]
+        lows[i] -= 1
+        box = PairBox(self.variables, lows, self.strides, rows, p[0], q[0], (p[1], q[1]))
+        start, stop = 0, rows[i]
+        while stop - start > 1 and box._zero_row(i, start):
+            start += 1
+        while stop - start > 1 and box._zero_row(i, stop - 1):
+            stop -= 1
+        if stop - start == rows[i]:
+            return box
+        p_rows, q_rows = box._rows(box.p, i, start, stop), box._rows(box.q, i, start, stop)
+        rows[i] = stop - start
+        lows[i] += start * self.strides[i]
+        return PairBox(self.variables, lows, self.strides, rows, p_rows, q_rows, box._moduli)
+
+    def _zero_row(self, i: int, r: int) -> bool:
+        return not (any(self._rows(self.p, i, r, r + 1)) or any(self._rows(self.q, i, r, r + 1)))
+
+    def _rows(self, values: list, i: int, start: int, stop: int) -> list:
+        """The entries of ``values`` in rows ``start`` to ``stop`` - 1 of axis ``i``."""
+        block = math.prod(self.rows[i + 1 :])
+        chunk = self.rows[i] * block
+        if chunk == len(values):
+            return values[start * block : stop * block]
+        if block == 1 and stop == start + 1:
+            return values[start::chunk]
+        out = []
+        for at in range(0, len(values), chunk):
+            out += values[at + start * block : at + stop * block]
+        return out
+
+
+# The general LaurentPoly operations on the (values, maximum modulus) pairs
+# of one box, with the same cuts at the same scales.
+
+
+def _combined(op, a: tuple, b: tuple) -> tuple:
+    """``a + b`` or ``a - b`` for ``op`` add or sub."""
+    return _cut_values(list(map(op, a[0], b[0])), max(1.0, a[1], b[1]))
+
+
+def _scaled(a: tuple, c: complex) -> tuple:
+    return _cut_values(list(map(mul, a[0], repeat(c))), max(1.0, a[1] * abs(c)))
+
+
+def _rotated(a: tuple, phase: complex) -> tuple:
+    """Times the z-rotation entry ``phase``: the Mat2 product adds the
+    product to a zero one, so it cuts at the product's scale and again at
+    the result's own.  The second cut can only drop more when that scale
+    is above the first one's floor of 1."""
+    values, top = _cut_values(
+        list(map(add, repeat(_ZERO), map(mul, a[0], repeat(phase)))),
+        max(1.0, a[1], abs(phase)),
+    )
+    return (values, top) if top <= 1.0 else _cut_values(values, top)
+
 
 @dataclass(frozen=True)
 class MqspSequence:
@@ -155,6 +452,9 @@ class MqspSequence:
         object.__setattr__(self, "indices", tuple(int(s) for s in self.indices))
         if self.variables < 1:
             raise ValueError(f"need at least one variable, got {self.variables}")
+        for phi in self.phases:
+            if not math.isfinite(phi):
+                raise ValueError(f"phase {phi!r} is not finite")
         if len(self.phases) != len(self.indices) + 1:
             raise ValueError(
                 f"got {len(self.phases)} phases for {len(self.indices)} indices; "
@@ -185,21 +485,20 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
 
     Only the top row is carried: each step maps (p, q) to
     ((p c + q s) e^{i phi}, (p s + q c) e^{-i phi}) with c, s the cosine and
-    sine parts of A(s_k), one ``mul_half`` pass per product.  The result is
-    bitwise the top row of the ``Mat2`` product of ``z_rotation`` and
+    sine parts of A(s_k).  The pair starts as a one-slot ``PairBox`` that
+    grows by one row per step and is converted to ``LaurentPoly`` terms at
+    the end, or as soon as it gets too sparse, after which the general
+    products take the remaining steps.  Either way the result is bitwise
+    the top row of the ``Mat2`` product of ``z_rotation`` and
     ``signal_operator`` factors, which stays as the test oracle.  For an
     empty sequence this is (e^{i phi_0}, 0).
     """
     m = seq.variables
-    p = LaurentPoly.constant(m, cmath.exp(1j * seq.phases[0]))
-    q = LaurentPoly.zero(m)
+    start = cmath.exp(1j * seq.phases[0])
+    state = PairBox(m, (0,) * m, (2,) * m, (1,) * m, [start], [0j], (abs(start), 0.0))
     for phi, s in zip(seq.phases[1:], seq.indices):
-        phase = cmath.exp(1j * phi)
-        p, q = (
-            (p.mul_half(s, 1) + q.mul_half(s, -1))._times_phase(phase),
-            (p.mul_half(s, -1) + q.mul_half(s, 1))._times_phase(phase.conjugate()),
-        )
-    return PQPair(p, q)
+        state = state._extend(s, cmath.exp(1j * phi))
+    return state.to_pair()
 
 
 # One term pair of the multiplied-out identity (tuple and dict work per

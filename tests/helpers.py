@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
+
 from mqsp import (
     ANGLE_MODES,
     LaurentPoly,
@@ -13,6 +15,7 @@ from mqsp import (
     PQPair,
     evaluate_sequence,
     random_sequence,
+    su2,
 )
 
 
@@ -78,7 +81,37 @@ def extend_sequence(seq: MqspSequence, index: int, phase: float) -> MqspSequence
 
 
 def fingerprint(poly: LaurentPoly) -> list[tuple[tuple[int, ...], str]]:
-    """Terms in storage order with the repr of each coefficient: equal
-    fingerprints mean bitwise-equal values (signed zeros included) and the
-    same key order."""
-    return [(key, repr(coeff)) for key, coeff in poly.terms.items()]
+    """Terms sorted by key with the repr of each coefficient: equal
+    fingerprints mean the same kept terms with bitwise-equal values (signed
+    zeros included).  Storage order is not compared: no result depends on
+    it."""
+    return sorted((key, repr(coeff)) for key, coeff in poly.terms.items())
+
+
+# Sparse pairs on wide boxes, which every routine must handle through their
+# terms: a span of 100001 at stride 1, and two opposite corners of a
+# 20-variable box (2^20 box slots, 3^20 torus grid points).
+SPAN_100001 = PQPair(
+    LaurentPoly(1, {(0,): 0.5, (1,): 0.5, (100000,): 1e-3}), LaurentPoly.zero(1)
+)
+M20_CORNERS = PQPair(
+    LaurentPoly(20, {(0,) * 20: 0.5, (1,) * 20: 0.5}), LaurentPoly.zero(20)
+)
+
+
+@pytest.fixture(params=["box", "terms"])
+def layout(request, monkeypatch):
+    """Run a test with every pair and sequence laid out on its dense box
+    (no fill limit), or kept as LaurentPoly terms (a limit of 0)."""
+    limit = {"box": math.inf, "terms": 0}[request.param]
+    monkeypatch.setattr(su2, "_BOX_PER_TERM", limit)
+    return request.param
+
+
+@pytest.fixture
+def no_box(monkeypatch):
+    """Fail the test if any pair is laid out on a dense box."""
+    def refuse(*args):
+        raise AssertionError("laid out on a dense box")
+
+    monkeypatch.setattr(su2.PairBox, "_placed", classmethod(refuse))

@@ -76,6 +76,23 @@ def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("command", ["decide", "synthesize", "verify", "check"])
+@pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan", "-1", "x"])
+def test_tolerance_must_be_finite_and_non_negative(command, tolerance, ce_path, tmp_path, capsys):
+    # an infinite tolerance accepted the witness pair as constructible, and
+    # a NaN or negative one reported filter rejections with exit 1
+    if command == "verify":
+        args = ["verify", ce_path, write_sequence(tmp_path, "seq.json", 2, [0.0, 0.0], [1])]
+    else:
+        args = [command, ce_path, "--steps", "4"]
+    assert main([*args, f"--tolerance={tolerance}"]) == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
+def test_zero_tolerance_is_accepted(identity_path):
+    assert main(["decide", identity_path, "--steps", "0", "--tolerance", "0"]) == 0
+
+
 # -- synthesize --------------------------------------------------------------
 
 
@@ -124,6 +141,17 @@ def test_verify_identity_padding(identity_path, tmp_path):
 def test_verify_mismatch(identity_path, tmp_path):
     seq = write_sequence(tmp_path, "one.json", 1, [0.0, 0.0], [1])
     assert main(["verify", identity_path, seq]) == 1
+
+
+@pytest.mark.parametrize("phase", ["NaN", "Infinity", "-Infinity"])
+def test_verify_non_finite_phase_is_an_input_error(identity_path, tmp_path, capsys, phase):
+    # json reads NaN and Infinity; such a sequence document used to end in a
+    # traceback and exit 1, which means "mismatch"
+    path = tmp_path / "seq.json"
+    path.write_text(f'{{"variables": 1, "phases": [{phase}, 0.0, 0.0], "indices": [1, 1]}}')
+    assert main(["verify", identity_path, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "not finite" in err
 
 
 def test_verify_arity_mismatch(identity_path, tmp_path, capsys):

@@ -31,10 +31,17 @@ from mqsp import (
     term_bound,
     z_rotation,
 )
+from mqsp import su2
+from mqsp.engine import REASON_DEGREE, REASON_PHASE
 from mqsp.fixtures import counterexample_pair, identity_pair, signal_pair
+from mqsp.su2 import PairBox
 from helpers import (
+    M20_CORNERS,
+    SPAN_100001,
     corpus_configs,
     fingerprint,
+    layout,
+    no_box,
     oracle_pair,
     perturb_pair,
     unit_norm_product,
@@ -84,6 +91,8 @@ def test_find_phase_ties_do_not_depend_on_storage_order():
     phi = find_phase(high_first, 1, 1, TOL)
     assert phi == pytest.approx(phi_high, abs=1e-14)
     assert repr(find_phase(low_first, 1, 1, TOL)) == repr(phi)
+    # on the dense box, (1, 1) holds the last maximum of the slice
+    assert repr(find_phase(PairBox.from_pair(low_first), 1, 1, TOL)) == repr(phi)
 
 
 def test_find_phase_principal_branch():
@@ -200,6 +209,66 @@ def trace_signature(pair: PQPair, n: int) -> list[tuple]:
     return signature
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("scale", [1.0, 3.7, 1e-3])
+def test_box_peel_is_bitwise_the_product_form(m, mode, scale):
+    # the dense step kernel against the general products, value by value;
+    # the phase read off the box is the one read off the terms
+    for seed in range(3):
+        pair, _ = oracle_pair(m, 6 + seed, 100 * m + seed, mode)
+        pair = scaled_pair(pair, scale)
+        box = PairBox.from_pair(pair)
+        degrees = pair.p.degrees()
+        for j in range(1, m + 1):
+            matched = find_phase(pair, j, degrees[j - 1], TOL)
+            assert repr(find_phase(box, j, degrees[j - 1], TOL)) == repr(matched)
+            for phi in {0.0, math.pi / 2, -0.7 + seed, matched or 0.0}:
+                kernel = reduce_step(box, j, phi).to_pair()
+                product = product_form_reduction(pair, j, phi)
+                assert fingerprint(kernel.p) == fingerprint(product.p)
+                assert fingerprint(kernel.q) == fingerprint(product.q)
+
+
+def test_box_steps_keep_signed_zeros_and_holes():
+    # parts that are -0.0, slots of the box that hold no term, and phases in
+    # every quadrant: both step directions on the box give the general
+    # products' values, signs of zero parts included
+    p = LaurentPoly(2, {
+        (-1, 0): complex(-0.5, -0.0),
+        (1, 0): complex(-0.5, -0.0),
+        (1, 2): complex(-0.0, 0.25),
+        (-1, -2): complex(0.1, 0.0),
+    })
+    q = LaurentPoly(2, {(1, 0): complex(-0.0, -0.3), (-1, 2): complex(0.2, -0.0)})
+    # Q's two halves (-0.25 - 0j) add up to -0.5 + 0j only when the first
+    # is added to 0j first, as the product does; at phi = 0 that sign
+    # reaches the peeled Q
+    minus_zero = LaurentPoly(1, {(-1,): complex(-0.5, -0.0), (1,): complex(-0.5, -0.0)})
+    for pair in (PQPair(p, q), PQPair(half_sum(1, 1), minus_zero)):
+        box = PairBox.from_pair(pair)
+        assert len(box.p) in (6, 2)
+        for j in range(1, pair.variables + 1):
+            for phi in (0.0, 1.0, 2.0, math.pi, -2.0, -1.0):
+                peeled, product = reduce_step(box, j, phi).to_pair(), reduce_step(pair, j, phi)
+                assert fingerprint(peeled.p) == fingerprint(product.p)
+                assert fingerprint(peeled.q) == fingerprint(product.q)
+                phase = cmath.exp(1j * phi)
+                extended, product = box._extend(j, phase).to_pair(), pair._extend(j, phase)
+                assert fingerprint(extended.p) == fingerprint(product.p)
+                assert fingerprint(extended.q) == fingerprint(product.q)
+
+
+def test_box_slots_without_a_term_stay_exact_zeros():
+    # 0j times a phase with a negative real part is (-0.0 + 0j); the general
+    # product holds no term there, so the box must hold 0j, or a -0.0 part
+    # would leak into a difference such as 0j - (+0.0 + 1j)
+    phase = cmath.exp(-2.0j).conjugate()
+    values, top = su2._scaled(([0j, 0.5 + 0.5j], abs(0.5 + 0.5j)), phase)
+    assert repr(values[0]) == "0j"
+    assert values[1] == (0.5 + 0.5j) * phase and top == abs(values[1])
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_decision_does_not_depend_on_term_storage_order(m):
     # discrete angles make equal-modulus terms in a top Q slice common, the
@@ -210,6 +279,57 @@ def test_decision_does_not_depend_on_term_storage_order(m):
             pair, _ = oracle_pair(m, n, seed, "discrete")
             forwards = trace_signature(stored_in_order(pair, False), n)
             assert trace_signature(stored_in_order(pair, True), n) == forwards, (n, seed)
+
+
+def layout_signature(pair: PQPair, n: int) -> list[tuple]:
+    """``trace_signature`` plus the fingerprint of every reduced pair."""
+    signature = trace_signature(pair, n)
+    for step in run_decision(pair, n, TOL).steps:
+        if isinstance(step, PhaseReduction):
+            signature.append((fingerprint(step.reduced.p), fingerprint(step.reduced.q)))
+    return signature
+
+
+def corpus_outcomes() -> list:
+    """Per acceptance-corpus sequence: its evaluated pair, the decision at
+    its step count with every reduced pair, and the decisions of the pair
+    scaled by 3.7 and 1e-3."""
+    outcomes = []
+    for cfg in corpus_configs():
+        pair = evaluate_sequence(random_sequence(cfg))
+        outcomes.append((
+            fingerprint(pair.p),
+            fingerprint(pair.q),
+            layout_signature(pair, cfg.steps),
+            [trace_signature(scaled_pair(pair, s), cfg.steps) for s in (3.7, 1e-3)],
+        ))
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def product_outcomes():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(su2, "_BOX_PER_TERM", 0)
+        return corpus_outcomes()
+
+
+def test_layouts_agree_on_the_corpus(layout, product_outcomes):
+    # every angle (by repr) and every value of every level, on the dense box
+    # and on LaurentPoly terms with the general products
+    assert corpus_outcomes() == product_outcomes
+
+
+def test_sparse_inputs_stay_on_their_terms(no_box):
+    seq = MqspSequence(20, (0.0,) * 21, tuple(range(1, 21)))
+    pair = evaluate_sequence(seq)
+    assert len(pair.p) == len(pair.q) == 2
+    assert decide(pair, 20, TOL)
+    synthesized = synthesize(pair, 20, TOL).sequence
+    assert evaluate_sequence(synthesized).max_deviation(pair) <= TOL
+    trace = run_decision(M20_CORNERS, 20, TOL)
+    assert trace.rejection.reason == REASON_PHASE
+    trace = run_decision(SPAN_100001, 1, TOL)
+    assert trace.rejection.reason == REASON_DEGREE
 
 
 # -- decide -----------------------------------------------------------------------
@@ -392,5 +512,19 @@ def test_qsp1_agrees_with_decide(seed):
 
 def test_term_bound_values():
     assert term_bound(identity_pair()) == 1
-    assert term_bound(signal_pair()) == 3
-    assert term_bound(counterexample_pair()) == 25
+    assert term_bound(signal_pair()) == 2
+    assert term_bound(counterexample_pair()) == 9
+
+
+@pytest.mark.parametrize("m,n", [(1, 12), (2, 9), (3, 7), (4, 6)])
+def test_term_bound_is_the_box(m, n):
+    # realizable pairs fill their parity-lattice box: prod_j (d_j + 1)
+    for seed in range(4):
+        pair, _ = oracle_pair(m, n, 50 * m + seed)
+        bound = math.prod(d + 1 for d in pair.p.degrees())
+        assert term_bound(pair) == bound == max(len(pair.p), len(pair.q))
+    # mixed parities need stride 1: prod_j (2 d_j + 1)
+    mixed = PQPair(
+        LaurentPoly(2, {(-2, 1): 0.1, (1, -1): 0.2, (2, 0): 0.3}), LaurentPoly(2, {(0, 1): 0.4})
+    )
+    assert term_bound(mixed) == (2 * 2 + 1) * (2 * 1 + 1)

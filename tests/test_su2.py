@@ -22,7 +22,16 @@ from mqsp import (
     z_rotation,
 )
 from mqsp import su2
-from helpers import extend_sequence, fingerprint, oracle_pair, perturb_pair, unit_norm_product
+from helpers import (
+    M20_CORNERS,
+    SPAN_100001,
+    extend_sequence,
+    fingerprint,
+    layout,
+    oracle_pair,
+    perturb_pair,
+    unit_norm_product,
+)
 
 TOL = 1e-9
 
@@ -157,6 +166,40 @@ def test_evaluate_is_bitwise_the_matrix_oracle(m, mode):
             assert fingerprint(kernel.q) == fingerprint(oracle.q)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_both_layouts_evaluate_bitwise_the_matrix_oracle(m, mode, layout):
+    # on the dense box and on LaurentPoly terms alike; discrete angles make
+    # exact cancellations, so boxes get trimmed and terms dropped
+    for seed in range(3):
+        for n in (3, 8, 12):
+            seq = random_sequence(OracleConfig(m, n, 2000 * m + 10 * seed + n, mode))
+            kernel = evaluate_sequence(seq)
+            oracle = matrix_oracle_top_row(seq)
+            assert fingerprint(kernel.p) == fingerprint(oracle.p)
+            assert fingerprint(kernel.q) == fingerprint(oracle.q)
+
+
+def test_evaluation_leaves_a_box_that_gets_sparse(monkeypatch):
+    # with zero phases, 20 signal operators on 20 variables multiply out to
+    # two terms each in P and Q, on a box of 2^20 slots
+    built = []
+
+    def record(box, *args):
+        built.append(len(args[4]))
+        original(box, *args)
+
+    original = su2.PairBox.__init__
+    monkeypatch.setattr(su2.PairBox, "__init__", record)
+    seq = MqspSequence(20, (0.0,) * 21, tuple(range(1, 21)))
+    pair = evaluate_sequence(seq)
+    corners = ((1,) * 20, (-1,) * 20)
+    assert pair.p == LaurentPoly(20, dict(zip(corners, (0.5, 0.5))))
+    assert pair.q == LaurentPoly(20, dict(zip(corners, (0.5, -0.5))))
+    # two terms allow 8 slots: the first box past that, of 16, is left at once
+    assert max(built) == 16
+
+
 def test_phase_factor_cuts_like_the_matrix_product():
     # e^{-0.514116 i} as evaluated in double precision: its modulus rounds
     # just below 1, so a plain scalar product cuts at a smaller scale and
@@ -167,7 +210,10 @@ def test_phase_factor_cuts_like_the_matrix_product():
     poly = LaurentPoly(1, {(0,): 2.0, (2,): tiny})
     oracle = poly * LaurentPoly.constant(1, phase) + LaurentPoly.zero(1)
     assert len(poly * phase) == 2
-    assert fingerprint(poly._times_phase(phase)) == fingerprint(oracle)
+    box = su2.PairBox.from_pair(PQPair(poly, LaurentPoly.zero(1)))
+    values, top = su2._rotated((box.p, box._moduli[0]), phase)
+    rotated = su2.PairBox(1, box.lows, box.strides, box.rows, values, box.q, (top, 0.0))
+    assert fingerprint(rotated.to_pair().p) == fingerprint(oracle)
 
 
 def test_sequence_validation():
@@ -177,6 +223,12 @@ def test_sequence_validation():
         MqspSequence(2, (0.0, 0.0), (3,))
     with pytest.raises(ValueError):
         MqspSequence(0, (0.0,), ())
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_sequence_phases_must_be_finite(phase):
+    with pytest.raises(ValueError, match="not finite"):
+        MqspSequence(1, (0.0, phase), (1,))
 
 
 # -- pair embedding ----------------------------------------------------------------
@@ -368,15 +420,9 @@ def test_unit_norm_filter_edge_cases(pair, defect):
     "pair",
     [
         # a span of 100001 at stride 1: twiddle tables of about 2e10 entries
-        pytest.param(
-            PQPair(LaurentPoly(1, {(0,): 0.5, (1,): 0.5, (100000,): 1e-3}), LaurentPoly.zero(1)),
-            id="span-100001",
-        ),
+        pytest.param(SPAN_100001, id="span-100001"),
         # two opposite corners of a 20-variable box: a grid of 3^20 points
-        pytest.param(
-            PQPair(LaurentPoly(20, {(0,) * 20: 0.5, (1,) * 20: 0.5}), LaurentPoly.zero(20)),
-            id="m20-corners",
-        ),
+        pytest.param(M20_CORNERS, id="m20-corners"),
     ],
 )
 def test_sparse_wide_pair_is_multiplied_out(pair, monkeypatch):
