@@ -111,12 +111,13 @@ class PQPair:
     unit-norm identity p*p~ + q*q~ = 1 (with x~ = star(invert_vars(x))),
     which is |p|^2 + |q|^2 = 1 for variables on the unit circle; use
     ``is_normalized`` to test for it.  The identity is usually not
-    multiplied out: |p|^2 + |q|^2 is sampled on a torus grid just large
-    enough to hold its coefficients and transformed back (see
-    ``_unit_norm_deviation``), which costs O(G * sum_j N_j) for a grid of
-    G = prod_j N_j points, N_j about twice the span of variable j, instead of
-    the product's O(L^2) in the term count L.  A sparse pair whose grid would
-    cost more than that product is multiplied out instead.
+    multiplied out: |p|^2 + |q|^2 is sampled on a torus grid of
+    N_j = 2 r_j - 1 points per variable, for the r_j rows of the pair's
+    ``PairBox`` (its exponents at stride 1 or 2), and transformed back (see
+    ``_unit_norm_deviation``).  That costs O(G * sum_j N_j) for a grid of
+    G = prod_j N_j points instead of the product's O(L^2) in the term count
+    L.  A pair too sparse for its box, by the slots-per-term rule that
+    evaluation and the decision use, is multiplied out instead.
     """
 
     p: LaurentPoly
@@ -134,12 +135,12 @@ class PQPair:
 
     def normalization_defect(self) -> float:
         """Largest coefficient-wise |difference| of p*p~ + q*q~ against 1."""
-        return _unit_norm_deviation(self.p, self.q)[0]
+        return _unit_norm_deviation(self)[0]
 
     def is_normalized(self, tol: float = EPS) -> bool:
         """The unit-norm identity within ``tol`` relative to the coefficient
         scale, the test ``LaurentPoly.approx_eq`` makes."""
-        deviation, scale = _unit_norm_deviation(self.p, self.q)
+        deviation, scale = _unit_norm_deviation(self)
         return deviation <= tol * scale
 
     def max_deviation(self, other: PQPair) -> float:
@@ -200,6 +201,12 @@ class PQPair:
 #: terms spread over a wide or many-variable box stay cheap.
 _BOX_PER_TERM = 4
 
+
+def _too_sparse(slots: int, terms: int) -> bool:
+    """A box of ``slots`` slots is too sparse for ``terms`` stored terms."""
+    return slots > _BOX_PER_TERM * terms
+
+
 _ZERO = 0j
 _HALF = complex(0.5)
 
@@ -249,7 +256,7 @@ class PairBox:
         """The pair on its box, or None when the box would have more than
         ``_BOX_PER_TERM`` slots per stored term."""
         lows, strides, rows = cls.lattice(pair)
-        if math.prod(rows) > _BOX_PER_TERM * max(len(pair.p), len(pair.q)):
+        if _too_sparse(math.prod(rows), max(len(pair.p), len(pair.q))):
             return None
         return cls._placed(pair, lows, strides, rows)
 
@@ -325,7 +332,7 @@ class PairBox:
             _rotated(_combined(add, p_sin, q_cos), phase.conjugate()),
         )
         terms = max(len(box.p) - box.p.count(0j), len(box.q) - box.q.count(0j))
-        return box.to_pair() if len(box.p) > _BOX_PER_TERM * terms else box
+        return box.to_pair() if _too_sparse(len(box.p), terms) else box
 
     def _peel(self, j: int, e: complex) -> PairBox:
         i = j - 1
@@ -501,75 +508,43 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     return state.to_pair()
 
 
-# One term pair of the multiplied-out identity (tuple and dict work per
-# pair) costs about as much as four multiply-adds of the grid transforms.
-_TERM_PAIR_COST = 4
-
-
-def _unit_norm_deviation(p: LaurentPoly, q: LaurentPoly) -> tuple[float, float]:
+def _unit_norm_deviation(pair: PQPair) -> tuple[float, float]:
     """Largest deviation of a coefficient of p*p~ + q*q~ from the constant 1,
     and the coefficient scale max(1, max |coefficient|).
 
-    On the unit torus p*p~ + q*q~ equals |p|^2 + |q|^2.  Its j-exponents are
-    differences of two j-exponents of one polynomial.  With stride sigma_j the
-    greatest common divisor of those differences in p and in q (2 when each
-    polynomial's j-exponents share one parity, as in every realizable pair),
-    and span s_j the larger of (max - min) / sigma_j + 1 over p and q, every
-    lag in b_j = a_j^sigma_j lies in [-(s_j - 1), s_j - 1].  So each
-    polynomial is shifted to b-exponents 0..s_j - 1 (a unimodular factor on
-    the torus), evaluated on N_j = 2 s_j - 1 roots of unity per axis, and the
-    sum of squared moduli is transformed back: the coefficients come out
-    exact up to rounding, for any input.  The samples are real, so the
-    coefficients are Hermitian and only the lags with a non-negative last
-    component are computed.
+    On the unit torus p*p~ + q*q~ equals |p|^2 + |q|^2.  On the pair's
+    ``PairBox`` variable j has r_j rows at stride 1 or 2, so in
+    b_j = a_j^stride_j, with P and Q shifted to b-exponents 0..r_j - 1 (a
+    unimodular factor on the torus), every lag of |p|^2 + |q|^2 lies in
+    [-(r_j - 1), r_j - 1].  So P and Q are evaluated on N_j = 2 r_j - 1
+    roots of unity per axis and the sum of squared moduli is transformed
+    back: the coefficients come out exact up to rounding, for any input.
+    The samples are real, so the coefficients are Hermitian and only the
+    lags with a non-negative last component are computed.
 
-    The grid follows the exponent box, not the term count, so a sparse pair
-    spread over a wide box would need far more points than it has term
-    pairs.  When the grid work prod_j N_j * sum_j N_j exceeds the product's
-    |p|^2 + |q|^2 term pairs (weighted by ``_TERM_PAIR_COST``), the identity
-    is multiplied out instead; both ways are exact up to rounding.
+    A pair too sparse for its box (``PairBox.from_pair`` returns None, the
+    rule that evaluation and the decision use) is multiplied out instead;
+    both ways are exact up to rounding.
     """
-    polys = [poly for poly in (p, q) if poly.terms]
-    columns = [list(zip(*poly.terms)) for poly in polys]
-    lows = [list(map(min, column)) for column in columns]
-    strides, spans = [], []
-    for i in range(p.variables):
-        axis = [(column[i], low[i]) for column, low in zip(columns, lows)]
-        stride = math.gcd(*(e - lo for exps, lo in axis for e in exps)) or 1
-        strides.append(stride)
-        spans.append(max(((max(exps) - lo) // stride + 1 for exps, lo in axis), default=1))
-    points = [2 * s - 1 for s in spans]
-    if math.prod(points) * sum(points) > _TERM_PAIR_COST * (len(p) ** 2 + len(q) ** 2):
+    box = PairBox.from_pair(pair)
+    if box is None:
+        p, q = pair.p, pair.q
         combo = p * p.torus_conjugate() + q * q.torus_conjugate()
-        one = LaurentPoly.constant(p.variables, 1.0)
+        one = LaurentPoly.constant(pair.variables, 1.0)
         return combo.max_deviation(one), max(1.0, combo.max_modulus())
-    return _sampled_deviation(polys, lows, strides, spans)
-
-
-def _sampled_deviation(
-    polys: list[LaurentPoly], lows: list[list[int]], strides: list[int], spans: list[int]
-) -> tuple[float, float]:
-    """``_unit_norm_deviation`` on the torus grid: each polynomial is placed
-    at b-exponents (e - low) / stride, evaluated, and |p|^2 + |q|^2 is
-    transformed back."""
-    points = [2 * s - 1 for s in spans]
     forward, inverse = [], []
-    last = len(spans) - 1
-    for i, (s, n) in enumerate(zip(spans, points)):
+    last = len(box.rows) - 1
+    for i, rows in enumerate(box.rows):
+        n = 2 * rows - 1
         roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
-        forward.append([[roots[t * u % n] for u in range(s)] for t in range(n)])
-        # Hermitian: lags 0..s-1 suffice on the last axis
-        lags = range(s if i == last else n)
+        forward.append([[roots[t * u % n] for u in range(rows)] for t in range(n)])
+        # Hermitian: lags 0..rows - 1 suffice on the last axis
+        lags = range(rows if i == last else n)
         inverse.append([[roots[-lag * t % n] / n for t in range(n)] for lag in lags])
 
-    places = [math.prod(spans[i + 1 :]) for i in range(len(spans))]
-    samples = [0.0] * math.prod(points)
-    for poly, low in zip(polys, lows):
-        dense = [0j] * math.prod(spans)
-        for key, coeff in poly.terms.items():
-            at = zip(key, low, strides, places)
-            dense[sum((e - lo) // st * pl for e, lo, st, pl in at)] = coeff
-        values = _separable_transform(dense, forward)
+    samples = repeat(0.0)
+    for values in (box.p, box.q):
+        values = _separable_transform(values, forward)
         samples = [f + v.real * v.real + v.imag * v.imag for f, v in zip(samples, values)]
 
     coeffs = _separable_transform(samples, inverse)

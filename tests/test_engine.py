@@ -9,6 +9,7 @@ import pytest
 
 from mqsp import (
     BaseAccept,
+    IdentityPad,
     LaurentPoly,
     MqspSequence,
     NecessaryReport,
@@ -31,7 +32,7 @@ from mqsp import (
     term_bound,
     z_rotation,
 )
-from mqsp import su2
+from mqsp import engine, su2
 from mqsp.engine import REASON_DEGREE, REASON_PHASE
 from mqsp.fixtures import counterexample_pair, identity_pair, signal_pair
 from mqsp.su2 import PairBox
@@ -372,6 +373,60 @@ def test_trace_shape():
     trace = run_decision(pair, 6, TOL)
     reductions = [s for s in trace.steps if isinstance(s, PhaseReduction)]
     assert len(reductions) <= 6
+
+
+def test_padding_takes_one_degree_scan(monkeypatch):
+    scans = []
+    scan = engine.effective_degrees
+
+    def counted(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(engine, "effective_degrees", counted)
+    trace = run_decision(identity_pair(), 2000, TOL)
+    assert len(scans) <= 2
+    assert trace.steps == tuple(map(IdentityPad, range(2000, 0, -2))) + (BaseAccept(0.0),)
+    scans.clear()
+    trace = run_decision(signal_pair(), 2001, TOL)
+    assert len(scans) <= 2
+    assert trace.steps[:-2] == tuple(map(IdentityPad, range(2001, 1, -2)))
+    assert [type(step) for step in trace.steps[-2:]] == [PhaseReduction, BaseAccept]
+    assert trace.steps[-2].steps_left == 1
+    scans.clear()
+    assert run_decision(identity_pair(), 2001, TOL).steps[-1] == Reject(1, REASON_DEGREE)
+    assert len(scans) <= 2
+
+
+def with_term_above(poly: LaurentPoly, top: LaurentPoly, j: int, coeff: complex) -> LaurentPoly:
+    """``poly`` plus ``coeff`` one exponent above the degree of ``top`` in
+    variable ``j``, at the largest key of ``top`` that reaches that degree."""
+    d = top.degree(j)
+    key = max(k for k in top.terms if k[j - 1] == d)
+    key = key[: j - 1] + (d + 1,) + key[j:]
+    terms = dict(poly.terms)
+    terms[key] = terms.get(key, 0j) + coeff
+    return LaurentPoly(poly.variables, terms)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_peel_keeps_terms_above_the_degree(m):
+    """A term above P's degree, in Q (even at 1e-7) or in P, makes a
+    realizable pair unrealizable at its n.  The degree scan reads P only, so
+    a junk Q term is caught only because each peel carries it along; a peel
+    that dropped every row above the new degree would accept these pairs."""
+    for n in range(2, 9):
+        for seed in range(4):
+            pair, _ = oracle_pair(m, n, 7100 + 10 * n + seed)
+            assert decide(pair, n, TOL)
+            for j in range(1, m + 1):
+                for in_q, size in ((True, 1e-2), (True, 1e-7), (False, 1e-2)):
+                    coeff = size * cmath.exp(0.7j)
+                    if in_q:
+                        junk = PQPair(pair.p, with_term_above(pair.q, pair.p, j, coeff))
+                    else:
+                        junk = PQPair(with_term_above(pair.p, pair.p, j, coeff), pair.q)
+                    assert not decide(junk, n, TOL), (n, seed, j, in_q, size)
 
 
 # -- synthesize ----------------------------------------------------------------------

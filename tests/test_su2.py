@@ -28,6 +28,7 @@ from helpers import (
     extend_sequence,
     fingerprint,
     layout,
+    no_box,
     oracle_pair,
     perturb_pair,
     unit_norm_product,
@@ -337,18 +338,18 @@ def with_off_parity_term(poly: LaurentPoly, coeff: complex) -> LaurentPoly:
     return LaurentPoly(poly.variables, terms)
 
 
-@pytest.fixture(params=["chosen", "sampled", "multiplied"])
-def unit_norm_method(request, monkeypatch):
-    """Run a filter test with the method the input selects, or force the
-    torus grid (an infinite term-pair cost) or the product (a zero one)."""
-    cost = {"chosen": su2._TERM_PAIR_COST, "sampled": math.inf, "multiplied": 0}
-    monkeypatch.setattr(su2, "_TERM_PAIR_COST", cost[request.param])
+# The filter under the layout rule ("chosen"), sampled on the pair's box
+# whatever its fill, or multiplied out: the ``layout`` fixture forced to the
+# box or to the terms.
+FILTER_METHODS = [("chosen", "chosen"), ("box", "sampled"), ("terms", "multiplied")]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("mode", ["continuous", "discrete"])
-@pytest.mark.usefixtures("unit_norm_method")
-def test_unit_norm_filter_matches_the_product(m, mode):
+@pytest.mark.parametrize(
+    "layout", [pytest.param(layout, id=method) for layout, method in FILTER_METHODS], indirect=True
+)
+def test_unit_norm_filter_matches_the_product(m, mode, layout):
     for seed in range(3):
         pair, _ = oracle_pair(m, (12, 9, 7, 6)[m - 1] + seed, 300 * m + seed, mode)
         cases = [
@@ -374,43 +375,47 @@ HALF_DOWN = LaurentPoly(2, {(0, 0): 0.5, (1, 0): -0.5})
 WIDE = LaurentPoly(2, {(600, -400): 0.5, (-600, 400): 0.5})
 WIDE_ODD = LaurentPoly(2, {(600, -400): 0.5, (-600, 400): -0.5})
 
+EDGE_CASES = [
+    (PQPair(ZERO2, ZERO2), 1.0, "both-zero"),
+    (PQPair(ZERO2, LaurentPoly(2, {(3, -1): 1j})), 0.0, "p-zero"),
+    (PQPair(ZERO2, half_diff(1, 2)), 0.5, "p-zero-unnormalized"),
+    (PQPair(LaurentPoly.constant(2, cmath.exp(0.3j)), ZERO2), 0.0, "q-zero"),
+    (PQPair(half_sum(2, 2), ZERO2), 0.5, "q-zero-unnormalized"),
+    (PQPair(LaurentPoly.constant(2, 0.6), LaurentPoly.constant(2, 0.8j)), 0.0, "constant"),
+    (
+        PQPair(LaurentPoly.constant(2, 0.6), LaurentPoly.constant(2, 0.6)),
+        0.28,
+        "constant-unnormalized",
+    ),
+    # 0.5 + 0.5 a_1 and 0.5 -+ 0.5 a_1 mix parities (stride 1); the lag-1
+    # cross terms cancel between P and Q, or add up
+    (PQPair(HALF_UP, HALF_DOWN), 0.0, "mixed-parity"),
+    (PQPair(HALF_UP, HALF_UP), 0.5, "mixed-parity-unnormalized"),
+    (PQPair(LaurentPoly(2, {(1000, -999): cmath.exp(0.3j)}), ZERO2), 0.0, "far-monomial"),
+    # two or four terms on boxes of 241001 and 6004 slots: multiplied out,
+    # and too large to sample, so they have no forced-box variant
+    (PQPair(WIDE, WIDE_ODD), 0.0, "wide-sparse"),
+    (PQPair(WIDE, WIDE), 0.5, "wide-sparse-unnormalized"),
+    (
+        PQPair(LaurentPoly(2, {(1001, 6): 0.6}), LaurentPoly(2, {(-2000, 7): 0.8})),
+        0.0,
+        "far-monomials-own-offsets",
+    ),
+]
+TOO_WIDE_TO_SAMPLE = {"wide-sparse", "wide-sparse-unnormalized", "far-monomials-own-offsets"}
+
 
 @pytest.mark.parametrize(
-    "pair,defect",
+    "layout,pair,defect",
     [
-        pytest.param(PQPair(ZERO2, ZERO2), 1.0, id="both-zero"),
-        pytest.param(PQPair(ZERO2, LaurentPoly(2, {(3, -1): 1j})), 0.0, id="p-zero"),
-        pytest.param(PQPair(ZERO2, half_diff(1, 2)), 0.5, id="p-zero-unnormalized"),
-        pytest.param(PQPair(LaurentPoly.constant(2, cmath.exp(0.3j)), ZERO2), 0.0, id="q-zero"),
-        pytest.param(PQPair(half_sum(2, 2), ZERO2), 0.5, id="q-zero-unnormalized"),
-        pytest.param(
-            PQPair(LaurentPoly.constant(2, 0.6), LaurentPoly.constant(2, 0.8j)), 0.0, id="constant"
-        ),
-        pytest.param(
-            PQPair(LaurentPoly.constant(2, 0.6), LaurentPoly.constant(2, 0.6)),
-            0.28,
-            id="constant-unnormalized",
-        ),
-        # 0.5 + 0.5 a_1 and 0.5 -+ 0.5 a_1 mix parities (stride 1); the lag-1
-        # cross terms cancel between P and Q, or add up
-        pytest.param(PQPair(HALF_UP, HALF_DOWN), 0.0, id="mixed-parity"),
-        pytest.param(PQPair(HALF_UP, HALF_UP), 0.5, id="mixed-parity-unnormalized"),
-        pytest.param(
-            PQPair(LaurentPoly(2, {(1000, -999): cmath.exp(0.3j)}), ZERO2), 0.0, id="far-monomial"
-        ),
-        # exponents 1200 and 800 apart: a stride of 1200 and 800 keeps the
-        # grid at 3 x 3 points instead of 1201 x 801
-        pytest.param(PQPair(WIDE, WIDE_ODD), 0.0, id="wide-sparse"),
-        pytest.param(PQPair(WIDE, WIDE), 0.5, id="wide-sparse-unnormalized"),
-        pytest.param(
-            PQPair(LaurentPoly(2, {(1001, 6): 0.6}), LaurentPoly(2, {(-2000, 7): 0.8})),
-            0.0,
-            id="far-monomials-own-offsets",
-        ),
+        pytest.param(layout, pair, defect, id=f"{method}-{name}")
+        for layout, method in FILTER_METHODS
+        for pair, defect, name in EDGE_CASES
+        if not (layout == "box" and name in TOO_WIDE_TO_SAMPLE)
     ],
+    indirect=["layout"],
 )
-@pytest.mark.usefixtures("unit_norm_method")
-def test_unit_norm_filter_edge_cases(pair, defect):
+def test_unit_norm_filter_edge_cases(layout, pair, defect):
     assert_filter_matches_product(pair)
     assert pair.normalization_defect() == pytest.approx(defect, abs=1e-15)
     assert pair.is_normalized(TOL) == (defect == 0.0)
@@ -425,11 +430,8 @@ def test_unit_norm_filter_edge_cases(pair, defect):
         pytest.param(M20_CORNERS, id="m20-corners"),
     ],
 )
-def test_sparse_wide_pair_is_multiplied_out(pair, monkeypatch):
-    def no_grid(*args):
-        raise AssertionError("sampled on a torus grid")
-
-    monkeypatch.setattr(su2, "_sampled_deviation", no_grid)
+@pytest.mark.usefixtures("no_box")
+def test_sparse_wide_pair_is_multiplied_out(pair):
     assert_filter_matches_product(pair)
     assert not pair.is_normalized(TOL)
 
