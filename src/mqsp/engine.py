@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from operator import sub
 
-from .laurent import EPS, _cut_values
+from .laurent import DROP_EPS, EPS, _cut_values
 from .su2 import MqspSequence, PairBox, PQPair, _scaled
 
 REASON_BASE = "final pair is not a pure phase rotation"
@@ -177,11 +177,19 @@ def find_phase(pair: PQPair | PairBox, j: int, degree: int, tol: float = EPS) ->
 def reduce_step(pair: PQPair | PairBox, j: int, phi: float) -> PQPair | PairBox:
     """Right-multiply the pair's matrix by (A(a_j) e^{i phi s_z})^{-1}.
 
-    With ``phi`` returned by ``find_phase`` at the top degree of variable
-    ``j``, the degree in that variable drops by exactly one and the other
-    degrees are unchanged.  The result has the input's layout.
+    The products are not cut.  Variable ``j`` gains an exponent at each
+    end, and only the rows of ``j`` at the ends of the result that hold
+    nothing above ``DROP_EPS`` times the coefficient scale (floored at 1) are
+    dropped: rounding residue, which the cuts used to zero.  With ``phi``
+    returned by ``find_phase`` at the top degree d of variable ``j``, the
+    rows at +-(d + 1) cancel, so for a pair whose top slices match to
+    rounding (a freshly evaluated one, say) the degree in that variable
+    drops by exactly one and the other degrees are unchanged.
+    ``run_decision`` truncates a larger residue at its tolerance.  The result
+    has the input's layout.
     """
-    return pair._peel(j, cmath.exp(1j * phi))
+    peeled = pair._peel(j, cmath.exp(1j * phi))
+    return peeled._truncated(j, -1, DROP_EPS * max(1.0, *peeled._moduli))
 
 
 def effective_degrees(pair: PQPair | PairBox, tol: float = EPS) -> tuple[int, ...]:
@@ -189,8 +197,10 @@ def effective_degrees(pair: PQPair | PairBox, tol: float = EPS) -> tuple[int, ..
 
     Ignoring terms at or below tol times the (floored) coefficient scale
     keeps the recursion's degree bookkeeping consistent with its coefficient
-    comparisons: the residue left behind by a peeled factor sits far below
-    the tolerance and must not masquerade as surviving degree.
+    comparisons: the rounding residue that a peeled factor leaves inside
+    the rows it keeps sits far below the tolerance and must not masquerade
+    as surviving degree.  (The rows above the new degree are truncated by
+    ``run_decision``.)
     """
     degrees = pair._visible_degrees(tol * max(1.0, *pair._moduli))
     return degrees or (0,) * pair.variables
@@ -205,6 +215,13 @@ def run_decision(pair: PQPair, n: int, tol: float = EPS) -> DecisionTrace:
     ever shrinks the step budget by one or two, so it is realized as a loop.
     Variables are scanned in ascending order and the first phase match
     wins, which makes the trace deterministic.
+
+    A peel at the matched degree d of variable j lowers that degree to
+    d - 1, so after each ``reduce_step`` the rows of j beyond +-(d - 1) are
+    truncated from the ends of the axis, as long as every entry of P and Q
+    in them is at or below the cutoff ``effective_degrees`` uses.  A row
+    with a visible entry stops the truncation and is kept, so the next
+    degree scan or the base case rejects the pair.
     """
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
@@ -234,6 +251,8 @@ def run_decision(pair: PQPair, n: int, tol: float = EPS) -> DecisionTrace:
                 phi = find_phase(current, j, degs[j - 1], tol)
                 if phi is not None:
                     current = reduce_step(current, j, phi)
+                    cutoff = tol * max(1.0, *current._moduli)
+                    current = current._truncated(j, degs[j - 1] - 1, cutoff)
                     steps.append(PhaseReduction(remaining, j, phi, current))
                     remaining -= 1
                     break

@@ -27,11 +27,12 @@ EPS = 1e-9
 #: Relative cutoff below which stored coefficients are dropped at
 #: construction.  Deliberately at the rounding floor, far below EPS: the
 #: cutoff only exists to keep exact cancellations from leaving machine junk
-#: in the sparse form (the dense box zeroes the same coefficients).  Every
-#: dropped coefficient injects its magnitude as noise, and downstream phase
-#: extraction divides that noise by the top coefficient-slice magnitude, so
-#: dropping anywhere near EPS would compound past the comparison tolerance
-#: over a chain of reductions.
+#: in the sparse form (sequence evaluation on the dense box zeroes the same
+#: coefficients; the decision's peel does not cut, and truncates the rows
+#: its cancellation leaves instead).  Every dropped coefficient injects its
+#: magnitude as noise, and downstream phase extraction divides that noise
+#: by the top coefficient-slice magnitude, so dropping anywhere near EPS
+#: would compound past the comparison tolerance over a chain of reductions.
 DROP_EPS = 1e-15
 
 Exponents = tuple[int, ...]
@@ -164,10 +165,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._require_same_shape(other)
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            merged[k] = merged.get(k, 0j) - c
-        return LaurentPoly._from_arithmetic(self.variables, merged, self._pair_scale(other))
+        return self._difference(other, self._pair_scale(other))
 
     def __neg__(self) -> LaurentPoly:
         return self._same_support(lambda k, c: -c)
@@ -175,19 +173,32 @@ class LaurentPoly:
     def __mul__(self, other) -> LaurentPoly:
         if isinstance(other, LaurentPoly):
             self._require_same_shape(other)
-            out: dict[Exponents, complex] = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    k = tuple(map(add, k1, k2))
-                    out[k] = out.get(k, 0j) + c1 * c2
-            return LaurentPoly._from_arithmetic(self.variables, out, self._pair_scale(other))
+            return self._product(other, self._pair_scale(other))
         if isinstance(other, (int, float, complex)):
             c = complex(other)
-            scaled = {k: v * c for k, v in self.terms.items()}
-            return LaurentPoly._from_arithmetic(
-                self.variables, scaled, max(1.0, self.max_modulus() * abs(c))
-            )
+            return self._scaled(c, max(1.0, self.max_modulus() * abs(c)))
         return NotImplemented
+
+    # The operators with an explicit drop scale: a scale of 0 drops only
+    # exact zeros, which is how the decision's peel multiplies.
+
+    def _difference(self, other: LaurentPoly, drop_scale: float) -> LaurentPoly:
+        merged = dict(self.terms)
+        for k, c in other.terms.items():
+            merged[k] = merged.get(k, 0j) - c
+        return LaurentPoly._from_arithmetic(self.variables, merged, drop_scale)
+
+    def _product(self, other: LaurentPoly, drop_scale: float) -> LaurentPoly:
+        out: dict[Exponents, complex] = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = tuple(map(add, k1, k2))
+                out[k] = out.get(k, 0j) + c1 * c2
+        return LaurentPoly._from_arithmetic(self.variables, out, drop_scale)
+
+    def _scaled(self, c: complex, drop_scale: float) -> LaurentPoly:
+        scaled = {k: v * c for k, v in self.terms.items()}
+        return LaurentPoly._from_arithmetic(self.variables, scaled, drop_scale)
 
     __rmul__ = __mul__
 
@@ -275,10 +286,7 @@ def _cut_values(values: list, drop_scale: float, keys=None) -> tuple[list, float
     ValueError, naming its key from ``keys`` (its position by default).
     """
     sizes = list(map(abs, values))
-    if not sum(sizes) < math.inf:  # a non-finite coefficient, or a huge sum
-        for key, value in zip(range(len(values)) if keys is None else keys, values):
-            if not cmath.isfinite(value):
-                raise ValueError(f"non-finite coefficient {value!r} at {key}")
+    _require_finite(values, sizes, keys)
     cutoff = DROP_EPS * drop_scale
     top = max(sizes, default=0.0)
     if top <= cutoff:
@@ -286,3 +294,12 @@ def _cut_values(values: list, drop_scale: float, keys=None) -> tuple[list, float
     if min(sizes) > cutoff:
         return values, top
     return [value if size > cutoff else 0j for value, size in zip(values, sizes)], top
+
+
+def _require_finite(values: list, sizes: list, keys=None) -> None:
+    """Raise ValueError on a non-finite value of ``values``, naming its key
+    from ``keys`` (its position by default); ``sizes`` are their moduli."""
+    if not sum(sizes) < math.inf:  # a non-finite coefficient, or a huge sum
+        for key, value in zip(range(len(values)) if keys is None else keys, values):
+            if not cmath.isfinite(value):
+                raise ValueError(f"non-finite coefficient {value!r} at {key}")

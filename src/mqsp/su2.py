@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import compress, product, repeat
 from operator import add, mul, neg, sub
 
-from .laurent import EPS, LaurentPoly, _cut_values
+from .laurent import EPS, LaurentPoly, _cut_values, _require_finite
 
 
 def half_sum(j: int, variables: int) -> LaurentPoly:
@@ -189,10 +189,33 @@ class PQPair:
         )
 
     def _peel(self, j: int, e: complex) -> PQPair:
+        # the general products with a drop scale of 0: only exact zeros go
         cos_part, sin_part = half_sum(j, self.variables), half_diff(j, self.variables)
         ec = e.conjugate()
         p, q = self.p, self.q
-        return PQPair(p * cos_part * ec - q * sin_part * e, q * cos_part * e - p * sin_part * ec)
+        return PQPair(
+            p._product(cos_part, 0.0)._scaled(ec, 0.0)._difference(
+                q._product(sin_part, 0.0)._scaled(e, 0.0), 0.0
+            ),
+            q._product(cos_part, 0.0)._scaled(e, 0.0)._difference(
+                p._product(sin_part, 0.0)._scaled(ec, 0.0), 0.0
+            ),
+        )
+
+    def _truncated(self, j: int, top: int, cutoff: float) -> PQPair:
+        """``PairBox._truncated`` on the terms."""
+        i = self.p._index(j)
+        terms = [*self.p.terms.items(), *self.q.terms.items()]
+        bounds = [k[i] for k, c in terms if not abs(c) <= cutoff]
+        if top >= 0:
+            bounds += (-top, top)
+        low, high = min(bounds, default=1), max(bounds, default=0)
+        return PQPair(*(
+            LaurentPoly._from_arithmetic(
+                self.variables, {k: c for k, c in poly.terms.items() if low <= k[i] <= high}, 0.0
+            )
+            for poly in (self.p, self.q)
+        ))
 
 
 #: A pair or sequence is stepped on a ``PairBox`` while the box has at most
@@ -219,24 +242,29 @@ class PairBox:
     and Q share one parity, as in every realizable pair, and 1 otherwise.
     The lists are row-major, the last variable fastest, so flat order is
     lexicographic exponent order.  Absent terms are exact zeros ``0j``, and
-    ``_moduli`` holds the largest |coefficient| of P and of Q.  A box is not
-    changed after construction.
+    ``_moduli`` holds the largest |coefficient| of P and of Q.  ``sizes``,
+    when given, is |coefficient| of every slot of P, measured by the step
+    that built the box; otherwise it is measured once when first read.
 
     The box and ``PQPair`` provide the same storage primitives, over which
     ``evaluate_sequence`` and the peel in ``engine`` are written once:
     ``_moduli``, ``_visible_degrees``, ``_top_slices``, ``_origin``,
-    ``_extend``, ``_peel`` and ``to_pair``.  Every step on the box is one
-    shift-add pass (``_halves``) followed by the ``DROP_EPS`` cuts that the
-    general ``LaurentPoly`` products make, at the same scales, so both
-    layouts give bitwise the same values.  After each step, the rows of the
-    stepped variable that are zero in P and Q are trimmed from its ends.
+    ``_extend``, ``_peel``, ``_truncated`` and ``to_pair``.  Every step on
+    the box is one shift-add pass (``_halves``) per component.  Evaluation
+    follows it with the ``DROP_EPS`` cuts that the general ``LaurentPoly``
+    products make, at the same scales, and trims the zero rows of the
+    stepped variable from its ends.  The peel multiplies without cuts, as
+    the general products do with a drop scale of 0, and leaves the residue
+    rows to ``_truncated``.  Either way both layouts give bitwise the same
+    values.
     """
 
-    __slots__ = ("variables", "lows", "strides", "rows", "p", "q", "_moduli")
+    __slots__ = ("variables", "lows", "strides", "rows", "p", "q", "_moduli", "_sizes")
 
-    def __init__(self, variables, lows, strides, rows, p, q, moduli):
+    def __init__(self, variables, lows, strides, rows, p, q, moduli, sizes=None):
         self.variables, self.p, self.q, self._moduli = variables, p, q, moduli
         self.lows, self.strides, self.rows = tuple(lows), tuple(strides), tuple(rows)
+        self._sizes = sizes
 
     @staticmethod
     def lattice(pair: PQPair) -> tuple[list[int], list[int], list[int]]:
@@ -290,10 +318,15 @@ class PairBox:
 
     # -- storage primitives ---------------------------------------------------
 
+    def _p_sizes(self) -> list[float]:
+        if self._sizes is None:
+            self._sizes = list(map(abs, self.p))
+        return self._sizes
+
     def _visible_degrees(self, cutoff: float) -> tuple[int, ...] | None:
-        sizes = list(map(abs, self.p))
-        if not max(sizes) > cutoff:
+        if not self._moduli[0] > cutoff:
             return None
+        sizes = self._p_sizes()
         degrees = []
         for i, low, stride in zip(range(self.variables), self.lows, self.strides):
             # the largest |exponent| sits in the first or the last visible row
@@ -318,38 +351,76 @@ class PairBox:
         for low, stride, n in zip(self.lows, self.strides, self.rows):
             r, off = divmod(-low, stride)
             if off or not 0 <= r < n:
-                return 0j, max(sizes)
+                return 0j, max(sizes, default=0.0)
             index = index * n + r
         sizes[index] = 0.0
         return self.p[index], max(sizes)
 
     def _extend(self, j: int, phase: complex) -> PQPair | PairBox:
         i = j - 1
-        (p_cos, p_sin), (q_cos, q_sin) = self._halves(i)
-        box = self._grown(
-            i,
-            _rotated(_combined(add, p_cos, q_sin), phase),
-            _rotated(_combined(add, p_sin, q_cos), phase.conjugate()),
-        )
+        scale_p, scale_q = (max(1.0, modulus) for modulus in self._moduli)
+        p_cos, p_sin = (_cut_values(half, scale_p) for half in self._halves(self.p, i))
+        q_cos, q_sin = (_cut_values(half, scale_q) for half in self._halves(self.q, i))
+        p, top_p = _rotated(_combined(add, p_cos, q_sin), phase)
+        q, top_q = _rotated(_combined(add, p_sin, q_cos), phase.conjugate())
+        # the cuts can zero whole rows at the ends of the axis
+        box = self._stepped(i, p, q, (top_p, top_q))._truncated(j, -1, 0.0)
         terms = max(len(box.p) - box.p.count(0j), len(box.q) - box.q.count(0j))
         return box.to_pair() if _too_sparse(len(box.p), terms) else box
 
     def _peel(self, j: int, e: complex) -> PairBox:
         i = j - 1
         ec = e.conjugate()
-        (p_cos, p_sin), (q_cos, q_sin) = self._halves(i)
-        return self._grown(
-            i,
-            _combined(sub, _scaled(p_cos, ec), _scaled(q_sin, e)),
-            _combined(sub, _scaled(q_cos, e), _scaled(p_sin, ec)),
+        p_cos, p_sin = self._halves(self.p, i)
+        q_cos, q_sin = self._halves(self.q, i)
+        p = list(map(sub, _turned(p_cos, ec), _turned(q_sin, e)))
+        q = list(map(sub, _turned(q_cos, e), _turned(p_sin, ec)))
+        sizes, q_sizes = list(map(abs, p)), list(map(abs, q))
+        _require_finite(p, sizes)
+        _require_finite(q, q_sizes)
+        return self._stepped(i, p, q, (max(sizes), max(q_sizes)), sizes)
+
+    def _truncated(self, j: int, top: int, cutoff: float) -> PairBox:
+        """The box without the rows of variable ``j`` beyond +-``top`` whose
+        entries in P and Q are all at or below ``cutoff``, trimmed from both
+        ends of the axis: from either end, the first row within +-``top`` or
+        with an entry above the cutoff stops the trim.  With ``top`` below 0
+        any row can go."""
+        i = j - 1
+        low, stride = self.lows[i], self.strides[i]
+
+        def hidden(r: int) -> bool:
+            return abs(low + stride * r) > top and all(
+                all(map(cutoff.__ge__, map(abs, self._rows(values, i, r, r + 1))))
+                for values in (self.p, self.q)
+            )
+
+        start, stop = 0, self.rows[i]
+        while start < stop and hidden(start):
+            start += 1
+        while start < stop and hidden(stop - 1):
+            stop -= 1
+        if stop - start == self.rows[i]:
+            return self
+        lows, rows = list(self.lows), list(self.rows)
+        lows[i] += start * stride
+        rows[i] = stop - start
+        p, q = self._rows(self.p, i, start, stop), self._rows(self.q, i, start, stop)
+        sizes = self._sizes and self._rows(self._sizes, i, start, stop)
+        # a dropped entry is at most the cutoff, so a larger modulus stays
+        moduli = tuple(
+            modulus if cutoff < modulus else max(map(abs, values), default=0.0)
+            for modulus, values in zip(self._moduli, (p, q))
         )
+        return PairBox(self.variables, lows, self.strides, rows, p, q, moduli, sizes)
 
     # -- the step kernel and the box geometry -----------------------------------
 
-    def _halves(self, i: int) -> list[tuple[tuple, tuple]]:
-        """P and Q each times (a + a^{-1})/2 and times (a - a^{-1})/2, for a
-        the variable of axis ``i``: the step kernel.  Each product comes as
-        (values, maximum modulus), cut as the general product cuts it.
+    def _halves(self, values: list, i: int) -> tuple[list, list]:
+        """``values`` times (a + a^{-1})/2 and times (a - a^{-1})/2, for a
+        the variable of axis ``i``, on the box widened by ``_stepped``: the
+        step kernel.  The products are not cut; evaluation cuts them as the
+        general product does.
 
         The product's coefficient at k is 0j + c[k - e] / 2 +- c[k + e] / 2,
         and c[k - e] sits one row (two on a stride-1 axis) below c[k + e] on
@@ -363,45 +434,23 @@ class PairBox:
         block = math.prod(self.rows[i + 1 :])
         chunk = self.rows[i] * block
         zeros = [0j] * ((3 - self.strides[i]) * block)
-        out = []
-        for values, modulus in zip((self.p, self.q), self._moduli):
-            half = list(map(add, repeat(_ZERO), map(mul, values, repeat(_HALF))))
-            below, above = [], []
-            for at in range(0, len(half), chunk):
-                part = half[at : at + chunk]
-                below += zeros
-                below += part
-                above += part
-                above += zeros
-            scale = max(1.0, modulus)
-            out.append((
-                _cut_values(list(map(add, below, above)), scale),
-                _cut_values(list(map(sub, below, above)), scale),
-            ))
-        return out
+        half = list(map(add, repeat(_ZERO), map(mul, values, repeat(_HALF))))
+        below, above = [], []
+        for at in range(0, len(half), chunk):
+            part = half[at : at + chunk]
+            below += zeros
+            below += part
+            above += part
+            above += zeros
+        return list(map(add, below, above)), list(map(sub, below, above))
 
-    def _grown(self, i: int, p: tuple, q: tuple) -> PairBox:
-        """The box after a step along axis ``i``, holding the new P and Q,
-        with the rows of that axis that are zero in both trimmed from its
-        ends."""
-        rows, lows = list(self.rows), list(self.lows)
-        rows[i] += 3 - self.strides[i]
+    def _stepped(self, i: int, p: list, q: list, moduli: tuple, sizes=None) -> PairBox:
+        """The box of a step along axis ``i``, one exponent lower and one
+        higher on that axis, holding the new P and Q."""
+        lows, rows = list(self.lows), list(self.rows)
         lows[i] -= 1
-        box = PairBox(self.variables, lows, self.strides, rows, p[0], q[0], (p[1], q[1]))
-        start, stop = 0, rows[i]
-        while stop - start > 1 and box._zero_row(i, start):
-            start += 1
-        while stop - start > 1 and box._zero_row(i, stop - 1):
-            stop -= 1
-        if stop - start == rows[i]:
-            return box
-        p_rows, q_rows = box._rows(box.p, i, start, stop), box._rows(box.q, i, start, stop)
-        rows[i] = stop - start
-        lows[i] += start * self.strides[i]
-        return PairBox(self.variables, lows, self.strides, rows, p_rows, q_rows, box._moduli)
-
-    def _zero_row(self, i: int, r: int) -> bool:
-        return not (any(self._rows(self.p, i, r, r + 1)) or any(self._rows(self.q, i, r, r + 1)))
+        rows[i] += 3 - self.strides[i]
+        return PairBox(self.variables, lows, self.strides, rows, p, q, moduli, sizes)
 
     def _rows(self, values: list, i: int, start: int, stop: int) -> list:
         """The entries of ``values`` in rows ``start`` to ``stop`` - 1 of axis ``i``."""
@@ -417,8 +466,17 @@ class PairBox:
         return out
 
 
+def _turned(values: list, c: complex) -> list:
+    """``values`` times the unimodular ``c``, with every zero slot left as
+    ``0j``.  The general product holds no term there, and 0j * c can have a
+    -0.0 part that would leak into a later difference.  A nonzero value
+    times a unimodular factor is never zero, even below the normal range."""
+    return [v * c if v else _ZERO for v in values]
+
+
 # The general LaurentPoly operations on the (values, maximum modulus) pairs
-# of one box, with the same cuts at the same scales.
+# of one box, with the same cuts at the same scales: evaluation's step, and
+# the slice comparison of the decision's phase match.
 
 
 def _combined(op, a: tuple, b: tuple) -> tuple:

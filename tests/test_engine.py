@@ -32,8 +32,8 @@ from mqsp import (
     term_bound,
     z_rotation,
 )
-from mqsp import engine, su2
-from mqsp.engine import REASON_DEGREE, REASON_PHASE
+from mqsp import engine, laurent, su2
+from mqsp.engine import REASON_BASE, REASON_DEGREE, REASON_PHASE
 from mqsp.fixtures import counterexample_pair, identity_pair, signal_pair
 from mqsp.su2 import PairBox
 from helpers import (
@@ -151,14 +151,43 @@ def test_reduce_step_lowers_touched_degree_only():
                 assert after[other - 1] == degrees[other - 1]
 
 
+def truncated(pair: PQPair, j: int, top: int, cutoff: float) -> PQPair:
+    """``pair`` without the rows of variable ``j`` beyond +-``top`` at the
+    ends of its exponent range that hold no coefficient above ``cutoff``,
+    trimmed from the outside in; the first row that does hold one stays.
+    Only exact zeros are dropped otherwise."""
+    terms = [(k, c) for poly in (pair.p, pair.q) for k, c in poly.terms.items()]
+    exponents = sorted({k[j - 1] for k, _ in terms})
+    dropped = set()
+    for order in (exponents, exponents[::-1]):
+        for e in order:
+            if abs(e) <= top or any(k[j - 1] == e and abs(c) > cutoff for k, c in terms):
+                break
+            dropped.add(e)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laurent, "DROP_EPS", 0.0)
+        return PQPair(*(
+            LaurentPoly(poly.variables, {
+                k: c for k, c in poly.terms.items() if k[j - 1] not in dropped
+            })
+            for poly in (pair.p, pair.q)
+        ))
+
+
 def product_form_reduction(pair: PQPair, j: int, phi: float) -> PQPair:
-    """reduce_step written with general polynomial products, factor last."""
+    """reduce_step written with general polynomial products, factor last,
+    without the cut (a drop cutoff of 0 keeps every nonzero coefficient);
+    the rows of variable j at its ends that hold nothing above DROP_EPS
+    times the coefficient scale are then truncated."""
     m = pair.variables
     e = cmath.exp(1j * phi)
     ec = e.conjugate()
-    new_p = pair.p * half_sum(j, m) * ec - pair.q * half_diff(j, m) * e
-    new_q = pair.q * half_sum(j, m) * e - pair.p * half_diff(j, m) * ec
-    return PQPair(new_p, new_q)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laurent, "DROP_EPS", 0.0)
+        new_p = pair.p * half_sum(j, m) * ec - pair.q * half_diff(j, m) * e
+        new_q = pair.q * half_sum(j, m) * e - pair.p * half_diff(j, m) * ec
+    scale = max(1.0, new_p.max_modulus(), new_q.max_modulus())
+    return truncated(PQPair(new_p, new_q), j, -1, laurent.DROP_EPS * scale)
 
 
 def scaled_pair(pair: PQPair, scale: float) -> PQPair:
@@ -173,8 +202,8 @@ def scaled_pair(pair: PQPair, scale: float) -> PQPair:
 @pytest.mark.parametrize("mode", ["continuous", "discrete"])
 @pytest.mark.parametrize("scale", [1.0, 3.7, 1e-3])
 def test_reduce_step_is_bitwise_the_product_form(m, mode, scale):
-    # the shift-add kernel must round exactly like the general products:
-    # same values (signed zeros included), same dropped terms, same key order
+    # the peel must round exactly like the general products without the
+    # cut: same values (signed zeros included), same truncated rows
     for seed in range(3):
         pair, _ = oracle_pair(m, 6 + seed, 100 * m + seed, mode)
         pair = scaled_pair(pair, scale)
@@ -214,8 +243,8 @@ def trace_signature(pair: PQPair, n: int) -> list[tuple]:
 @pytest.mark.parametrize("mode", ["continuous", "discrete"])
 @pytest.mark.parametrize("scale", [1.0, 3.7, 1e-3])
 def test_box_peel_is_bitwise_the_product_form(m, mode, scale):
-    # the dense step kernel against the general products, value by value;
-    # the phase read off the box is the one read off the terms
+    # the dense step kernel against the un-cut general products, value by
+    # value; the phase read off the box is the one read off the terms
     for seed in range(3):
         pair, _ = oracle_pair(m, 6 + seed, 100 * m + seed, mode)
         pair = scaled_pair(pair, scale)
@@ -233,8 +262,8 @@ def test_box_peel_is_bitwise_the_product_form(m, mode, scale):
 
 def test_box_steps_keep_signed_zeros_and_holes():
     # parts that are -0.0, slots of the box that hold no term, and phases in
-    # every quadrant: both step directions on the box give the general
-    # products' values, signs of zero parts included
+    # every quadrant: the peel on the box gives the un-cut general products'
+    # values and evaluation the cut ones, signs of zero parts included
     p = LaurentPoly(2, {
         (-1, 0): complex(-0.5, -0.0),
         (1, 0): complex(-0.5, -0.0),
@@ -251,7 +280,8 @@ def test_box_steps_keep_signed_zeros_and_holes():
         assert len(box.p) in (6, 2)
         for j in range(1, pair.variables + 1):
             for phi in (0.0, 1.0, 2.0, math.pi, -2.0, -1.0):
-                peeled, product = reduce_step(box, j, phi).to_pair(), reduce_step(pair, j, phi)
+                peeled = reduce_step(box, j, phi).to_pair()
+                product = product_form_reduction(pair, j, phi)
                 assert fingerprint(peeled.p) == fingerprint(product.p)
                 assert fingerprint(peeled.q) == fingerprint(product.q)
                 phase = cmath.exp(1j * phi)
@@ -268,6 +298,23 @@ def test_box_slots_without_a_term_stay_exact_zeros():
     values, top = su2._scaled(([0j, 0.5 + 0.5j], abs(0.5 + 0.5j)), phase)
     assert repr(values[0]) == "0j"
     assert values[1] == (0.5 + 0.5j) * phase and top == abs(values[1])
+
+
+def test_box_peel_keeps_slots_without_a_term_exact_zeros():
+    # at phi = -2 the peel turns P's halves by e^{2i} (real part < 0,
+    # imaginary part > 0), which makes 0j into (-0.0 + 0j); Q's half at the
+    # constant, (sin phi) + (cos phi) i, turns to a real part of exactly
+    # +0.0.  The un-cut product holds no P term there, so the peeled P
+    # coefficient is 0j - (+0.0 + ...), and the box must not leave a -0.0
+    phi = -2.0
+    e = cmath.exp(1j * phi)
+    v = complex(e.imag, e.real)
+    assert (v * e).real == 0.0
+    pair = PQPair(LaurentPoly(1, {(3,): 0.5}), LaurentPoly(1, {(-1,): 2 * v}))
+    peeled = reduce_step(PairBox.from_pair(pair), 1, phi).to_pair()
+    product = product_form_reduction(pair, 1, phi)
+    assert fingerprint(peeled.p) == fingerprint(product.p)
+    assert fingerprint(peeled.q) == fingerprint(product.q)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -316,7 +363,8 @@ def product_outcomes():
 
 def test_layouts_agree_on_the_corpus(layout, product_outcomes):
     # every angle (by repr) and every value of every level, on the dense box
-    # and on LaurentPoly terms with the general products
+    # and on LaurentPoly terms with the general products: un-cut products,
+    # truncated to the new degree
     assert corpus_outcomes() == product_outcomes
 
 
@@ -427,6 +475,47 @@ def test_peel_keeps_terms_above_the_degree(m):
                     else:
                         junk = PQPair(with_term_above(pair.p, pair.p, j, coeff), pair.q)
                     assert not decide(junk, n, TOL), (n, seed, j, in_q, size)
+
+
+def visible_degree(pair: PQPair, j: int) -> int:
+    """Degree of P in variable ``j`` over the coefficients above TOL times
+    the coefficient scale of the pair."""
+    cutoff = TOL * max(1.0, pair.p.max_modulus(), pair.q.max_modulus())
+    return max((abs(k[j - 1]) for k, c in pair.p.terms.items() if abs(c) > cutoff), default=0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_peel_truncates_to_the_new_degree(m, mode):
+    """After every peel at degree d of variable j, no stored term of P or Q
+    has |exponent of j| above d - 1: the residue rows are gone, not merely
+    small.  A peel that left them would keep the verdicts but grow the box
+    by a row per level."""
+    for n in range(1, 13 - m):
+        for seed in range(4):
+            pair, _ = oracle_pair(m, n, 7400 + 10 * n + seed, mode)
+            before = pair
+            for step in run_decision(pair, n, TOL).steps:
+                if isinstance(step, PhaseReduction):
+                    j, after = step.index, step.reduced
+                    d = visible_degree(before, j)
+                    keys = [*after.p.terms, *after.q.terms]
+                    assert max(abs(k[j - 1]) for k in keys) <= d - 1, (n, seed, step)
+                    before = after
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1e-3, 3.7, 1e300, 1.7e308])
+def test_decision_survives_extreme_scales(layout, scale):
+    """The peel multiplies without cuts.  Realizable pairs scaled by any of
+    these factors still decide without an exception, and are rejected at
+    the base case: a tiny pair pads down to step 0, and any other scale
+    peels to a constant that is not unimodular."""
+    for m in (1, 2, 3, 4):
+        for mode in ("continuous", "discrete"):
+            for n in (2, 4, 6):
+                pair, _ = oracle_pair(m, n, 7300 + 10 * n, mode)
+                trace = run_decision(scaled_pair(pair, scale), n, TOL)
+                assert trace.rejection == Reject(0, REASON_BASE), (m, mode, n)
 
 
 # -- synthesize ----------------------------------------------------------------------
