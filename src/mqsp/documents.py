@@ -19,7 +19,6 @@ so serialization is deterministic and parse(serialize(x)) == x exactly.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from .laurent import LaurentPoly
 from .su2 import MqspSequence, PQPair
@@ -32,15 +31,15 @@ class DocumentError(ValueError):
 # -- encoding ---------------------------------------------------------------
 
 
-def poly_to_terms(poly: LaurentPoly) -> list[dict[str, Any]]:
+def poly_to_terms(poly: LaurentPoly) -> list[dict[str, object]]:
     return [
         {"exponents": list(exps), "re": coeff.real, "im": coeff.imag}
         for exps, coeff in poly
     ]
 
 
-def pair_to_document(pair: PQPair, metadata: dict[str, Any] | None = None) -> dict[str, Any]:
-    doc: dict[str, Any] = {
+def pair_to_document(pair: PQPair, metadata: dict[str, object] | None = None) -> dict[str, object]:
+    doc: dict[str, object] = {
         "variables": pair.variables,
         "P": poly_to_terms(pair.p),
         "Q": poly_to_terms(pair.q),
@@ -50,7 +49,7 @@ def pair_to_document(pair: PQPair, metadata: dict[str, Any] | None = None) -> di
     return doc
 
 
-def sequence_to_document(seq: MqspSequence) -> dict[str, Any]:
+def sequence_to_document(seq: MqspSequence) -> dict[str, object]:
     return {
         "variables": seq.variables,
         "phases": list(seq.phases),
@@ -59,73 +58,77 @@ def sequence_to_document(seq: MqspSequence) -> dict[str, Any]:
 
 
 # -- decoding ---------------------------------------------------------------
+# Each check formats its message only when it fails: a pair document can hold
+# thousands of terms.
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise DocumentError(message)
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_variables(doc: Any) -> int:
-    _require(isinstance(doc, dict), "document must be a JSON object")
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parse_variables(doc: object) -> int:
+    if not isinstance(doc, dict):
+        raise DocumentError("document must be a JSON object")
     variables = doc.get("variables")
-    _require(
-        isinstance(variables, int) and not isinstance(variables, bool) and variables >= 1,
-        f"'variables' must be a positive integer, got {variables!r}",
-    )
+    if not (_is_int(variables) and variables >= 1):
+        raise DocumentError(f"'variables' must be a positive integer, got {variables!r}")
     return variables
 
 
-def poly_from_terms(records: Any, variables: int, label: str) -> LaurentPoly:
-    _require(isinstance(records, list), f"'{label}' must be a list of term records")
+def poly_from_terms(records: object, variables: int, label: str) -> LaurentPoly:
+    if not isinstance(records, list):
+        raise DocumentError(f"'{label}' must be a list of term records")
     terms: dict[tuple[int, ...], complex] = {}
     for record in records:
-        _require(isinstance(record, dict), f"{label}: term record must be an object")
+        if not isinstance(record, dict):
+            raise DocumentError(f"{label}: term record must be an object")
         exps = record.get("exponents")
-        _require(
-            isinstance(exps, list)
-            and len(exps) == variables
-            and all(isinstance(e, int) and not isinstance(e, bool) for e in exps),
-            f"{label}: 'exponents' must be a list of {variables} integers, got {exps!r}",
-        )
-        key = tuple(exps)
-        _require(key not in terms, f"{label}: duplicate exponent vector {exps}")
-        re, im = record.get("re"), record.get("im")
-        for name, value in (("re", re), ("im", im)):
-            _require(
-                isinstance(value, (int, float)) and not isinstance(value, bool),
-                f"{label}: '{name}' must be a number, got {value!r}",
+        if not (isinstance(exps, list) and len(exps) == variables and all(map(_is_int, exps))):
+            raise DocumentError(
+                f"{label}: 'exponents' must be a list of {variables} integers, got {exps!r}"
             )
-        terms[key] = complex(re, im)
+        key = tuple(exps)
+        if key in terms:
+            raise DocumentError(f"{label}: duplicate exponent vector {exps}")
+        re, im = record.get("re"), record.get("im")
+        if not (_is_number(re) and _is_number(im)):
+            name, value = ("im", im) if _is_number(re) else ("re", re)
+            raise DocumentError(f"{label}: '{name}' must be a number, got {value!r}")
+        try:
+            terms[key] = complex(re, im)
+        except OverflowError:
+            raise DocumentError(
+                f"{label}: the coefficient at {exps} is too large for a double"
+            ) from None
     try:
         return LaurentPoly(variables, terms)
     except ValueError as exc:
         raise DocumentError(f"{label}: {exc}") from exc
 
 
-def pair_from_document(doc: Any) -> PQPair:
+def pair_from_document(doc: object) -> PQPair:
     variables = _parse_variables(doc)
     p = poly_from_terms(doc.get("P"), variables, "P")
     q = poly_from_terms(doc.get("Q"), variables, "Q")
     return PQPair(p, q)
 
 
-def sequence_from_document(doc: Any) -> MqspSequence:
+def sequence_from_document(doc: object) -> MqspSequence:
     variables = _parse_variables(doc)
     phases = doc.get("phases")
     indices = doc.get("indices")
-    _require(
-        isinstance(phases, list)
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in phases),
-        "'phases' must be a list of numbers",
-    )
-    _require(
-        isinstance(indices, list)
-        and all(isinstance(s, int) and not isinstance(s, bool) for s in indices),
-        "'indices' must be a list of integers",
-    )
+    if not (isinstance(phases, list) and all(map(_is_number, phases))):
+        raise DocumentError("'phases' must be a list of numbers")
+    if not (isinstance(indices, list) and all(map(_is_int, indices))):
+        raise DocumentError("'indices' must be a list of integers")
     try:
         return MqspSequence(variables, tuple(phases), tuple(indices))
+    except OverflowError:
+        raise DocumentError("'phases' must be numbers within the range of a double") from None
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
@@ -133,11 +136,11 @@ def sequence_from_document(doc: Any) -> MqspSequence:
 # -- files ------------------------------------------------------------------
 
 
-def dumps(doc: dict[str, Any]) -> str:
+def dumps(doc: dict[str, object]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _load_json(path: str) -> Any:
+def _load_json(path: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -153,7 +156,7 @@ def load_sequence(path: str) -> MqspSequence:
     return sequence_from_document(_load_json(path))
 
 
-def save_pair(pair: PQPair, path: str, metadata: dict[str, Any] | None = None) -> None:
+def save_pair(pair: PQPair, path: str, metadata: dict[str, object] | None = None) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(dumps(pair_to_document(pair, metadata)))
 

@@ -23,64 +23,75 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from operator import sub
+from itertools import repeat
+from operator import mul, sub
 
-from .laurent import DROP_EPS, EPS, _cut_values
-from .su2 import MqspSequence, PairBox, PQPair, _scaled
+from .laurent import DROP_EPS, EPS
+from .su2 import MqspSequence, PairBox, PQPair, _Record, _set_field
 
 REASON_BASE = "final pair is not a pure phase rotation"
 REASON_DEGREE = "degree sum neither equals the step count nor leaves room for padding"
 REASON_PHASE = "no variable has unimodular-proportional top coefficient slices"
 
 
-@dataclass(frozen=True)
-class IdentityPad:
+class IdentityPad(_Record):
     """Two trailing steps absorbed by an identity padding (degree sum <= steps - 2)."""
 
-    steps_left: int
+    __slots__ = ("steps_left",)
+
+    def __init__(self, steps_left: int):
+        _set_field(self, "steps_left", steps_left)
 
 
-@dataclass(frozen=True)
-class PhaseReduction:
+class PhaseReduction(_Record):
     """One signal operator peeled off variable ``index`` at angle ``phase``.
 
     ``state`` is the reduced pair in the layout the decision runs on (a
     ``PairBox`` or a ``PQPair``); ``reduced`` converts it to a ``PQPair``
-    when read.
+    when read.  ``repr`` leaves ``state`` out.
     """
 
-    steps_left: int
-    index: int
-    phase: float
-    state: PQPair | PairBox = field(repr=False)
+    __slots__ = ("steps_left", "index", "phase", "state")
+    _hidden = ("state",)
+
+    def __init__(self, steps_left: int, index: int, phase: float, state: PQPair | PairBox):
+        _set_field(self, "steps_left", steps_left)
+        _set_field(self, "index", index)
+        _set_field(self, "phase", phase)
+        _set_field(self, "state", state)
 
     @property
     def reduced(self) -> PQPair:
         return self.state.to_pair()
 
 
-@dataclass(frozen=True)
-class BaseAccept:
+class BaseAccept(_Record):
     """Step budget exhausted with a pure phase rotation left over."""
 
-    phase0: float
+    __slots__ = ("phase0",)
+
+    def __init__(self, phase0: float):
+        _set_field(self, "phase0", phase0)
 
 
-@dataclass(frozen=True)
-class Reject:
-    steps_left: int
-    reason: str
+class Reject(_Record):
+    __slots__ = ("steps_left", "reason")
+
+    def __init__(self, steps_left: int, reason: str):
+        _set_field(self, "steps_left", steps_left)
+        _set_field(self, "reason", reason)
 
 
 TraceStep = IdentityPad | PhaseReduction | BaseAccept | Reject
 
 
-@dataclass(frozen=True)
-class DecisionTrace:
+class DecisionTrace(_Record):
     """Ordered record of the branches taken; ends in BaseAccept or Reject."""
 
-    steps: tuple[TraceStep, ...]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[TraceStep, ...]):
+        _set_field(self, "steps", steps)
 
     @property
     def accepted(self) -> bool:
@@ -92,30 +103,55 @@ class DecisionTrace:
         return last if isinstance(last, Reject) else None
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
-    constructible: bool
-    sequence: MqspSequence | None
-    trace: DecisionTrace
+class SynthesisResult(_Record):
+    __slots__ = ("constructible", "sequence", "trace")
+
+    def __init__(self, constructible: bool, sequence: MqspSequence | None, trace: DecisionTrace):
+        _set_field(self, "constructible", constructible)
+        _set_field(self, "sequence", sequence)
+        _set_field(self, "trace", trace)
 
 
-@dataclass(frozen=True)
-class NecessaryReport:
+class NecessaryReport(_Record):
     """Outcome of the cheap rejection filters, each computed independently.
 
     Any False flag certifies the pair is not constructible in ``steps``
     steps; all-True proves nothing.
     """
 
-    symmetry_p: bool
-    symmetry_q: bool
-    degree_equality: bool
-    p_nonzero: bool
-    parity_ok: bool
-    normalization_ok: bool
-    degrees: tuple[int, ...]
-    degree_sum: int
-    steps: int
+    __slots__ = (
+        "symmetry_p",
+        "symmetry_q",
+        "degree_equality",
+        "p_nonzero",
+        "parity_ok",
+        "normalization_ok",
+        "degrees",
+        "degree_sum",
+        "steps",
+    )
+
+    def __init__(
+        self,
+        symmetry_p: bool,
+        symmetry_q: bool,
+        degree_equality: bool,
+        p_nonzero: bool,
+        parity_ok: bool,
+        normalization_ok: bool,
+        degrees: tuple[int, ...],
+        degree_sum: int,
+        steps: int,
+    ):
+        _set_field(self, "symmetry_p", symmetry_p)
+        _set_field(self, "symmetry_q", symmetry_q)
+        _set_field(self, "degree_equality", degree_equality)
+        _set_field(self, "p_nonzero", p_nonzero)
+        _set_field(self, "parity_ok", parity_ok)
+        _set_field(self, "normalization_ok", normalization_ok)
+        _set_field(self, "degrees", degrees)
+        _set_field(self, "degree_sum", degree_sum)
+        _set_field(self, "steps", steps)
 
     @property
     def all_ok(self) -> bool:
@@ -139,7 +175,7 @@ def find_phase(pair: PQPair | PairBox, j: int, degree: int, tol: float = EPS) ->
     exponent vector is the reference: the last maximum in the slice's flat
     order, which is lexicographic in either layout.  So the returned angle
     depends on the polynomials alone, not on how their terms are stored.
-    Each slice is cut at its polynomial's scale, as ``coeff_slice`` cuts it.
+    The slices are compared as stored, without a ``DROP_EPS`` cut.
     Unimodularity of the ratio is measured as a modulus mismatch at the
     floored coefficient scale, like every other comparison; a scale-free
     test on the ratio itself would amplify the absolute rounding error
@@ -147,17 +183,16 @@ def find_phase(pair: PQPair | PairBox, j: int, degree: int, tol: float = EPS) ->
     representative in (-pi/2, pi/2]; any representative mod pi reproduces
     the pair.
     """
-    raw_p, raw_q = pair._top_slices(j, degree)
-    mod_p, mod_q = pair._moduli
-    cp, top_p = _cut_values(raw_p, max(1.0, mod_p))
-    cq, top_q = _cut_values(raw_q, max(1.0, mod_q))
+    cp, cq = pair._top_slices(j, degree)
+    top_p = max(map(abs, cp), default=0.0)
+    sizes = list(map(abs, cq))
+    top_q = max(sizes, default=0.0)
     p_zero = top_p <= tol * max(1.0, top_p)
     q_zero = top_q <= tol * max(1.0, top_q)
     if p_zero and q_zero:
         return 0.0
     if p_zero or q_zero:
         return None
-    sizes = list(map(abs, cq))
     ref = len(sizes) - 1 - sizes[::-1].index(top_q)
     ref_p, ref_q = cp[ref], cq[ref]
     if ref_p == 0 or abs(abs(ref_p) - abs(ref_q)) > tol * max(1.0, top_p, top_q):
@@ -165,7 +200,8 @@ def find_phase(pair: PQPair | PairBox, j: int, degree: int, tol: float = EPS) ->
     ratio = ref_p / ref_q
     ratio /= abs(ratio)
     # cp.approx_eq(cq * ratio, tol), on the aligned slices
-    turned, top_turned = _scaled((cq, top_q), ratio)
+    turned = list(map(mul, cq, repeat(ratio)))
+    top_turned = max(map(abs, turned))
     if max(map(abs, map(sub, cp, turned))) > tol * max(1.0, top_p, top_turned):
         return None
     phi = cmath.phase(ratio) / 2.0

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator, Mapping
 from operator import add
-from typing import Iterator, Mapping
 
 #: Default relative tolerance for zero tests and coefficient comparisons.
 EPS = 1e-9

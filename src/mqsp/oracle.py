@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .engine import decide, synthesize
 from .laurent import EPS
-from .su2 import MqspSequence, evaluate_sequence
+from .su2 import MqspSequence, _Record, _set_field, evaluate_sequence
 
 ANGLE_MODES = ("continuous", "discrete")
 
@@ -24,8 +23,7 @@ ANGLE_MODES = ("continuous", "discrete")
 GENERATOR = "python-random-mt19937"
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(_Record):
     """Free parameters of one generated instance.
 
     ``continuous`` draws angles uniformly from (-pi, pi]; ``discrete`` draws
@@ -33,20 +31,19 @@ class OracleConfig:
     sum below the step count and so exercise the padding branch.
     """
 
-    variables: int
-    steps: int
-    seed: int
-    angle_mode: str = "continuous"
+    __slots__ = ("variables", "steps", "seed", "angle_mode")
 
-    def __post_init__(self):
-        if self.variables < 1:
-            raise ValueError(f"need at least one variable, got {self.variables}")
-        if self.steps < 0:
-            raise ValueError(f"step count must be non-negative, got {self.steps}")
-        if self.angle_mode not in ANGLE_MODES:
-            raise ValueError(
-                f"angle_mode must be one of {ANGLE_MODES}, got {self.angle_mode!r}"
-            )
+    def __init__(self, variables: int, steps: int, seed: int, angle_mode: str = "continuous"):
+        if variables < 1:
+            raise ValueError(f"need at least one variable, got {variables}")
+        if steps < 0:
+            raise ValueError(f"step count must be non-negative, got {steps}")
+        if angle_mode not in ANGLE_MODES:
+            raise ValueError(f"angle_mode must be one of {ANGLE_MODES}, got {angle_mode!r}")
+        _set_field(self, "variables", variables)
+        _set_field(self, "steps", steps)
+        _set_field(self, "seed", seed)
+        _set_field(self, "angle_mode", angle_mode)
 
 
 def random_sequence(cfg: OracleConfig) -> MqspSequence:
@@ -61,17 +58,36 @@ def random_sequence(cfg: OracleConfig) -> MqspSequence:
     return MqspSequence(cfg.variables, phases, indices)
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
+class RoundtripReport(_Record):
     """Per-assertion diagnostics of the soundness/completeness self-check."""
 
-    generator: str
-    steps: int
-    constructible: bool
-    resynthesized: bool
-    parity_rejected: bool
-    pad_accepted: bool
-    max_deviation: float
+    __slots__ = (
+        "generator",
+        "steps",
+        "constructible",
+        "resynthesized",
+        "parity_rejected",
+        "pad_accepted",
+        "max_deviation",
+    )
+
+    def __init__(
+        self,
+        generator: str,
+        steps: int,
+        constructible: bool,
+        resynthesized: bool,
+        parity_rejected: bool,
+        pad_accepted: bool,
+        max_deviation: float,
+    ):
+        _set_field(self, "generator", generator)
+        _set_field(self, "steps", steps)
+        _set_field(self, "constructible", constructible)
+        _set_field(self, "resynthesized", resynthesized)
+        _set_field(self, "parity_rejected", parity_rejected)
+        _set_field(self, "pad_accepted", pad_accepted)
+        _set_field(self, "max_deviation", max_deviation)
 
     @property
     def passed(self) -> bool:

@@ -18,11 +18,58 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import sys
 from itertools import compress, product, repeat
 from operator import add, mul, neg, sub
 
 from .laurent import EPS, LaurentPoly, _cut_values, _require_finite
+
+
+#: Stores a field of a record from its constructor, past ``_Record.__setattr__``.
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable records (``Mat2``, ``PQPair``,
+    ``MqspSequence``, the trace and report types of ``engine`` and those of
+    ``oracle``).
+
+    A record lists its fields in ``__slots__`` and takes them, in that
+    order, as the parameters of its own ``__init__``, which checks them and
+    stores each with ``_set_field``.  The base makes the fields read-only,
+    compares and hashes records by type and field values, shows them as
+    ``Name(field=value, ...)`` without the fields named in ``_hidden``, and
+    pickles and copies them through their constructor.
+    """
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __repr__(self):
+        shown = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._hidden
+        )
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def half_sum(j: int, variables: int) -> LaurentPoly:
@@ -44,19 +91,18 @@ def _half_factor(j: int, variables: int, low: float) -> LaurentPoly:
     return LaurentPoly._from_arithmetic(variables, terms, 1.0)
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(_Record):
     """2x2 matrix of Laurent polynomials, row-major (a b / c d)."""
 
-    a: LaurentPoly
-    b: LaurentPoly
-    c: LaurentPoly
-    d: LaurentPoly
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        arity = self.a.variables
-        if any(entry.variables != arity for entry in (self.b, self.c, self.d)):
+    def __init__(self, a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly):
+        if any(entry.variables != a.variables for entry in (b, c, d)):
             raise ValueError("matrix entries must share one variable count")
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+        _set_field(self, "c", c)
+        _set_field(self, "d", d)
 
     @property
     def variables(self) -> int:
@@ -102,8 +148,7 @@ def z_rotation(phi: float, variables: int) -> Mat2:
     )
 
 
-@dataclass(frozen=True)
-class PQPair:
+class PQPair(_Record):
     """Ordered top row (p, q) of a structured 2x2 matrix.
 
     The bottom row is determined by the top one, see ``pair_to_matrix``.  A
@@ -113,21 +158,23 @@ class PQPair:
     ``is_normalized`` to test for it.  The identity is usually not
     multiplied out: |p|^2 + |q|^2 is sampled on a torus grid of
     N_j = 2 r_j - 1 points per variable, for the r_j rows of the pair's
-    ``PairBox`` (its exponents at stride 1 or 2), and transformed back (see
+    ``PairBox`` (its exponents at stride 1 or 2), which holds each of its
+    lags once.  ``is_normalized`` decides from Parseval bounds on those
+    samples and transforms back only when the bounds leave the verdict
+    open; ``normalization_defect`` always transforms back (see
     ``_unit_norm_deviation``).  That costs O(G * sum_j N_j) for a grid of
     G = prod_j N_j points instead of the product's O(L^2) in the term count
     L.  A pair too sparse for its box, by the slots-per-term rule that
     evaluation and the decision use, is multiplied out instead.
     """
 
-    p: LaurentPoly
-    q: LaurentPoly
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p.variables != self.q.variables:
-            raise ValueError(
-                f"variable-count mismatch: {self.p.variables} != {self.q.variables}"
-            )
+    def __init__(self, p: LaurentPoly, q: LaurentPoly):
+        if p.variables != q.variables:
+            raise ValueError(f"variable-count mismatch: {p.variables} != {q.variables}")
+        _set_field(self, "p", p)
+        _set_field(self, "q", q)
 
     @property
     def variables(self) -> int:
@@ -139,8 +186,10 @@ class PQPair:
 
     def is_normalized(self, tol: float = EPS) -> bool:
         """The unit-norm identity within ``tol`` relative to the coefficient
-        scale, the test ``LaurentPoly.approx_eq`` makes."""
-        deviation, scale = _unit_norm_deviation(self)
+        scale, the test ``LaurentPoly.approx_eq`` makes.  The verdict is that
+        of ``normalization_defect`` against the scale, usually settled from
+        Parseval bounds on the samples without transforming back."""
+        deviation, scale = _unit_norm_deviation(self, tol)
         return deviation <= tol * scale
 
     def max_deviation(self, other: PQPair) -> float:
@@ -475,17 +524,12 @@ def _turned(values: list, c: complex) -> list:
 
 
 # The general LaurentPoly operations on the (values, maximum modulus) pairs
-# of one box, with the same cuts at the same scales: evaluation's step, and
-# the slice comparison of the decision's phase match.
+# of one box, with the same cuts at the same scales: evaluation's step.
 
 
 def _combined(op, a: tuple, b: tuple) -> tuple:
     """``a + b`` or ``a - b`` for ``op`` add or sub."""
     return _cut_values(list(map(op, a[0], b[0])), max(1.0, a[1], b[1]))
-
-
-def _scaled(a: tuple, c: complex) -> tuple:
-    return _cut_values(list(map(mul, a[0], repeat(c))), max(1.0, a[1] * abs(c)))
 
 
 def _rotated(a: tuple, phase: complex) -> tuple:
@@ -500,34 +544,35 @@ def _rotated(a: tuple, phase: complex) -> tuple:
     return (values, top) if top <= 1.0 else _cut_values(values, top)
 
 
-@dataclass(frozen=True)
-class MqspSequence:
+class MqspSequence(_Record):
     """Angle parameters phi_0..phi_n and index parameters s_1..s_n.
 
     ``indices`` are 1-based variable choices; there is always exactly one
-    more phase than there are indices.
+    more phase than there are indices.  ``phases`` and ``indices`` are
+    stored as tuples of float and of int.
     """
 
-    variables: int
-    phases: tuple[float, ...]
-    indices: tuple[int, ...]
+    __slots__ = ("variables", "phases", "indices")
 
-    def __post_init__(self):
-        object.__setattr__(self, "phases", tuple(float(x) for x in self.phases))
-        object.__setattr__(self, "indices", tuple(int(s) for s in self.indices))
-        if self.variables < 1:
-            raise ValueError(f"need at least one variable, got {self.variables}")
-        for phi in self.phases:
-            if not math.isfinite(phi):
-                raise ValueError(f"phase {phi!r} is not finite")
-        if len(self.phases) != len(self.indices) + 1:
+    def __init__(self, variables: int, phases, indices):
+        phases = tuple(map(float, phases))
+        indices = tuple(map(int, indices))
+        if variables < 1:
+            raise ValueError(f"need at least one variable, got {variables}")
+        if not all(map(math.isfinite, phases)):
+            phi = next(phi for phi in phases if not math.isfinite(phi))
+            raise ValueError(f"phase {phi!r} is not finite")
+        if len(phases) != len(indices) + 1:
             raise ValueError(
-                f"got {len(self.phases)} phases for {len(self.indices)} indices; "
+                f"got {len(phases)} phases for {len(indices)} indices; "
                 "expected one more phase than indices"
             )
-        for s in self.indices:
-            if not 1 <= s <= self.variables:
-                raise ValueError(f"index {s} out of range 1..{self.variables}")
+        if indices and not 1 <= min(indices) <= max(indices) <= variables:
+            s = next(s for s in indices if not 1 <= s <= variables)
+            raise ValueError(f"index {s} out of range 1..{variables}")
+        _set_field(self, "variables", variables)
+        _set_field(self, "phases", phases)
+        _set_field(self, "indices", indices)
 
     @property
     def steps(self) -> int:
@@ -566,7 +611,7 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     return state.to_pair()
 
 
-def _unit_norm_deviation(pair: PQPair) -> tuple[float, float]:
+def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float, float]:
     """Largest deviation of a coefficient of p*p~ + q*q~ from the constant 1,
     and the coefficient scale max(1, max |coefficient|).
 
@@ -575,10 +620,17 @@ def _unit_norm_deviation(pair: PQPair) -> tuple[float, float]:
     b_j = a_j^stride_j, with P and Q shifted to b-exponents 0..r_j - 1 (a
     unimodular factor on the torus), every lag of |p|^2 + |q|^2 lies in
     [-(r_j - 1), r_j - 1].  So P and Q are evaluated on N_j = 2 r_j - 1
-    roots of unity per axis and the sum of squared moduli is transformed
-    back: the coefficients come out exact up to rounding, for any input.
-    The samples are real, so the coefficients are Hermitian and only the
-    lags with a non-negative last component are computed.
+    roots of unity per axis, a grid that holds each lag exactly once, and
+    the sum of squared moduli is transformed back: the coefficients come
+    out exact up to rounding, for any input.  The samples are real, so the
+    coefficients are Hermitian and only the lags with a non-negative last
+    component are computed.
+
+    With ``tol`` given, only the verdict deviation <= tol * scale is asked
+    for.  When the samples' Parseval bounds settle it (``_parseval_bounds``),
+    those bounds are returned in place of the two values and give the same
+    verdict; the transform back, and its twiddles, are built only when the
+    bounds leave it open.
 
     A pair too sparse for its box (``PairBox.from_pair`` returns None, the
     rule that evaluation and the decision use) is multiplied out instead;
@@ -590,26 +642,73 @@ def _unit_norm_deviation(pair: PQPair) -> tuple[float, float]:
         combo = p * p.torus_conjugate() + q * q.torus_conjugate()
         one = LaurentPoly.constant(pair.variables, 1.0)
         return combo.max_deviation(one), max(1.0, combo.max_modulus())
-    forward, inverse = [], []
-    last = len(box.rows) - 1
-    for i, rows in enumerate(box.rows):
-        n = 2 * rows - 1
-        roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
-        forward.append([[roots[t * u % n] for u in range(rows)] for t in range(n)])
-        # Hermitian: lags 0..rows - 1 suffice on the last axis
-        lags = range(rows if i == last else n)
-        inverse.append([[roots[-lag * t % n] / n for t in range(n)] for lag in lags])
-
+    roots = [
+        [cmath.exp(2j * math.pi * k / (2 * rows - 1)) for k in range(2 * rows - 1)]
+        for rows in box.rows
+    ]
+    forward = [
+        [[row[t * u % len(row)] for u in range(rows)] for t in range(len(row))]
+        for row, rows in zip(roots, box.rows)
+    ]
     samples = repeat(0.0)
     for values in (box.p, box.q):
         values = _separable_transform(values, forward)
         samples = [f + v.real * v.real + v.imag * v.imag for f, v in zip(samples, values)]
 
+    if tol is not None:
+        bounds = _parseval_bounds(samples, list(map(len, roots)), tol)
+        if bounds is not None:
+            return bounds
+    inverse = []
+    for i, (row, rows) in enumerate(zip(roots, box.rows)):
+        n = len(row)
+        # Hermitian: lags 0..rows - 1 suffice on the last axis
+        lags = range(rows if i == len(roots) - 1 else n)
+        inverse.append([[row[-lag * t % n] / n for t in range(n)] for lag in lags])
     coeffs = _separable_transform(samples, inverse)
     sizes = list(map(abs, coeffs))
     scale = max(1.0, max(sizes))
     sizes[0] = abs(coeffs[0] - 1.0)
     return max(sizes), scale
+
+
+def _parseval_bounds(
+    samples: list[float], axes: list[int], tol: float
+) -> tuple[float, float] | None:
+    """A deviation and a scale that settle deviation <= tol * scale as the
+    values from the transform back would, or None when the samples leave
+    that open.
+
+    The grid of G = prod(axes) samples S of |p|^2 + |q|^2 holds each lag
+    once, so by Parseval rms(S - 1) is the l2 norm of the coefficients'
+    deviation from 1, and rms(S) the l2 norm of the coefficients.  The
+    largest deviation lies between rms(S - 1) / sqrt(G) and rms(S - 1), and
+    the scale between 1 and max(1, rms(S)).  Each bound is widened by a
+    relative margin for the rounding of its sums of G squares, and by an
+    absolute allowance for the rounding of the transform back: its pass
+    over an axis of N points averages N terms of modulus at most max(S)
+    with twiddles good to about 22 u (u = eps / 2, the angle 2 pi k / N is
+    rounded), so it adds at most (N + 28) u max(S) to the error of each
+    coefficient, and the allowance is twice the sum of that over the axes.
+    With a tolerance of 0 no pass is ever settled here.
+    """
+    count = len(samples)
+    size = math.sqrt(sum(map(mul, samples, samples)) / count)
+    if not size < math.inf:
+        return None
+    deviations = [s - 1.0 for s in samples]
+    spread = math.sqrt(sum(map(mul, deviations, deviations)) / count)
+    epsilon = sys.float_info.epsilon
+    relative = (count + 4) * epsilon
+    allowance = (sum(axes) + 28 * len(axes)) * epsilon * max(samples)
+    upper = spread * (1.0 + relative) + allowance
+    if upper <= tol:
+        return upper, 1.0
+    lower = spread * (1.0 - relative) / math.sqrt(count) - allowance
+    scale = max(1.0, size * (1.0 + relative) + allowance)
+    if lower > tol * scale:
+        return lower, scale
+    return None
 
 
 def _separable_transform(values: list, matrices: list[list[list[complex]]]) -> list:

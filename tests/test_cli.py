@@ -154,6 +154,35 @@ def test_verify_non_finite_phase_is_an_input_error(identity_path, tmp_path, caps
     assert "error:" in err and "not finite" in err
 
 
+# a JSON integer of 400 digits does not fit in a double; it used to end in an
+# OverflowError traceback and exit 1, which means "not constructible" or
+# "mismatch"
+HUGE = "1" + "0" * 399
+
+
+@pytest.mark.parametrize("command", ["check", "decide", "verify"])
+def test_oversized_coefficient_is_an_input_error(command, identity_path, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        f'{{"variables": 1, "P": [{{"exponents": [0], "re": {HUGE}, "im": 0.0}}], "Q": []}}'
+    )
+    seq = write_sequence(tmp_path, "zero.json", 1, [0.0], [])
+    argv = {"check": ["check", str(path), "--steps", "0"],
+            "decide": ["decide", str(path), "--steps", "0"],
+            "verify": ["verify", str(path), seq]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too large for a double" in err
+
+
+def test_verify_oversized_phase_is_an_input_error(identity_path, tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    path.write_text(f'{{"variables": 1, "phases": [{HUGE}, 0.0, 0.0], "indices": [1, 1]}}')
+    assert main(["verify", identity_path, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "range of a double" in err
+
+
 def test_verify_arity_mismatch(identity_path, tmp_path, capsys):
     seq = write_sequence(tmp_path, "two.json", 2, [0.0, 0.0], [2])
     assert main(["verify", identity_path, seq]) == 2

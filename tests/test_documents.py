@@ -97,6 +97,25 @@ def test_non_numeric_coefficient_rejected():
         pair_from_document(doc)
 
 
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("component", ["P", "Q"])
+def test_oversized_coefficient_rejected(component, part):
+    # a JSON integer too large for a double used to escape as an OverflowError
+    term = {"exponents": [0], "re": 0.0, "im": 0.0}
+    term[part] = 10**400
+    doc = {"variables": 1, "P": [{"exponents": [0], "re": 1.0, "im": 0.0}], "Q": []}
+    doc[component] = [term]
+    message = rf"^{component}: the coefficient at \[0\] is too large for a double$"
+    with pytest.raises(DocumentError, match=message):
+        pair_from_document(doc)
+
+
+def test_oversized_phase_rejected():
+    doc = {"variables": 1, "phases": [0.0, -(10**400)], "indices": [1]}
+    with pytest.raises(DocumentError, match="within the range of a double"):
+        sequence_from_document(doc)
+
+
 def test_sequence_validation_errors():
     with pytest.raises(DocumentError):
         sequence_from_document({"variables": 1, "phases": [0.0], "indices": [1]})

@@ -1,0 +1,206 @@
+"""The immutable record types, and what importing the command line loads."""
+
+from __future__ import annotations
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from mqsp import (
+    BaseAccept,
+    DecisionTrace,
+    IdentityPad,
+    LaurentPoly,
+    Mat2,
+    MqspSequence,
+    NecessaryReport,
+    OracleConfig,
+    PhaseReduction,
+    PQPair,
+    Reject,
+    RoundtripReport,
+    SynthesisResult,
+    check_necessary,
+    identity_matrix,
+    roundtrip_check,
+    run_decision,
+    synthesize,
+)
+from helpers import oracle_pair
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def every_record():
+    """One instance of each of the 12 record types, from real computations
+    where there are any; the trace's reductions hold a box or terms."""
+    pair, seq = oracle_pair(2, 5, seed=3)
+    result = synthesize(pair, 5)
+    reduction = next(s for s in result.trace.steps if isinstance(s, PhaseReduction))
+    return [
+        identity_matrix(2),
+        pair,
+        seq,
+        IdentityPad(4),
+        reduction,
+        BaseAccept(0.25),
+        Reject(3, "reason"),
+        result.trace,
+        result,
+        check_necessary(pair, 5),
+        OracleConfig(2, 5, 3),
+        roundtrip_check(seq),
+    ]
+
+
+def test_there_is_one_of_each_record_type():
+    assert {type(record) for record in every_record()} == {
+        Mat2, PQPair, MqspSequence, IdentityPad, PhaseReduction, BaseAccept, Reject,
+        DecisionTrace, SynthesisResult, NecessaryReport, OracleConfig, RoundtripReport,
+    }
+
+
+@pytest.mark.parametrize("record", every_record(), ids=lambda r: type(r).__name__)
+def test_fields_are_read_only(record):
+    name = record.__slots__[0]
+    value = getattr(record, name)
+    with pytest.raises(AttributeError, match="cannot assign"):
+        setattr(record, name, value)
+    with pytest.raises(AttributeError, match="cannot delete"):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, name) is value
+    assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("record", every_record(), ids=lambda r: type(r).__name__)
+def test_pickle_and_copy_round_trip(record):
+    for again in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(again) is type(record)
+        assert again == record
+        assert repr(again) == repr(record)
+
+
+def test_equality_is_by_type_and_value():
+    assert IdentityPad(4) == IdentityPad(4)
+    assert IdentityPad(4) != IdentityPad(6)
+    # same field values, different types: a tuple would call these equal
+    assert IdentityPad(4) != BaseAccept(4.0)
+    assert BaseAccept(4.0) != IdentityPad(4)
+    assert Reject(2, "x") != (2, "x")
+    assert Reject(2, "x") == Reject(2, "x")
+    pair, _ = oracle_pair(1, 3, seed=1)
+    assert PQPair(pair.p, pair.q) == pair
+    assert PQPair(pair.p, pair.q * 2.0) != pair
+
+
+def test_hash_follows_equality():
+    assert hash(IdentityPad(4)) == hash(IdentityPad(4))
+    assert hash(Reject(2, "x")) == hash(Reject(2, "x"))
+    assert len({IdentityPad(4), IdentityPad(4), BaseAccept(4.0), IdentityPad(6)}) == 3
+    assert hash(OracleConfig(2, 3, 1)) == hash(OracleConfig(variables=2, steps=3, seed=1))
+    # a record holding polynomials is unhashable, as LaurentPoly is
+    pair, _ = oracle_pair(1, 3, seed=1)
+    with pytest.raises(TypeError):
+        hash(pair)
+
+
+def test_repr_names_the_fields():
+    assert repr(IdentityPad(4)) == "IdentityPad(steps_left=4)"
+    assert repr(Reject(0, "no")) == "Reject(steps_left=0, reason='no')"
+    assert repr(OracleConfig(2, 3, 1)) == (
+        "OracleConfig(variables=2, steps=3, seed=1, angle_mode='continuous')"
+    )
+    assert repr(MqspSequence(1, [0, 0.5], [1])) == (
+        "MqspSequence(variables=1, phases=(0.0, 0.5), indices=(1,))"
+    )
+    pair, _ = oracle_pair(1, 3, seed=1)
+    # the reduced pair is left out
+    assert repr(PhaseReduction(3, 1, 0.5, pair)) == (
+        "PhaseReduction(steps_left=3, index=1, phase=0.5)"
+    )
+    trace = run_decision(pair, 3)
+    assert repr(trace).startswith("DecisionTrace(steps=(PhaseReduction(steps_left=3, index=")
+
+
+def test_keyword_construction_and_defaults():
+    cfg = OracleConfig(variables=2, steps=3, seed=1)
+    assert cfg.angle_mode == "continuous"
+    assert cfg == OracleConfig(2, 3, 1, "continuous")
+    assert OracleConfig(2, 3, 1, angle_mode="discrete").angle_mode == "discrete"
+    seq = MqspSequence(variables=1, indices=[True], phases=[0, 1])
+    assert seq.phases == (0.0, 1.0) and type(seq.phases[0]) is float
+    assert seq.indices == (1,) and type(seq.indices[0]) is int
+    report = NecessaryReport(
+        symmetry_p=True, symmetry_q=True, degree_equality=True, p_nonzero=True,
+        parity_ok=True, normalization_ok=False, degrees=(1,), degree_sum=1, steps=1,
+    )
+    assert not report.all_ok
+    with pytest.raises(TypeError):
+        OracleConfig(2, 3)
+    with pytest.raises(TypeError):
+        OracleConfig(2, 3, 1, colour="red")
+    with pytest.raises(TypeError):
+        IdentityPad(4, 5)
+
+
+ONE_VAR = LaurentPoly.constant(1, 1.0)
+TWO_VARS = LaurentPoly.zero(2)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: PQPair(ONE_VAR, TWO_VARS), r"^variable-count mismatch: 1 != 2$"),
+        (lambda: Mat2(ONE_VAR, ONE_VAR, TWO_VARS, ONE_VAR), "^matrix entries must share"),
+        (lambda: MqspSequence(0, [0.0], []), r"^need at least one variable, got 0$"),
+        (lambda: MqspSequence(1, [0.0, float("inf")], [1]), r"^phase inf is not finite$"),
+        (lambda: MqspSequence(1, [0.0], [1]), r"^got 1 phases for 1 indices; expected one"),
+        (lambda: MqspSequence(2, [0.0, 0.0], [3]), r"^index 3 out of range 1\.\.2$"),
+        (lambda: OracleConfig(0, 1, 1), r"^need at least one variable, got 0$"),
+        (lambda: OracleConfig(1, -1, 1), r"^step count must be non-negative, got -1$"),
+        (
+            lambda: OracleConfig(1, 1, 1, "grid"),
+            r"^angle_mode must be one of \('continuous', 'discrete'\), got 'grid'$",
+        ),
+    ],
+)
+def test_construction_checks_raise_as_before(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_sequence_phases_convert_before_the_checks():
+    with pytest.raises(OverflowError):
+        MqspSequence(1, [0.0, 10**400], [1])
+    with pytest.raises(ValueError):
+        MqspSequence(1, ["x", 0.0], [1])
+
+
+def test_command_line_import_loads_no_dataclasses():
+    # the records generate no code, so importing the command line pulls in
+    # neither dataclasses nor what it imports (inspect, ast, dis), nor
+    # typing; the standard modules the package uses are imported first, so
+    # that only what the package itself adds is counted
+    code = (
+        "import sys, argparse, cmath, collections.abc, itertools, json, math, operator, random; "
+        "watched = {'dataclasses', 'inspect', 'ast', 'dis', 'typing'}; "
+        "before = watched & set(sys.modules); "
+        "import mqsp.cli; "
+        "print(sorted(watched & set(sys.modules) - before))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out.strip() == "[]"

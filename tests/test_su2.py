@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from unittest import mock
 
 import pytest
 
@@ -321,11 +322,29 @@ def test_evaluated_pair_symmetries(seed, m, n, mode):
 # -- unit-norm filter ------------------------------------------------------------------
 
 
+def verdict_by_the_inverse(pair: PQPair, tol: float) -> bool:
+    """``is_normalized`` with the Parseval bounds switched off, so that a
+    sampled pair is always transformed back."""
+    with mock.patch.object(su2, "_parseval_bounds", return_value=None):
+        return pair.is_normalized(tol)
+
+
+def tolerances_around(pair: PQPair) -> list[float]:
+    """0, the default, and tolerances a hair above and below the pair's exact
+    relative deviation, where a verdict from loose bounds would go wrong."""
+    deviation, scale = su2._unit_norm_deviation(pair)
+    exact = deviation / scale
+    return [0.0, TOL, 1e-3, exact * (1 + 1e-9), exact * (1 - 1e-9)]
+
+
 def assert_filter_matches_product(pair: PQPair) -> None:
     one = LaurentPoly.constant(pair.variables, 1.0)
     product = unit_norm_product(pair)
     assert abs(pair.normalization_defect() - product.max_deviation(one)) <= 1e-13
     assert pair.is_normalized(TOL) == product.approx_eq(one, TOL)
+    if su2.PairBox.from_pair(pair) is not None:  # sampled: bounds or the inverse
+        for tol in tolerances_around(pair):
+            assert pair.is_normalized(tol) == verdict_by_the_inverse(pair, tol)
 
 
 def with_off_parity_term(poly: LaurentPoly, coeff: complex) -> LaurentPoly:
@@ -367,6 +386,57 @@ def test_unit_norm_filter_matches_the_product(m, mode, layout):
             assert_filter_matches_product(case)
             verdicts.append(case.is_normalized(TOL))
         assert verdicts == [True, False, False, False, True, False, False]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_parseval_verdict_is_the_inverse_verdict(m, mode):
+    # the bounds settle a verdict only where the exact deviation would give
+    # the same one: on oracle pairs, perturbed by 1e-3 down to 1e-9, at
+    # tolerance 0, and a hair above and below the exact deviation
+    for seed in range(3):
+        pair, _ = oracle_pair(m, (12, 9, 7, 6)[m - 1] + seed, 700 * m + seed, mode)
+        cases = [pair, PQPair(pair.p * 3.7, pair.q * 3.7)]
+        cases += [perturb_pair(pair, seed, 10.0**-k) for k in range(3, 10)]
+        for case in cases:
+            deviation, scale = su2._unit_norm_deviation(case)
+            for tol in tolerances_around(case) + [1e-12, 1e-6]:
+                verdict = case.is_normalized(tol)
+                assert verdict == verdict_by_the_inverse(case, tol)
+                assert verdict == (deviation <= tol * scale)
+            exact = deviation / scale
+            assert case.is_normalized(exact * (1 + 1e-9))
+            assert not case.is_normalized(exact * (1 - 1e-9))
+
+
+@pytest.mark.parametrize("m,n", [(1, 40), (2, 20), (3, 10), (4, 8)])
+def test_parseval_bounds_settle_clear_verdicts(m, n, monkeypatch):
+    # realizable pairs pass and grossly perturbed ones fail without the
+    # transform back; at tolerance 0 no pass is ever settled
+    pair, _ = oracle_pair(m, n, 3 * m + n)
+    seen = []
+    bounds = su2._parseval_bounds
+
+    def recorded(*args):
+        seen.append(bounds(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(su2, "_parseval_bounds", recorded)
+    assert pair.is_normalized(TOL)
+    assert seen[-1] is not None and seen[-1][1] == 1.0
+    assert not perturb_pair(pair, 1, 1e-3).is_normalized(TOL)
+    assert seen[-1] is not None and seen[-1][1] >= 1.0
+    for case in (pair, perturb_pair(pair, 2, 1e-12), PQPair(pair.p, pair.q * (1 + 1e-15))):
+        case.is_normalized(0.0)
+        assert seen[-1] is None or not seen[-1][0] <= 0.0
+
+
+def test_parseval_bounds_leave_overflow_to_the_inverse():
+    assert su2._parseval_bounds([1.0, math.inf, 1.0], [3], 1e-9) is None
+    assert su2._parseval_bounds([1.0, 1e200, 1.0], [3], math.inf) is None
+    # exact samples: only the rounding allowance is left, (3 + 28) eps
+    assert su2._parseval_bounds([1.0, 1.0, 1.0], [3], 1e-9) == (31 * 2.0**-52, 1.0)
+    assert su2._parseval_bounds([1.0, 1.0, 1.0], [3], 0.0) is None
 
 
 ZERO2 = LaurentPoly.zero(2)
