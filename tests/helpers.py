@@ -22,9 +22,10 @@ from mqsp import (
 # Seed base for the acceptance corpus.  Roughly 0.2% of random instances are
 # deep single-variable chains whose top coefficient slices stay near 1e-3 for
 # many consecutive levels; those amplify the input's double-rounding defect
-# beyond any fixed tolerance and are undecidable at 1e-9 in any working
-# precision (see test_conditioning.py).  The base below was checked to
-# contain none.
+# beyond any fixed tolerance, so the strict peel rejects them at 1e-9 in any
+# working precision (see test_conditioning.py).  A decision that only
+# proposes angles from the peel and certifies them by rebuilding the pair
+# need not.  The base below was checked to contain none.
 CORPUS_SEED_BASE = 2000
 
 

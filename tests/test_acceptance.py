@@ -21,6 +21,7 @@ import pytest
 
 from mqsp import (
     OracleConfig,
+    PQPair,
     check_necessary,
     decide,
     qsp1_characterize,
@@ -163,11 +164,14 @@ def test_criterion_6_perturbation_rejection():
 
 
 def _time_decide(pair, n, repeats=3):
+    # a fresh pair object per repeat, so that no call reuses the walk that
+    # the decision keeps for the last pair it decided
     best = math.inf
     verdict = None
     for _ in range(repeats):
+        fresh = PQPair(pair.p, pair.q)
         start = time.perf_counter()
-        verdict = decide(pair, n, TOL)
+        verdict = decide(fresh, n, TOL)
         best = min(best, time.perf_counter() - start)
     return verdict, best
 

@@ -9,17 +9,20 @@ from rounding its coefficients to doubles, so a chain whose slices stay near
 1e-3 for six or more consecutive levels pushes the defect past the 1e-9
 tolerance and the decision honestly rejects.
 
-This is a property of the rounded input, not of the implementation: the
-amplification acts on the input pair's own distance from the set of exactly
-realizable pairs, so no working precision can recover it (verified against
-a 50-digit replay of the same chain).  The instance pinned below is such a
-chain; the assertions record the behaviour so a regression that silently
-changes it is caught.
+For the strict peel this is a property of the rounded input, not of the
+implementation: the amplification acts on the input pair's own distance
+from the set of exactly realizable pairs, so no working precision lets the
+strict peel recover it (verified against a 50-digit replay of the same
+chain).  A decision that takes the peel's angles only as a proposal and
+certifies them by rebuilding the pair is not bound by it.  The instance
+pinned below is such a chain; the assertions record the behaviour so a
+regression that silently changes it is caught.  The closed-form
+single-variable characterization, which does not peel, accepts such chains.
 """
 
 from __future__ import annotations
 
-from mqsp import check_necessary, decide, find_phase, reduce_step
+from mqsp import check_necessary, decide, find_phase, qsp1_characterize, reduce_step
 from mqsp.engine import effective_degrees
 from helpers import oracle_pair
 
@@ -74,3 +77,16 @@ def test_ill_conditioned_chain_amplifies_input_rounding():
     # distinct from a structural rejection: the final miss is marginal
     # (within a few orders of the tolerance), not a gross mismatch
     assert mismatches[-1] < 1e-6
+
+
+def test_closed_form_accepts_what_the_peel_rejects():
+    # the oracle builds every pair to be realizable at its own n, and the
+    # closed form accepts all of them; the peel rejects some on rounding
+    # (18 of these 60 at the time of writing, a count a sounder decision
+    # may lower), but accepts none that the closed form rejects
+    seeds = range(100000, 100060)
+    pairs = {seed: oracle_pair(1, 20, seed)[0] for seed in seeds}
+    closed = {seed for seed, pair in pairs.items() if qsp1_characterize(pair, 20, TOL)}
+    peeled = {seed for seed, pair in pairs.items() if decide(pair, 20, TOL)}
+    assert closed == set(seeds)
+    assert peeled <= closed

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import cmath
+import copy
 import math
+import sys
+import threading
 
 import pytest
 
@@ -445,6 +448,163 @@ def test_padding_takes_one_degree_scan(monkeypatch):
     scans.clear()
     assert run_decision(identity_pair(), 2001, TOL).steps[-1] == Reject(1, REASON_DEGREE)
     assert len(scans) <= 2
+
+
+def budget_loop_steps(pair: PQPair, n: int, tol: float) -> list:
+    """The decision as one loop over the budget ``n``, taking pads and peels
+    as they come and scanning degrees at every level: the reference that
+    ``run_decision``, pads composed onto one walk per pair, must equal."""
+    steps = []
+    current = PairBox.from_pair(pair) or pair
+    remaining = n
+    while True:
+        if remaining == 0:
+            steps.append(engine._base_case(current, tol))
+            return steps
+        degs = engine.effective_degrees(current, tol)
+        total = sum(degs)
+        if total <= remaining - 2:
+            pads = range(remaining, total + 1, -2)
+            steps += map(IdentityPad, pads)
+            remaining -= 2 * len(pads)
+            if remaining == 0:
+                continue
+        if total != remaining:
+            steps.append(Reject(remaining, REASON_DEGREE))
+            return steps
+        for j in range(1, current.variables + 1):
+            phi = find_phase(current, j, degs[j - 1], tol)
+            if phi is not None:
+                current = reduce_step(current, j, phi)
+                cutoff = tol * max(1.0, *current._moduli)
+                current = current._truncated(j, degs[j - 1] - 1, cutoff)
+                steps.append(PhaseReduction(remaining, j, phi, current))
+                remaining -= 1
+                break
+        else:
+            steps.append(Reject(remaining, REASON_PHASE))
+            return steps
+
+
+def step_signature(steps) -> list:
+    """The repr of every step plus the fingerprints of every reduced pair."""
+    signature = [repr(step) for step in steps]
+    for step in steps:
+        if isinstance(step, PhaseReduction):
+            signature.append((fingerprint(step.reduced.p), fingerprint(step.reduced.q)))
+    return signature
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+def test_every_budget_is_pads_and_one_walk(m, mode, tol):
+    # realizable, scaled and perturbed pairs at every budget up to three
+    # past the degree sum, decided in ascending order on one pair object so
+    # that later budgets reuse the kept walk
+    for seed in range(3):
+        n = 2 + 2 * seed
+        pair, _ = oracle_pair(m, n, 400 * m + seed, mode)
+        for case in (pair, scaled_pair(pair, 3.7), perturb_pair(pair, seed)):
+            s = sum(engine.effective_degrees(case, tol))
+            for k in range(s + 4):
+                trace = run_decision(case, k, tol)
+                expected = budget_loop_steps(case, k, tol)
+                assert step_signature(trace.steps) == step_signature(expected), (seed, k)
+
+
+def test_walk_pads_after_a_peel_that_drops_two_degrees():
+    # at tol 1e-3 the first peel of this pair leaves a degree sum two below
+    # the budget, so the walk itself pads before peeling on
+    pair, _ = oracle_pair(2, 8, 1)
+    s = sum(engine.effective_degrees(pair, 1e-3))
+    kinds = [type(step) for step in run_decision(pair, s, 1e-3).steps]
+    assert kinds.index(IdentityPad) > kinds.index(PhaseReduction)
+    for k in range(s + 4):
+        expected = budget_loop_steps(pair, k, 1e-3)
+        assert step_signature(run_decision(pair, k, 1e-3).steps) == step_signature(expected), k
+
+
+def test_equal_pairs_give_equal_traces():
+    pair, _ = oracle_pair(2, 8, seed=5)
+    twin = copy.deepcopy(pair)
+    assert twin == pair and twin is not pair and twin.p is not pair.p
+    for k in (8, 9, 10):
+        assert run_decision(twin, k, TOL) == run_decision(pair, k, TOL)
+
+
+def test_interleaved_pairs_keep_their_own_traces():
+    a, _ = oracle_pair(2, 8, seed=5)
+    b, _ = oracle_pair(3, 6, seed=6)
+    first = run_decision(a, 8, TOL)
+    assert run_decision(b, 6, TOL).accepted
+    again = run_decision(a, 10, TOL)
+    assert again.steps == (IdentityPad(10),) + first.steps
+    assert step_signature(again.steps) == step_signature(budget_loop_steps(a, 10, TOL))
+
+
+def test_walk_is_kept_per_pair_and_tolerance(monkeypatch):
+    walks = []
+    walk = engine._walk
+
+    def counted(current, degs, tol):
+        walks.append(tol)
+        return walk(current, degs, tol)
+
+    monkeypatch.setattr(engine, "_walk", counted)
+    pair, _ = oracle_pair(2, 8, seed=5)
+    assert decide(pair, 8, TOL) and synthesize(pair, 8, TOL).constructible
+    assert not decide(pair, 9, TOL) and decide(pair, 10, TOL) and decide(pair, 30, TOL)
+    assert walks == [TOL]
+    # the same object at another tolerance is walked again
+    loose = run_decision(pair, 8, 1e-3)
+    assert walks == [TOL, 1e-3]
+    assert step_signature(loose.steps) == step_signature(budget_loop_steps(pair, 8, 1e-3))
+    assert decide(pair, 8, TOL) and walks == [TOL, 1e-3, TOL]
+
+
+def test_one_walk_is_kept():
+    a, _ = oracle_pair(2, 8, seed=5)
+    b, _ = oracle_pair(2, 8, seed=6)
+    held = sys.getrefcount(a)
+    run_decision(a, 8, TOL)
+    assert sys.getrefcount(a) == held + 1
+    run_decision(b, 8, TOL)
+    assert sys.getrefcount(a) == held
+    assert engine._last_walk[0] is b
+    # a budget that needs no walk leaves the kept one in place
+    assert run_decision(a, 3, TOL).rejection == Reject(3, REASON_DEGREE)
+    assert run_decision(a, 9, TOL).rejection == Reject(9, REASON_DEGREE)
+    assert engine._last_walk[0] is b and sys.getrefcount(a) == held
+
+
+def test_concurrent_callers_get_their_own_traces():
+    # more threads than cores, switching often, each deciding its own pair
+    # at several budgets: a caller must never see another pair's walk
+    cases = [oracle_pair(1, 4, seed=20 + i)[0] for i in range(8)]
+    expected = [
+        [run_decision(copy.deepcopy(pair), k, TOL) for k in (4, 5, 6)] for pair in cases
+    ]
+    wrong = []
+
+    def decide_often(i):
+        for _ in range(300):
+            for k, trace in zip((4, 5, 6), expected[i]):
+                if run_decision(cases[i], k, TOL) != trace:
+                    wrong.append((i, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=decide_often, args=(i,)) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def with_term_above(poly: LaurentPoly, top: LaurentPoly, j: int, coeff: complex) -> LaurentPoly:
