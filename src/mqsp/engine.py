@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from itertools import repeat
 from operator import mul, sub
 
@@ -253,21 +254,26 @@ def run_decision(pair: PQPair, n: int, tol: float = EPS) -> DecisionTrace:
     """Decide constructibility in ``n`` steps, recording every branch.
 
     The budget enters only through identity padding.  With s the degree
-    sum of the pair at ``tol``, a budget n < s is rejected on degree; at
-    n >= s pads absorb the surplus two steps at a time, down to s, where the
-    walk from s follows (see ``_walk``), or down to s + 1, which is rejected
-    on degree.  At n = 0 the pair itself goes to the base case.  So every
+    sum of the pair at ``tol``, a budget n < s is rejected on degree (at
+    n = 0 as the base case would reject the pair: a term visible at ``tol``
+    off the origin keeps P from being a constant); at n >= s pads absorb the
+    surplus two steps at a time, down to s, where the walk from s follows
+    (see ``_walk``), or down to s + 1, which is rejected on degree.  So every
     budget of one pair shares one walk, which depends on the pair and
     ``tol`` alone.  The last walk is kept, matched by the pair's identity
     and ``tol``: deciding and synthesizing one pair object at several
     budgets walks it once.  Only one walk is kept, with its pair and the
     reduced pairs of its trace, until the next walk replaces it.
 
+    ``n`` must be an integer (an ``int`` or any type ``operator.index``
+    takes): a float, even an integral one, raises TypeError.
+
     The pair is laid out once: on its ``PairBox`` unless that box would be
     too sparse, in which case its ``LaurentPoly`` terms are peeled with the
     general products (both give bitwise the same trace).
     """
     global _last_walk
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
     memo = _last_walk
@@ -277,12 +283,8 @@ def run_decision(pair: PQPair, n: int, tol: float = EPS) -> DecisionTrace:
         current = PairBox.from_pair(pair) or pair
         degs = effective_degrees(current, tol)
         s, walk = sum(degs), None
-    if n == 0 and s != 0:
-        if current is None:
-            current = PairBox.from_pair(pair) or pair
-        return DecisionTrace((_base_case(current, tol),))
     if n < s:
-        return DecisionTrace((Reject(n, REASON_DEGREE),))
+        return DecisionTrace((Reject(n, REASON_DEGREE if n else REASON_BASE),))
     pads = tuple(map(IdentityPad, range(n, s + 1, -2)))
     if (n - s) % 2:
         return DecisionTrace(pads + (Reject(s + 1, REASON_DEGREE),))

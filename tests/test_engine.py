@@ -413,8 +413,31 @@ def test_decide_negative_steps():
 
 
 def test_decide_is_deterministic():
+    # a distinct but equal pair on one side, so that both sides walk
     pair, _ = oracle_pair(3, 8, seed=21)
-    assert run_decision(pair, 8, TOL) == run_decision(pair, 8, TOL)
+    assert run_decision(pair, 8, TOL) == run_decision(PQPair(pair.p, pair.q), 8, TOL)
+
+
+def test_budget_must_be_an_integer():
+    pair, _ = oracle_pair(2, 4, seed=3)
+    s = sum(engine.effective_degrees(pair, TOL))
+    for n in (float(s), s + 0.5, float(s + 2)):
+        with pytest.raises(TypeError):
+            run_decision(pair, n, TOL)
+        with pytest.raises(TypeError):
+            decide(pair, n, TOL)
+        with pytest.raises(TypeError):
+            synthesize(pair, n, TOL)
+
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    for k in (s, s + 1, s + 2):
+        assert run_decision(pair, Index(k), TOL) == run_decision(pair, k, TOL)
 
 
 def test_trace_shape():
