@@ -403,8 +403,10 @@ def check_necessary(pair: PQPair, n: int, tol: float = EPS) -> NecessaryReport:
     Checks the inversion symmetries P(a^{-1}) = P(a) and Q(a^{-1}) = -Q(a),
     per-variable degree equality of P and Q, P != 0, matching parity of the
     degree sum and the step count, and the unit-norm identity (sampled on a
-    torus grid, see ``PQPair.is_normalized``).
+    torus grid, see ``PQPair.is_normalized``).  ``n`` must be an integer,
+    as for ``run_decision``.
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
     p, q = pair.p, pair.q
@@ -434,12 +436,14 @@ def qsp1_characterize(pair: PQPair, n: int, tol: float = EPS) -> bool:
     (18 of the 60 oracle pairs at n = 20, seeds 100000 to 100059, which the
     closed form all accepts; see
     ``test_closed_form_accepts_what_the_peel_rejects`` in
-    ``tests/test_conditioning.py``).
+    ``tests/test_conditioning.py``).  ``n`` must be an integer, as for
+    ``run_decision``.
     """
     if pair.variables != 1:
         raise ValueError(
             f"single-variable characterization needs arity 1, got {pair.variables}"
         )
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
     p, q = pair.p, pair.q

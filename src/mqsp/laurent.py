@@ -272,7 +272,7 @@ def _cut(terms: dict[Exponents, complex], drop_scale: float) -> tuple[dict, floa
     """
     values = list(terms.values())
     kept, top = _cut_values(values, drop_scale, terms)
-    if kept is values:
+    if kept is values and all(values):
         return terms, top
     return {key: value for key, value in zip(terms, kept) if value}, top
 
@@ -281,9 +281,12 @@ def _cut_values(values: list, drop_scale: float, keys=None) -> tuple[list, float
     """``_cut`` on a list of coefficients: the ones of modulus at most
     ``DROP_EPS * drop_scale`` become exact zeros ``0j``.
 
-    Returns the list (``values`` itself when nothing changes) and the
-    maximum modulus of the kept values.  A non-finite value raises
-    ValueError, naming its key from ``keys`` (its position by default).
+    Returns the list and the maximum modulus of the kept values.  The list
+    is ``values`` itself when its only entries at or below the cutoff are
+    zeros already (``_cut`` drops those itself): evaluation's box lists hold
+    no zero with a -0.0 part, so rebuilding them would give the same bits.
+    A non-finite value raises ValueError, naming its key from ``keys`` (its
+    position by default).
     """
     sizes = list(map(abs, values))
     _require_finite(values, sizes, keys)
@@ -291,7 +294,7 @@ def _cut_values(values: list, drop_scale: float, keys=None) -> tuple[list, float
     top = max(sizes, default=0.0)
     if top <= cutoff:
         return [0j] * len(values), 0.0
-    if min(sizes) > cutoff:
+    if min(filter(None, sizes)) > cutoff:
         return values, top
     return [value if size > cutoff else 0j for value, size in zip(values, sizes)], top
 

@@ -7,11 +7,12 @@ operator per variable, constant z-rotations, their matrix products, and the
 
 ``evaluate_sequence`` carries only the top row.  It steps the pair on a
 ``PairBox``, P and Q as flat coefficient lists on one shared parity-lattice
-box, where multiplying by (a_j +- a_j^{-1})/2 is one shift-add pass; the
-decision in ``engine`` peels factors off with the same kernel.  A pair whose
-box would be mostly empty stays as ``LaurentPoly`` terms and uses the
-general products, which the kernel reproduces bit for bit.  Multiplying the
-full ``Mat2`` factors out term by term is the independent test oracle.
+box, where multiplying by (a_j +- a_j^{-1})/2 is one shift-add pass, and
+computes only the half of the box that the inversion symmetries do not
+fix; the decision in ``engine`` peels factors off with the same kernel.  A
+pair whose box would be mostly empty stays as ``LaurentPoly`` terms and uses
+the general products, which the kernel reproduces bit for bit.  Multiplying
+the full ``Mat2`` factors out term by term is the independent test oracle.
 """
 
 from __future__ import annotations
@@ -296,16 +297,18 @@ class PairBox:
     that built the box; otherwise it is measured once when first read.
 
     The box and ``PQPair`` provide the same storage primitives, over which
-    ``evaluate_sequence`` and the peel in ``engine`` are written once:
-    ``_moduli``, ``_visible_degrees``, ``_top_slices``, ``_origin``,
-    ``_extend``, ``_peel``, ``_truncated`` and ``to_pair``.  Every step on
-    the box is one shift-add pass (``_halves``) per component.  Evaluation
-    follows it with the ``DROP_EPS`` cuts that the general ``LaurentPoly``
-    products make, at the same scales, and trims the zero rows of the
-    stepped variable from its ends.  The peel multiplies without cuts, as
-    the general products do with a drop scale of 0, and leaves the residue
-    rows to ``_truncated``.  Either way both layouts give bitwise the same
-    values.
+    the peel in ``engine`` is written once: ``_moduli``,
+    ``_visible_degrees``, ``_top_slices``, ``_origin``, ``_peel``,
+    ``_truncated`` and ``to_pair``.  The peel steps the box with one
+    shift-add pass (``_halves``) per component and no cuts, as the general
+    products multiply with a drop scale of 0, and leaves the residue rows to
+    ``_truncated``.  ``evaluate_sequence`` holds only the first half of the
+    slots of P and of Q, which fix the rest bitwise by the inversion
+    symmetries of every pair it builds, and steps both with one ``_halves``
+    pass and the ``DROP_EPS`` cuts that the general ``LaurentPoly`` products
+    make, at the same scales (``_half_step``).  It unfolds the whole box
+    only to trim zero end rows of the stepped variable and to convert it.
+    Either way both layouts give bitwise the same values.
     """
 
     __slots__ = ("variables", "lows", "strides", "rows", "p", "q", "_moduli", "_sizes")
@@ -405,23 +408,13 @@ class PairBox:
         sizes[index] = 0.0
         return self.p[index], max(sizes)
 
-    def _extend(self, j: int, phase: complex) -> PQPair | PairBox:
-        i = j - 1
-        scale_p, scale_q = (max(1.0, modulus) for modulus in self._moduli)
-        p_cos, p_sin = (_cut_values(half, scale_p) for half in self._halves(self.p, i))
-        q_cos, q_sin = (_cut_values(half, scale_q) for half in self._halves(self.q, i))
-        p, top_p = _rotated(_combined(add, p_cos, q_sin), phase)
-        q, top_q = _rotated(_combined(add, p_sin, q_cos), phase.conjugate())
-        # the cuts can zero whole rows at the ends of the axis
-        box = self._stepped(i, p, q, (top_p, top_q))._truncated(j, -1, 0.0)
-        terms = max(len(box.p) - box.p.count(0j), len(box.q) - box.q.count(0j))
-        return box.to_pair() if _too_sparse(len(box.p), terms) else box
-
     def _peel(self, j: int, e: complex) -> PairBox:
         i = j - 1
         ec = e.conjugate()
-        p_cos, p_sin = self._halves(self.p, i)
-        q_cos, q_sin = self._halves(self.q, i)
+        block = math.prod(self.rows[i + 1 :])
+        chunk, pad = self.rows[i] * block, (3 - self.strides[i]) * block
+        p_cos, p_sin = _halves(self.p, chunk, pad)
+        q_cos, q_sin = _halves(self.q, chunk, pad)
         p = list(map(sub, _turned(p_cos, ec), _turned(q_sin, e)))
         q = list(map(sub, _turned(q_cos, e), _turned(p_sin, ec)))
         sizes, q_sizes = list(map(abs, p)), list(map(abs, q))
@@ -463,35 +456,7 @@ class PairBox:
         )
         return PairBox(self.variables, lows, self.strides, rows, p, q, moduli, sizes)
 
-    # -- the step kernel and the box geometry -----------------------------------
-
-    def _halves(self, values: list, i: int) -> tuple[list, list]:
-        """``values`` times (a + a^{-1})/2 and times (a - a^{-1})/2, for a
-        the variable of axis ``i``, on the box widened by ``_stepped``: the
-        step kernel.  The products are not cut; evaluation cuts them as the
-        general product does.
-
-        The product's coefficient at k is 0j + c[k - e] / 2 +- c[k + e] / 2,
-        and c[k - e] sits one row (two on a stride-1 axis) below c[k + e] on
-        the grown axis.  So the halved input is padded with zero rows below
-        and above, and one pass adds the two copies, another subtracts them.
-        Adding two terms commutes, and subtracting c[k + e] / 2 instead of
-        adding c[k + e] * (-0.5) changes at most the sign of a zero part,
-        which vanishes in the sum (the first term, 0j + x, has no -0.0
-        part), so the values are bitwise the product's.
-        """
-        block = math.prod(self.rows[i + 1 :])
-        chunk = self.rows[i] * block
-        zeros = [0j] * ((3 - self.strides[i]) * block)
-        half = list(map(add, repeat(_ZERO), map(mul, values, repeat(_HALF))))
-        below, above = [], []
-        for at in range(0, len(half), chunk):
-            part = half[at : at + chunk]
-            below += zeros
-            below += part
-            above += part
-            above += zeros
-        return list(map(add, below, above)), list(map(sub, below, above))
+    # -- the box geometry -------------------------------------------------------
 
     def _stepped(self, i: int, p: list, q: list, moduli: tuple, sizes=None) -> PairBox:
         """The box of a step along axis ``i``, one exponent lower and one
@@ -502,17 +467,65 @@ class PairBox:
         return PairBox(self.variables, lows, self.strides, rows, p, q, moduli, sizes)
 
     def _rows(self, values: list, i: int, start: int, stop: int) -> list:
-        """The entries of ``values`` in rows ``start`` to ``stop`` - 1 of axis ``i``."""
+        """The entries of ``values`` in rows ``start`` to ``stop`` - 1 of
+        axis ``i``: one slice per outer chunk, or, when the chunks outnumber
+        the entries taken from each, one extended slice per entry."""
         block = math.prod(self.rows[i + 1 :])
         chunk = self.rows[i] * block
         if chunk == len(values):
             return values[start * block : stop * block]
         if block == 1 and stop == start + 1:
             return values[start::chunk]
-        out = []
-        for at in range(0, len(values), chunk):
-            out += values[at + start * block : at + stop * block]
+        first, width = start * block, (stop - start) * block
+        if len(values) <= chunk * width:
+            out = []
+            for at in range(first, len(values), chunk):
+                out += values[at : at + width]
+            return out
+        out = [_ZERO] * (len(values) // chunk * width)
+        for at in range(width):
+            out[at::width] = values[first + at :: chunk]
         return out
+
+
+def _halves(values: list, chunk: int, pad: int) -> tuple[list, list]:
+    """``values`` times (a + a^{-1})/2 and times (a - a^{-1})/2, for a the
+    variable of one box axis: the step kernel.  ``values`` is a run of
+    chunks of ``chunk`` entries, one chunk per index of the axes before the
+    stepped one, and each chunk grows by ``pad`` entries, one row of the
+    stepped axis (two on a stride-1 axis), below and above.  The products
+    are not cut; evaluation cuts them as the general product does.
+
+    The product's coefficient at k is 0j + c[k - e] / 2 +- c[k + e] / 2,
+    and c[k - e] sits one row (two on a stride-1 axis) below c[k + e] on
+    the grown axis.  So the halved input is padded with zero rows below and
+    above, and one pass adds the two copies, another subtracts them.
+    Adding two terms commutes, and subtracting c[k + e] / 2 instead of
+    adding c[k + e] * (-0.5) changes at most the sign of a zero part, which
+    vanishes in the sum (the first term, 0j + x, has no -0.0 part), so the
+    values are bitwise the product's.  The copies are placed one chunk at
+    a time, or, when the chunks outnumber the entries of one, one extended
+    slice per entry.
+    """
+    half = list(map(add, repeat(_ZERO), map(mul, values, repeat(_HALF))))
+    grown = chunk + pad
+    count = len(half) // chunk
+    if count <= chunk:
+        zeros = [_ZERO] * pad
+        below, above = [], []
+        for at in range(0, len(half), chunk):
+            part = half[at : at + chunk]
+            below += zeros
+            below += part
+            above += part
+            above += zeros
+    else:
+        below, above = [_ZERO] * (count * grown), [_ZERO] * (count * grown)
+        for at in range(chunk):
+            column = half[at::chunk]
+            below[pad + at :: grown] = column
+            above[at::grown] = column
+    return list(map(add, below, above)), list(map(sub, below, above))
 
 
 def _turned(values: list, c: complex) -> list:
@@ -521,27 +534,6 @@ def _turned(values: list, c: complex) -> list:
     -0.0 part that would leak into a later difference.  A nonzero value
     times a unimodular factor is never zero, even below the normal range."""
     return [v * c if v else _ZERO for v in values]
-
-
-# The general LaurentPoly operations on the (values, maximum modulus) pairs
-# of one box, with the same cuts at the same scales: evaluation's step.
-
-
-def _combined(op, a: tuple, b: tuple) -> tuple:
-    """``a + b`` or ``a - b`` for ``op`` add or sub."""
-    return _cut_values(list(map(op, a[0], b[0])), max(1.0, a[1], b[1]))
-
-
-def _rotated(a: tuple, phase: complex) -> tuple:
-    """Times the z-rotation entry ``phase``: the Mat2 product adds the
-    product to a zero one, so it cuts at the product's scale and again at
-    the result's own.  The second cut can only drop more when that scale
-    is above the first one's floor of 1."""
-    values, top = _cut_values(
-        list(map(add, repeat(_ZERO), map(mul, a[0], repeat(phase)))),
-        max(1.0, a[1], abs(phase)),
-    )
-    return (values, top) if top <= 1.0 else _cut_values(values, top)
 
 
 class MqspSequence(_Record):
@@ -595,20 +587,121 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
 
     Only the top row is carried: each step maps (p, q) to
     ((p c + q s) e^{i phi}, (p s + q c) e^{-i phi}) with c, s the cosine and
-    sine parts of A(s_k).  The pair starts as a one-slot ``PairBox`` that
-    grows by one row per step and is converted to ``LaurentPoly`` terms at
-    the end, or as soon as it gets too sparse, after which the general
-    products take the remaining steps.  Either way the result is bitwise
-    the top row of the ``Mat2`` product of ``z_rotation`` and
+    sine parts of A(s_k).  The pair lives on a stride-2 ``PairBox`` that
+    starts as one slot and grows by one row per step (``_half_step``).  Its
+    zero end rows are trimmed, and it is converted to ``LaurentPoly`` terms
+    at the end, or as soon as it gets too sparse, after which the general
+    products take the remaining steps.  Either way the result is bitwise the
+    top row of the ``Mat2`` product of ``z_rotation`` and
     ``signal_operator`` factors, which stays as the test oracle.  For an
     empty sequence this is (e^{i phi_0}, 0).
+
+    Only half of the box is computed.  Every box evaluation builds has
+    lowest exponent -(rows - 1) on each axis, so the exponents k and -k sit
+    at the flat slots f and N - 1 - f of its N slots, and the pair keeps the
+    inversion symmetries P(a^{-1}) = P(a) and Q(a^{-1}) = -Q(a) bitwise:
+    P's coefficient at -k is the same sum as at k with its terms swapped,
+    and addition commutes; Q's is the sum of the negated terms, and
+    rounding to nearest commutes with negation.  Every list of the step
+    passes through 0j + x, or is a sum or difference of such lists, so no
+    zero part is -0.0, and Q's coefficient at -k is 0j - v for v the one at
+    k.  So the state is the first ceil(N / 2) slots of P followed by those
+    of Q, and the whole box is unfolded from it only to trim rows, when the
+    half holds a zero, and to convert it.
     """
-    m = seq.variables
     start = cmath.exp(1j * seq.phases[0])
-    state = PairBox(m, (0,) * m, (2,) * m, (1,) * m, [start], [0j], (abs(start), 0.0))
-    for phi, s in zip(seq.phases[1:], seq.indices):
-        state = state._extend(s, cmath.exp(1j * phi))
-    return state.to_pair()
+    halves, rows, scales = [start, _ZERO], (1,) * seq.variables, (max(1.0, abs(start)), 1.0)
+    steps = zip(seq.phases[1:], seq.indices)
+    for phi, s in steps:
+        halves, rows, scales = _half_step(halves, rows, s - 1, cmath.exp(1j * phi), scales)
+        slots = terms = math.prod(rows)
+        # only Q's middle slot, of an odd box, is always zero; any other
+        # zero may belong to an end row that the cuts zeroed
+        if halves.count(_ZERO) > slots % 2:
+            box = _unfolded(halves, rows, scales)._truncated(s, -1, 0.0)
+            rows, slots = box.rows, len(box.p)
+            terms = max(slots - box.p.count(_ZERO), slots - box.q.count(_ZERO))
+            halves = box.p[: (slots + 1) // 2] + box.q[: (slots + 1) // 2]
+        if _too_sparse(slots, terms):
+            break
+    pair = _unfolded(halves, rows, scales).to_pair()
+    for phi, s in steps:
+        pair = pair._extend(s, cmath.exp(1j * phi))
+    return pair
+
+
+def _half_step(halves: list, rows: tuple, i: int, phase: complex, scales: tuple) -> tuple:
+    """One evaluation step along axis ``i`` of the half-box state ``halves``
+    (see ``evaluate_sequence``) on a box with ``rows``: the new state, its
+    rows and its scales.
+
+    ``scales`` holds max(1, largest |coefficient|) of P and of Q, the scale
+    of each ``DROP_EPS`` cut of the general products.  The step reads the
+    input rows that the new half depends on: the chunks of the axes before
+    ``i`` up to the one the half ends in, or the first rows of the only
+    chunk it touches.  One ``_halves`` call on P and Q together gives their
+    cosine and sine parts, which are cut; each component's cosine part
+    meets the other's sine part, and the sums are cut, turned by e^{i phi}
+    and e^{-i phi} and cut again: the cuts of the ``Mat2`` product, at its
+    scales.
+    """
+    block = math.prod(rows[i + 1 :])
+    grown = rows[:i] + (rows[i] + 1,) + rows[i + 1 :]
+    half = (math.prod(grown) + 1) // 2
+    # rows 0 to r of the stepped axis give rows 0 to r of the product
+    chunk = min(rows[i], (half - 1) // block + 1) * block
+    length = ((half - 1) // (grown[i] * block) + 1) * chunk
+    p, q = _prefixes(halves, math.prod(rows), length)
+    cos, sin = _halves(p + q, chunk, block)
+    out = len(cos) // 2
+    cos, (cos_p, cos_q) = _cut_halves(cos[:half] + cos[out : out + half], scales)
+    sin, (sin_q, sin_p) = _cut_halves(sin[out : out + half] + sin[:half], scales[::-1])
+    total, scales = _cut_halves(list(map(add, cos, sin)), (max(cos_p, sin_q), max(cos_q, sin_p)))
+    turns = [phase] * half + [phase.conjugate()] * half
+    turned = list(map(add, repeat(_ZERO), map(mul, total, turns)))
+    # the Mat2 product adds the turned product to a zero one, so it cuts
+    # again at the result's own scale, which can only drop more above 1
+    values, scales = _cut_halves(turned, tuple(max(scale, abs(phase)) for scale in scales))
+    if scales != (1.0, 1.0):
+        values, scales = _cut_halves(values, scales)
+    return values, grown, scales
+
+
+def _cut_halves(values: list, scales: tuple) -> tuple[list, tuple]:
+    """``_cut_values`` on each half of ``values`` at its scale in ``scales``:
+    the cut list and max(1, largest kept |coefficient|) of each half.  At
+    one scale the list is cut at once, and a largest kept modulus of at most
+    1 settles both."""
+    if scales[0] == scales[1]:
+        values, top = _cut_values(values, scales[0])
+        if top <= 1.0:
+            return values, (1.0, 1.0)
+    size = len(values) // 2
+    first, top_first = _cut_values(values[:size], scales[0])
+    second, top_second = _cut_values(values[size:], scales[1])
+    return first + second, (max(1.0, top_first), max(1.0, top_second))
+
+
+def _prefixes(halves: list, slots: int, length: int) -> tuple[list, list]:
+    """The first ``length`` slots of P and of Q on a box of ``slots`` slots,
+    from the half-box state ``halves``: past the half, P's mirror images
+    and 0j minus Q's."""
+    size = len(halves) // 2
+    if length <= size:
+        return halves[:length], halves[size : size + length]
+    p, q = halves[:size], halves[size:]
+    p += p[slots - length : slots - size][::-1]
+    q += map(sub, repeat(_ZERO), q[slots - length : slots - size][::-1])
+    return p, q
+
+
+def _unfolded(halves: list, rows: tuple, scales: tuple) -> PairBox:
+    """The whole ``PairBox`` of a half-box state.  Its ``_moduli`` are the
+    state's scales, which truncation at cutoff 0 passes on and ``to_pair``
+    does not read."""
+    slots, m = math.prod(rows), len(rows)
+    p, q = _prefixes(halves, slots, slots)
+    return PairBox(m, [1 - r for r in rows], (2,) * m, rows, p, q, scales)
 
 
 def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float, float]:

@@ -287,10 +287,19 @@ def test_box_steps_keep_signed_zeros_and_holes():
                 product = product_form_reduction(pair, j, phi)
                 assert fingerprint(peeled.p) == fingerprint(product.p)
                 assert fingerprint(peeled.q) == fingerprint(product.q)
-                phase = cmath.exp(1j * phi)
-                extended, product = box._extend(j, phase).to_pair(), pair._extend(j, phase)
-                assert fingerprint(extended.p) == fingerprint(product.p)
-                assert fingerprint(extended.q) == fingerprint(product.q)
+    # evaluation steps only pairs with the inversion symmetries, whose half
+    # box holds no -0.0 part; zero phases leave holes at a1 a2^-1 and a1^-1 a2
+    pair = evaluate_sequence(MqspSequence(2, (0.0, 0.0, 0.0), (1, 2)))
+    box = PairBox.from_pair(pair)
+    halves = box.p[:2] + box.q[:2]
+    assert box.lows == (-1, -1) and halves.count(0j) == 2
+    for j in (1, 2):
+        for phi in (0.0, 1.0, 2.0, math.pi, -2.0, -1.0):
+            phase = cmath.exp(1j * phi)
+            stepped = su2._half_step(halves, box.rows, j - 1, phase, (1.0, 1.0))
+            extended, product = su2._unfolded(*stepped).to_pair(), pair._extend(j, phase)
+            assert fingerprint(extended.p) == fingerprint(product.p)
+            assert fingerprint(extended.q) == fingerprint(product.q)
 
 
 def test_box_slots_without_a_term_stay_exact_zeros():
@@ -418,8 +427,19 @@ def test_decide_is_deterministic():
     assert run_decision(pair, 8, TOL) == run_decision(PQPair(pair.p, pair.q), 8, TOL)
 
 
+class Index:
+    """An integer type that is not an ``int``: ``operator.index`` takes it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_budget_must_be_an_integer():
     pair, _ = oracle_pair(2, 4, seed=3)
+    line, _ = oracle_pair(1, 4, seed=3)
     s = sum(engine.effective_degrees(pair, TOL))
     for n in (float(s), s + 0.5, float(s + 2)):
         with pytest.raises(TypeError):
@@ -428,16 +448,20 @@ def test_budget_must_be_an_integer():
             decide(pair, n, TOL)
         with pytest.raises(TypeError):
             synthesize(pair, n, TOL)
-
-    class Index:
-        def __init__(self, value):
-            self.value = value
-
-        def __index__(self):
-            return self.value
+        with pytest.raises(TypeError):
+            check_necessary(pair, n, TOL)
+    for n in (4.0, 4.5, 6.0):
+        with pytest.raises(TypeError):
+            qsp1_characterize(line, n, TOL)
 
     for k in (s, s + 1, s + 2):
         assert run_decision(pair, Index(k), TOL) == run_decision(pair, k, TOL)
+        report = check_necessary(pair, Index(k), TOL)
+        assert report == check_necessary(pair, k, TOL)
+        assert type(report.steps) is int
+    for k in (3, 4, 6):
+        assert qsp1_characterize(line, Index(k), TOL) is qsp1_characterize(line, k, TOL)
+    assert qsp1_characterize(line, Index(4), TOL) is True
 
 
 def test_trace_shape():

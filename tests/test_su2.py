@@ -202,6 +202,63 @@ def test_evaluation_leaves_a_box_that_gets_sparse(monkeypatch):
     assert max(built) == 16
 
 
+def test_evaluation_hands_off_mid_sequence_bitwise(monkeypatch):
+    # zero phases keep the first four steps at two terms each, so the box of
+    # 16 slots is left for the terms, whose general products take the rest
+    extend, stepped = su2.PQPair._extend, []
+
+    def record(pair, j, phase):
+        stepped.append(j)
+        return extend(pair, j, phase)
+
+    monkeypatch.setattr(su2.PQPair, "_extend", record)
+    seq = MqspSequence(6, (0.0,) * 5 + (0.4, -1.1, 2.5), (1, 2, 3, 4, 5, 6, 1))
+    kernel = evaluate_sequence(seq)
+    assert stepped == [5, 6, 1]
+    oracle = matrix_oracle_top_row(seq)
+    assert fingerprint(kernel.p) == fingerprint(oracle.p)
+    assert fingerprint(kernel.q) == fingerprint(oracle.q)
+
+
+@pytest.mark.parametrize("m,n", [(1, 40), (2, 30), (3, 20), (4, 16)])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_deep_evaluation_is_bitwise_the_matrix_oracle(m, n, mode):
+    # the boxes of the deep benchmark cells, where the half that evaluation
+    # computes ends inside a chunk of every axis
+    for seed in range(2):
+        seq = random_sequence(OracleConfig(m, n, 3000 * m + 10 * seed + n, mode))
+        kernel = evaluate_sequence(seq)
+        oracle = matrix_oracle_top_row(seq)
+        assert fingerprint(kernel.p) == fingerprint(oracle.p)
+        assert fingerprint(kernel.q) == fingerprint(oracle.q)
+
+
+def assert_mirror_images(pair: PQPair) -> None:
+    """P(a^{-1}) = P(a) and Q(a^{-1}) = -Q(a) bitwise: P's coefficient at -k
+    is the one at k, and Q's is 0j minus the one at k."""
+    for poly, mirrored in ((pair.p, lambda c: c), (pair.q, lambda c: 0j - c)):
+        for k, c in poly.terms.items():
+            assert repr(poly.terms[tuple(-e for e in k)]) == repr(mirrored(c))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_evaluated_boxes_are_mirror_images(m, mode):
+    # the invariant that lets evaluation compute half of each box, on every
+    # prefix of the sequences; discrete angles cancel exactly, so some boxes
+    # lose end rows (a degree below the number of steps in that variable)
+    trimmed = 0
+    for seed in range(12):
+        seq = random_sequence(OracleConfig(m, 12, 4000 * m + seed, mode))
+        for n in range(seq.steps + 1):
+            prefix = MqspSequence(m, seq.phases[: n + 1], seq.indices[:n])
+            pair = evaluate_sequence(prefix)
+            assert_mirror_images(pair)
+            steps = [prefix.indices.count(j) for j in range(1, m + 1)]
+            trimmed += pair.p.degrees() != tuple(steps)
+    assert trimmed or mode == "continuous"
+
+
 def test_phase_factor_cuts_like_the_matrix_product():
     # e^{-0.514116 i} as evaluated in double precision: its modulus rounds
     # just below 1, so a plain scalar product cuts at a smaller scale and
@@ -209,13 +266,19 @@ def test_phase_factor_cuts_like_the_matrix_product():
     # drops it, and so must the kernel
     phase = complex(0.8707277809370632, -0.49176532157566544)
     tiny = complex(2.459462400377877e-16, 1.984820003680756e-15)
-    poly = LaurentPoly(1, {(0,): 2.0, (2,): tiny})
-    oracle = poly * LaurentPoly.constant(1, phase) + LaurentPoly.zero(1)
-    assert len(poly * phase) == 2
-    box = su2.PairBox.from_pair(PQPair(poly, LaurentPoly.zero(1)))
-    values, top = su2._rotated((box.p, box._moduli[0]), phase)
-    rotated = su2.PairBox(1, box.lows, box.strides, box.rows, values, box.q, (top, 0.0))
-    assert fingerprint(rotated.to_pair().p) == fingerprint(oracle)
+    assert len(LaurentPoly(1, {(0,): 2.0, (4,): tiny}) * phase) == 2
+    # P = 2 tiny (a^3 + a^-3) + 2 (a + a^-1) and Q = 0, as the half-box
+    # state: P's cosine part is 2 at the constant and tiny at a^+-4, and its
+    # sine part, Q's new part, is at most 1, so the two components are cut
+    # at different scales throughout the step
+    halves, rows, scales = [2 * tiny, 2.0, 0j, 0j], (4,), (2.0, 1.0)
+    pair = su2._unfolded(halves, rows, scales).to_pair()
+    halves, rows, scales = su2._half_step(halves, rows, 0, phase, scales)
+    stepped, oracle = su2._unfolded(halves, rows, scales).to_pair(), pair._extend(1, phase)
+    assert fingerprint(stepped.p) == fingerprint(oracle.p)
+    assert fingerprint(stepped.q) == fingerprint(oracle.q)
+    assert (4,) not in stepped.p.terms and (4,) in stepped.q.terms
+    assert scales[0] > scales[1] == 1.0
 
 
 def test_sequence_validation():
