@@ -228,6 +228,7 @@ class PQPair(_Record):
         return c0, max(map(abs, rest.values()), default=0.0)
 
     def _extend(self, j: int, phase: complex) -> PQPair:
+        # evaluation's step once the pair has left its box
         m = self.variables
         cos_part, sin_part = half_sum(j, m), half_diff(j, m)
         zero = LaurentPoly.zero(m)
