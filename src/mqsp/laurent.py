@@ -27,9 +27,10 @@ EPS = 1e-9
 #: Relative cutoff below which stored coefficients are dropped at
 #: construction.  Deliberately at the rounding floor, far below EPS: the
 #: cutoff only exists to keep exact cancellations from leaving machine junk
-#: in the sparse form (sequence evaluation on the dense box zeroes the same
-#: coefficients; the decision's peel does not cut, and truncates the rows
-#: its cancellation leaves instead).  Every dropped coefficient injects its
+#: in the sparse form.  The public operators cut after every operation;
+#: sequence evaluation multiplies without cuts and cuts once, at the end;
+#: the decision's peel does not cut, and truncates the rows its
+#: cancellation leaves instead.  Every dropped coefficient injects its
 #: magnitude as noise, and downstream phase extraction divides that noise
 #: by the top coefficient-slice magnitude, so dropping anywhere near EPS
 #: would compound past the comparison tolerance over a chain of reductions.
@@ -156,10 +157,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._require_same_shape(other)
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            merged[k] = merged.get(k, 0j) + c
-        return LaurentPoly._from_arithmetic(self.variables, merged, self._pair_scale(other))
+        return self._sum(other, self._pair_scale(other))
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -180,7 +178,13 @@ class LaurentPoly:
         return NotImplemented
 
     # The operators with an explicit drop scale: a scale of 0 drops only
-    # exact zeros, which is how the decision's peel multiplies.
+    # exact zeros, which is how evaluation and the decision's peel multiply.
+
+    def _sum(self, other: LaurentPoly, drop_scale: float) -> LaurentPoly:
+        merged = dict(self.terms)
+        for k, c in other.terms.items():
+            merged[k] = merged.get(k, 0j) + c
+        return LaurentPoly._from_arithmetic(self.variables, merged, drop_scale)
 
     def _difference(self, other: LaurentPoly, drop_scale: float) -> LaurentPoly:
         merged = dict(self.terms)
@@ -271,32 +275,15 @@ def _cut(terms: dict[Exponents, complex], drop_scale: float) -> tuple[dict, floa
     their maximum modulus.  Raises ValueError on a non-finite coefficient.
     """
     values = list(terms.values())
-    kept, top = _cut_values(values, drop_scale, terms)
-    if kept is values and all(values):
-        return terms, top
-    return {key: value for key, value in zip(terms, kept) if value}, top
-
-
-def _cut_values(values: list, drop_scale: float, keys=None) -> tuple[list, float]:
-    """``_cut`` on a list of coefficients: the ones of modulus at most
-    ``DROP_EPS * drop_scale`` become exact zeros ``0j``.
-
-    Returns the list and the maximum modulus of the kept values.  The list
-    is ``values`` itself when its only entries at or below the cutoff are
-    zeros already (``_cut`` drops those itself): evaluation's box lists hold
-    no zero with a -0.0 part, so rebuilding them would give the same bits.
-    A non-finite value raises ValueError, naming its key from ``keys`` (its
-    position by default).
-    """
     sizes = list(map(abs, values))
-    _require_finite(values, sizes, keys)
+    _require_finite(values, sizes, terms)
     cutoff = DROP_EPS * drop_scale
     top = max(sizes, default=0.0)
     if top <= cutoff:
-        return [0j] * len(values), 0.0
-    if min(filter(None, sizes)) > cutoff:
-        return values, top
-    return [value if size > cutoff else 0j for value, size in zip(values, sizes)], top
+        return {}, 0.0
+    if min(sizes) > cutoff:
+        return terms, top
+    return {key: value for key, value, size in zip(terms, values, sizes) if size > cutoff}, top
 
 
 def _require_finite(values: list, sizes: list, keys=None) -> None:

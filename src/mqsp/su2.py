@@ -11,8 +11,11 @@ box, where multiplying by (a_j +- a_j^{-1})/2 is one shift-add pass, and
 computes only the half of the box that the inversion symmetries do not
 fix; the decision in ``engine`` peels factors off with the same kernel.  A
 pair whose box would be mostly empty stays as ``LaurentPoly`` terms and uses
-the general products, which the kernel reproduces bit for bit.  Multiplying
-the full ``Mat2`` factors out term by term is the independent test oracle.
+the general products, which the kernel reproduces bit for bit.  Neither
+direction cuts a step: evaluation makes one ``DROP_EPS`` cut at the end.
+Multiplying the full ``Mat2`` factors out term by term without cuts, and
+cutting once at the end, is the independent test oracle; the public
+``Mat2`` product itself cuts after every operation.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import sys
 from itertools import compress, product, repeat
 from operator import add, mul, neg, sub
 
-from .laurent import EPS, LaurentPoly, _cut_values, _require_finite
+from .laurent import EPS, LaurentPoly, _require_finite
 
 
 #: Stores a field of a record from its constructor, past ``_Record.__setattr__``.
@@ -228,16 +231,18 @@ class PQPair(_Record):
         return c0, max(map(abs, rest.values()), default=0.0)
 
     def _extend(self, j: int, phase: complex) -> PQPair:
-        # evaluation's step once the pair has left its box
+        # evaluation's step once the pair has left its box: the general
+        # products with a drop scale of 0, as in _peel
         m = self.variables
         cos_part, sin_part = half_sum(j, m), half_diff(j, m)
-        zero = LaurentPoly.zero(m)
-        p, q = self.p, self.q
-        # the trailing "+ zero" cuts a second time, as the Mat2 product does
-        return PQPair(
-            (p * cos_part + q * sin_part) * LaurentPoly.constant(m, phase) + zero,
-            (p * sin_part + q * cos_part) * LaurentPoly.constant(m, phase.conjugate()) + zero,
-        )
+
+        def stepped(a: LaurentPoly, b: LaurentPoly, e: complex) -> LaurentPoly:
+            # (a c + b s) e; Q's sum q c + p s is the product's p s + q c,
+            # since a sum of two terms commutes
+            mixed = a._product(cos_part, 0.0)._sum(b._product(sin_part, 0.0), 0.0)
+            return mixed._product(LaurentPoly.constant(m, e), 0.0)
+
+        return PQPair(stepped(self.p, self.q, phase), stepped(self.q, self.p, phase.conjugate()))
 
     def _peel(self, j: int, e: complex) -> PQPair:
         # the general products with a drop scale of 0: only exact zeros go
@@ -306,10 +311,9 @@ class PairBox:
     ``_truncated``.  ``evaluate_sequence`` holds only the first half of the
     slots of P and of Q, which fix the rest bitwise by the inversion
     symmetries of every pair it builds, and steps both with one ``_halves``
-    pass and the ``DROP_EPS`` cuts that the general ``LaurentPoly`` products
-    make, at the same scales (``_half_step``).  It unfolds the whole box
-    only to trim zero end rows of the stepped variable and to convert it.
-    Either way both layouts give bitwise the same values.
+    pass and no cuts either (``_half_step``).  It unfolds the whole box only
+    to trim zero end rows of the stepped variable and to convert it.  Either
+    way both layouts give bitwise the same values.
     """
 
     __slots__ = ("variables", "lows", "strides", "rows", "p", "q", "_moduli", "_sizes")
@@ -399,13 +403,14 @@ class PairBox:
         return self._rows(self.p, i, r, r + 1), self._rows(self.q, i, r, r + 1)
 
     def _origin(self) -> tuple[complex, float]:
-        sizes = list(map(abs, self.p))
+        sizes = self._p_sizes()
         index = 0
         for low, stride, n in zip(self.lows, self.strides, self.rows):
             r, off = divmod(-low, stride)
             if off or not 0 <= r < n:
                 return 0j, max(sizes, default=0.0)
             index = index * n + r
+        sizes = sizes.copy()
         sizes[index] = 0.0
         return self.p[index], max(sizes)
 
@@ -495,7 +500,7 @@ def _halves(values: list, chunk: int, pad: int) -> tuple[list, list]:
     chunks of ``chunk`` entries, one chunk per index of the axes before the
     stepped one, and each chunk grows by ``pad`` entries, one row of the
     stepped axis (two on a stride-1 axis), below and above.  The products
-    are not cut; evaluation cuts them as the general product does.
+    are not cut.
 
     The product's coefficient at k is 0j + c[k - e] / 2 +- c[k + e] / 2,
     and c[k - e] sits one row (two on a stride-1 axis) below c[k + e] on
@@ -592,10 +597,13 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     starts as one slot and grows by one row per step (``_half_step``).  Its
     zero end rows are trimmed, and it is converted to ``LaurentPoly`` terms
     at the end, or as soon as it gets too sparse, after which the general
-    products take the remaining steps.  Either way the result is bitwise the
-    top row of the ``Mat2`` product of ``z_rotation`` and
-    ``signal_operator`` factors, which stays as the test oracle.  For an
-    empty sequence this is (e^{i phi_0}, 0).
+    products take the remaining steps with a drop scale of 0.  No step cuts:
+    the one ``DROP_EPS`` cut is made at the end, on each component at
+    max(1, its own largest modulus), as ``LaurentPoly`` construction cuts.
+    Either way the result is bitwise the top row of the ``Mat2`` product of
+    ``z_rotation`` and ``signal_operator`` factors multiplied without cuts
+    (a drop scale of 0) and cut once in that way, which stays as the test
+    oracle.  For an empty sequence this is (e^{i phi_0}, 0).
 
     Only half of the box is computed.  Every box evaluation builds has
     lowest exponent -(rows - 1) on each axis, so the exponents k and -k sit
@@ -611,40 +619,38 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     half holds a zero, and to convert it.
     """
     start = cmath.exp(1j * seq.phases[0])
-    halves, rows, scales = [start, _ZERO], (1,) * seq.variables, (max(1.0, abs(start)), 1.0)
+    halves, rows = [start, _ZERO], (1,) * seq.variables
     steps = zip(seq.phases[1:], seq.indices)
     for phi, s in steps:
-        halves, rows, scales = _half_step(halves, rows, s - 1, cmath.exp(1j * phi), scales)
+        halves, rows = _half_step(halves, rows, s - 1, cmath.exp(1j * phi))
         slots = terms = math.prod(rows)
         # only Q's middle slot, of an odd box, is always zero; any other
-        # zero may belong to an end row that the cuts zeroed
+        # zero may belong to an end row that cancelled exactly
         if halves.count(_ZERO) > slots % 2:
-            box = _unfolded(halves, rows, scales)._truncated(s, -1, 0.0)
+            box = _unfolded(halves, rows)._truncated(s, -1, 0.0)
             rows, slots = box.rows, len(box.p)
             terms = max(slots - box.p.count(_ZERO), slots - box.q.count(_ZERO))
             halves = box.p[: (slots + 1) // 2] + box.q[: (slots + 1) // 2]
         if _too_sparse(slots, terms):
             break
-    pair = _unfolded(halves, rows, scales).to_pair()
+    pair = _unfolded(halves, rows).to_pair()
     for phi, s in steps:
         pair = pair._extend(s, cmath.exp(1j * phi))
-    return pair
+    return _end_cut(pair)
 
 
-def _half_step(halves: list, rows: tuple, i: int, phase: complex, scales: tuple) -> tuple:
+def _half_step(halves: list, rows: tuple, i: int, phase: complex) -> tuple[list, tuple]:
     """One evaluation step along axis ``i`` of the half-box state ``halves``
-    (see ``evaluate_sequence``) on a box with ``rows``: the new state, its
-    rows and its scales.
+    (see ``evaluate_sequence``) on a box with ``rows``: the new state and
+    its rows.
 
-    ``scales`` holds max(1, largest |coefficient|) of P and of Q, the scale
-    of each ``DROP_EPS`` cut of the general products.  The step reads the
-    input rows that the new half depends on: the chunks of the axes before
-    ``i`` up to the one the half ends in, or the first rows of the only
-    chunk it touches.  One ``_halves`` call on P and Q together gives their
-    cosine and sine parts, which are cut; each component's cosine part
-    meets the other's sine part, and the sums are cut, turned by e^{i phi}
-    and e^{-i phi} and cut again: the cuts of the ``Mat2`` product, at its
-    scales.
+    The step reads the input rows that the new half depends on: the chunks
+    of the axes before ``i`` up to the one the half ends in, or the first
+    rows of the only chunk it touches.  One ``_halves`` call on P and Q
+    together gives their cosine and sine parts; each component's cosine
+    part meets the other's sine part, and the sums are turned by e^{i phi}
+    and e^{-i phi} as 0j + x e^{+-i phi}, the product with a constant.
+    Nothing is cut.
     """
     block = math.prod(rows[i + 1 :])
     grown = rows[:i] + (rows[i] + 1,) + rows[i + 1 :]
@@ -655,32 +661,9 @@ def _half_step(halves: list, rows: tuple, i: int, phase: complex, scales: tuple)
     p, q = _prefixes(halves, math.prod(rows), length)
     cos, sin = _halves(p + q, chunk, block)
     out = len(cos) // 2
-    cos, (cos_p, cos_q) = _cut_halves(cos[:half] + cos[out : out + half], scales)
-    sin, (sin_q, sin_p) = _cut_halves(sin[out : out + half] + sin[:half], scales[::-1])
-    total, scales = _cut_halves(list(map(add, cos, sin)), (max(cos_p, sin_q), max(cos_q, sin_p)))
+    total = map(add, cos[:half] + cos[out : out + half], sin[out : out + half] + sin[:half])
     turns = [phase] * half + [phase.conjugate()] * half
-    turned = list(map(add, repeat(_ZERO), map(mul, total, turns)))
-    # the Mat2 product adds the turned product to a zero one, so it cuts
-    # again at the result's own scale, which can only drop more above 1
-    values, scales = _cut_halves(turned, tuple(max(scale, abs(phase)) for scale in scales))
-    if scales != (1.0, 1.0):
-        values, scales = _cut_halves(values, scales)
-    return values, grown, scales
-
-
-def _cut_halves(values: list, scales: tuple) -> tuple[list, tuple]:
-    """``_cut_values`` on each half of ``values`` at its scale in ``scales``:
-    the cut list and max(1, largest kept |coefficient|) of each half.  At
-    one scale the list is cut at once, and a largest kept modulus of at most
-    1 settles both."""
-    if scales[0] == scales[1]:
-        values, top = _cut_values(values, scales[0])
-        if top <= 1.0:
-            return values, (1.0, 1.0)
-    size = len(values) // 2
-    first, top_first = _cut_values(values[:size], scales[0])
-    second, top_second = _cut_values(values[size:], scales[1])
-    return first + second, (max(1.0, top_first), max(1.0, top_second))
+    return list(map(add, repeat(_ZERO), map(mul, total, turns))), grown
 
 
 def _prefixes(halves: list, slots: int, length: int) -> tuple[list, list]:
@@ -696,13 +679,23 @@ def _prefixes(halves: list, slots: int, length: int) -> tuple[list, list]:
     return p, q
 
 
-def _unfolded(halves: list, rows: tuple, scales: tuple) -> PairBox:
-    """The whole ``PairBox`` of a half-box state.  Its ``_moduli`` are the
-    state's scales, which truncation at cutoff 0 passes on and ``to_pair``
-    does not read."""
-    slots, m = math.prod(rows), len(rows)
+def _unfolded(halves: list, rows: tuple) -> PairBox:
+    """The whole ``PairBox`` of a half-box state.  A slot and its mirror
+    have one modulus, so the box's ``_moduli`` are measured on the half."""
+    slots, m, size = math.prod(rows), len(rows), len(halves) // 2
     p, q = _prefixes(halves, slots, slots)
-    return PairBox(m, [1 - r for r in rows], (2,) * m, rows, p, q, scales)
+    moduli = max(map(abs, halves[:size])), max(map(abs, halves[size:]))
+    return PairBox(m, [1 - r for r in rows], (2,) * m, rows, p, q, moduli)
+
+
+def _end_cut(pair: PQPair) -> PQPair:
+    """Evaluation's one ``DROP_EPS`` cut: each component at max(1, its own
+    largest modulus), as ``LaurentPoly`` construction cuts."""
+    m = pair.variables
+    return PQPair(*(
+        LaurentPoly._from_arithmetic(m, poly.terms, max(1.0, poly.max_modulus()))
+        for poly in (pair.p, pair.q)
+    ))
 
 
 def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float, float]:

@@ -265,8 +265,8 @@ def test_box_peel_is_bitwise_the_product_form(m, mode, scale):
 
 def test_box_steps_keep_signed_zeros_and_holes():
     # parts that are -0.0, slots of the box that hold no term, and phases in
-    # every quadrant: the peel on the box gives the un-cut general products'
-    # values and evaluation the cut ones, signs of zero parts included
+    # every quadrant: the peel on the box and evaluation's step give the
+    # un-cut general products' values, signs of zero parts included
     p = LaurentPoly(2, {
         (-1, 0): complex(-0.5, -0.0),
         (1, 0): complex(-0.5, -0.0),
@@ -296,7 +296,7 @@ def test_box_steps_keep_signed_zeros_and_holes():
     for j in (1, 2):
         for phi in (0.0, 1.0, 2.0, math.pi, -2.0, -1.0):
             phase = cmath.exp(1j * phi)
-            stepped = su2._half_step(halves, box.rows, j - 1, phase, (1.0, 1.0))
+            stepped = su2._half_step(halves, box.rows, j - 1, phase)
             extended, product = su2._unfolded(*stepped).to_pair(), pair._extend(j, phase)
             assert fingerprint(extended.p) == fingerprint(product.p)
             assert fingerprint(extended.q) == fingerprint(product.q)
@@ -572,6 +572,34 @@ def test_walk_pads_after_a_peel_that_drops_two_degrees():
         assert step_signature(run_decision(pair, k, 1e-3).steps) == step_signature(expected), k
 
 
+def test_greedy_variable_choice_loses_no_pair():
+    # the walk peels the first variable whose slices match; at every level
+    # where another variable matches too, peeling that one instead and
+    # deciding the rest must still accept
+    alternatives = 0
+    for m in (2, 3):
+        for n in range(2, 9):
+            for mode in ("continuous", "discrete"):
+                for seed in range(3):
+                    pair, _ = oracle_pair(m, n, 7000 + 100 * m + 10 * n + seed, mode)
+                    trace = run_decision(pair, n, TOL)
+                    assert trace.accepted
+                    state = PairBox.from_pair(pair) or pair
+                    for step in trace.steps:
+                        if not isinstance(step, PhaseReduction):
+                            continue
+                        degs = engine.effective_degrees(state, TOL)
+                        for j in range(1, m + 1):
+                            phi = find_phase(state, j, degs[j - 1], TOL)
+                            if j == step.index or phi is None:
+                                continue
+                            alternatives += 1
+                            rest = reduce_step(state, j, phi).to_pair()
+                            assert decide(rest, step.steps_left - 1, TOL), (m, n, mode, seed, j)
+                        state = step.state
+    assert alternatives
+
+
 def test_equal_pairs_give_equal_traces():
     pair, _ = oracle_pair(2, 8, seed=5)
     twin = copy.deepcopy(pair)
@@ -767,9 +795,22 @@ def test_synthesize_roundtrip(seed, mode):
 # -- necessary-condition prefilter ------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed,m,n", [(0, 1, 3), (1, 2, 4), (2, 3, 6)])
-def test_check_necessary_accepts_oracle_pairs(seed, m, n):
-    pair, _ = oracle_pair(m, n, seed)
+@pytest.mark.parametrize("seed,m,n,mode", [
+    pytest.param(0, 1, 3, "continuous", id="0-1-3"),
+    pytest.param(1, 2, 4, "continuous", id="1-2-4"),
+    pytest.param(2, 3, 6, "continuous", id="2-3-6"),
+    # the deep benchmark cells, whose degrees the filters read off the
+    # stored terms of uncut evaluated pairs
+    pytest.param(3, 1, 40, "discrete", id="3-1-40-discrete"),
+    pytest.param(4, 2, 30, "discrete", id="4-2-30-discrete"),
+    pytest.param(5, 3, 20, "discrete", id="5-3-20-discrete"),
+    pytest.param(6, 4, 16, "discrete", id="6-4-16-discrete"),
+    # keeps a term of 2.1e-15 at a1^+-7 a2^+-9, the top exponents of a1 and
+    # a2, which cuts after every step dropped
+    pytest.param(504342, 4, 34, "continuous", id="504342-4-34"),
+])
+def test_check_necessary_accepts_oracle_pairs(seed, m, n, mode):
+    pair, _ = oracle_pair(m, n, seed, mode)
     report = check_necessary(pair, n, TOL)
     assert report.all_ok
     assert report.degrees == pair.p.degrees()

@@ -22,7 +22,7 @@ from mqsp import (
     signal_operator,
     z_rotation,
 )
-from mqsp import su2
+from mqsp import laurent, su2
 from helpers import (
     M20_CORNERS,
     SPAN_100001,
@@ -147,11 +147,16 @@ def test_evaluate_identity_padding():
 
 
 def matrix_oracle_top_row(seq: MqspSequence) -> PQPair:
-    """Top row of the full Mat2 product z(phi_0) A(s_1) z(phi_1) ... A(s_n) z(phi_n)."""
-    mat = z_rotation(seq.phases[0], seq.variables)
-    for phi, s in zip(seq.phases[1:], seq.indices):
-        mat = mat @ signal_operator(s, seq.variables) @ z_rotation(phi, seq.variables)
-    return PQPair(mat.a, mat.b)
+    """Top row of the full Mat2 product z(phi_0) A(s_1) z(phi_1) ... A(s_n) z(phi_n),
+    multiplied without cuts (a drop cutoff of 0 keeps every nonzero
+    coefficient) and cut once at the end, each entry at its own scale."""
+    m = seq.variables
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laurent, "DROP_EPS", 0.0)
+        mat = z_rotation(seq.phases[0], m)
+        for phi, s in zip(seq.phases[1:], seq.indices):
+            mat = mat @ signal_operator(s, m) @ z_rotation(phi, m)
+    return PQPair(LaurentPoly(m, mat.a.terms), LaurentPoly(m, mat.b.terms))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -260,25 +265,29 @@ def test_evaluated_boxes_are_mirror_images(m, mode):
 
 
 def test_phase_factor_cuts_like_the_matrix_product():
-    # e^{-0.514116 i} as evaluated in double precision: its modulus rounds
-    # just below 1, so a plain scalar product cuts at a smaller scale and
-    # keeps the tiny term; the matrix product with the z-rotation entry
-    # drops it, and so must the kernel
+    # P = 2 tiny (a^3 + a^-3) + 2 (a + a^-1) and Q = 0 as the half-box
+    # state, stepped along a by e^{i phi}: P's new coefficients are
+    # tiny e^{i phi} at a^+-4 and 2 e^{i phi} at the constant, and Q's are
+    # +-tiny e^{-i phi} at a^+-4 and at most 1 elsewhere
     phase = complex(0.8707277809370632, -0.49176532157566544)
-    tiny = complex(2.459462400377877e-16, 1.984820003680756e-15)
-    assert len(LaurentPoly(1, {(0,): 2.0, (4,): tiny}) * phase) == 2
-    # P = 2 tiny (a^3 + a^-3) + 2 (a + a^-1) and Q = 0, as the half-box
-    # state: P's cosine part is 2 at the constant and tiny at a^+-4, and its
-    # sine part, Q's new part, is at most 1, so the two components are cut
-    # at different scales throughout the step
-    halves, rows, scales = [2 * tiny, 2.0, 0j, 0j], (4,), (2.0, 1.0)
-    pair = su2._unfolded(halves, rows, scales).to_pair()
-    halves, rows, scales = su2._half_step(halves, rows, 0, phase, scales)
-    stepped, oracle = su2._unfolded(halves, rows, scales).to_pair(), pair._extend(1, phase)
+    tiny = complex(1.5e-15, 0.0)
+    halves, rows = [2 * tiny, 2.0, 0j, 0j], (4,)
+    pair = su2._unfolded(halves, rows).to_pair()
+    halves, rows = su2._half_step(halves, rows, 0, phase)
+    stepped = su2._unfolded(halves, rows).to_pair()
+    # the step cuts nothing: the tiny terms survive in both components,
+    # bitwise as the general products with a drop scale of 0 give them
+    assert (4,) in stepped.p.terms and (4,) in stepped.q.terms
+    oracle = pair._extend(1, phase)
     assert fingerprint(stepped.p) == fingerprint(oracle.p)
     assert fingerprint(stepped.q) == fingerprint(oracle.q)
-    assert (4,) not in stepped.p.terms and (4,) in stepped.q.terms
-    assert scales[0] > scales[1] == 1.0
+    # the end cut is made at each component's own scale, as LaurentPoly
+    # construction cuts: P's, about 2, drops the tiny term and Q's, 1,
+    # keeps it, where one scale for both would drop both or keep both
+    cut = su2._end_cut(stepped)
+    assert (4,) not in cut.p.terms and (4,) in cut.q.terms
+    assert fingerprint(cut.p) == fingerprint(LaurentPoly(1, stepped.p.terms))
+    assert fingerprint(cut.q) == fingerprint(LaurentPoly(1, stepped.q.terms))
 
 
 def test_sequence_validation():
