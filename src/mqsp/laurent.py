@@ -28,8 +28,8 @@ EPS = 1e-9
 #: construction.  Deliberately at the rounding floor, far below EPS: the
 #: cutoff only exists to keep exact cancellations from leaving machine junk
 #: in the sparse form.  The public operators cut after every operation;
-#: sequence evaluation multiplies without cuts and cuts once, at the end;
-#: the decision's peel does not cut, and truncates the rows its
+#: sequence evaluation multiplies a step without cuts and cuts once after
+#: it; the decision's peel does not cut, and truncates the rows its
 #: cancellation leaves instead.  Every dropped coefficient injects its
 #: magnitude as noise, and downstream phase extraction divides that noise
 #: by the top coefficient-slice magnitude, so dropping anywhere near EPS
@@ -178,7 +178,8 @@ class LaurentPoly:
         return NotImplemented
 
     # The operators with an explicit drop scale: a scale of 0 drops only
-    # exact zeros, which is how evaluation and the decision's peel multiply.
+    # exact zeros, which is how evaluation's step and the decision's peel
+    # multiply.
 
     def _sum(self, other: LaurentPoly, drop_scale: float) -> LaurentPoly:
         merged = dict(self.terms)

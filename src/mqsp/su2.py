@@ -11,11 +11,11 @@ box, where multiplying by (a_j +- a_j^{-1})/2 is one shift-add pass, and
 computes only the half of the box that the inversion symmetries do not
 fix; the decision in ``engine`` peels factors off with the same kernel.  A
 pair whose box would be mostly empty stays as ``LaurentPoly`` terms and uses
-the general products, which the kernel reproduces bit for bit.  Neither
-direction cuts a step: evaluation makes one ``DROP_EPS`` cut at the end.
-Multiplying the full ``Mat2`` factors out term by term without cuts, and
-cutting once at the end, is the independent test oracle; the public
-``Mat2`` product itself cuts after every operation.
+the general products, which the kernel reproduces bit for bit.  The peel
+makes no ``DROP_EPS`` cut; evaluation makes one per step, after the whole
+step.  Multiplying the full ``Mat2`` factors out term by term without cuts,
+and cutting the product once after each step, is the independent test
+oracle; the public ``Mat2`` product itself cuts after every operation.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 from itertools import compress, product, repeat
 from operator import add, mul, neg, sub
 
-from .laurent import EPS, LaurentPoly, _require_finite
+from .laurent import DROP_EPS, EPS, LaurentPoly, _require_finite
 
 
 #: Stores a field of a record from its constructor, past ``_Record.__setattr__``.
@@ -232,7 +232,8 @@ class PQPair(_Record):
 
     def _extend(self, j: int, phase: complex) -> PQPair:
         # evaluation's step once the pair has left its box: the general
-        # products with a drop scale of 0, as in _peel
+        # products with a drop scale of 0, as in _peel, and one cut of each
+        # component at its own scale, as LaurentPoly construction cuts
         m = self.variables
         cos_part, sin_part = half_sum(j, m), half_diff(j, m)
 
@@ -240,7 +241,8 @@ class PQPair(_Record):
             # (a c + b s) e; Q's sum q c + p s is the product's p s + q c,
             # since a sum of two terms commutes
             mixed = a._product(cos_part, 0.0)._sum(b._product(sin_part, 0.0), 0.0)
-            return mixed._product(LaurentPoly.constant(m, e), 0.0)
+            turned = mixed._product(LaurentPoly.constant(m, e), 0.0)
+            return LaurentPoly._from_arithmetic(m, turned.terms, max(1.0, turned.max_modulus()))
 
         return PQPair(stepped(self.p, self.q, phase), stepped(self.q, self.p, phase.conjugate()))
 
@@ -297,10 +299,10 @@ class PairBox:
     ``lows[i] + strides[i] * r``; the stride is 2 when all its exponents in P
     and Q share one parity, as in every realizable pair, and 1 otherwise.
     The lists are row-major, the last variable fastest, so flat order is
-    lexicographic exponent order.  Absent terms are exact zeros ``0j``, and
-    ``_moduli`` holds the largest |coefficient| of P and of Q.  ``sizes``,
-    when given, is |coefficient| of every slot of P, measured by the step
-    that built the box; otherwise it is measured once when first read.
+    lexicographic exponent order.  Absent terms are exact zeros ``0j``.
+    ``_moduli`` is the largest |coefficient| of P and of Q, and ``sizes``
+    |coefficient| of every slot of P; each is given when the step that built
+    the box measured it, and is otherwise measured once when first read.
 
     The box and ``PQPair`` provide the same storage primitives, over which
     the peel in ``engine`` is written once: ``_moduli``,
@@ -311,15 +313,17 @@ class PairBox:
     ``_truncated``.  ``evaluate_sequence`` holds only the first half of the
     slots of P and of Q, which fix the rest bitwise by the inversion
     symmetries of every pair it builds, and steps both with one ``_halves``
-    pass and no cuts either (``_half_step``).  It unfolds the whole box only
-    to trim zero end rows of the stepped variable and to convert it.  Either
-    way both layouts give bitwise the same values.
+    pass and one ``DROP_EPS`` cut of each (``_half_step``), as the general
+    products step the pair once it has left its box (``PQPair._extend``).
+    It unfolds the whole box only to trim zero end rows of the stepped
+    variable and to convert it.  Either way both layouts give bitwise the
+    same values.
     """
 
-    __slots__ = ("variables", "lows", "strides", "rows", "p", "q", "_moduli", "_sizes")
+    __slots__ = ("variables", "lows", "strides", "rows", "p", "q", "_tops", "_sizes")
 
-    def __init__(self, variables, lows, strides, rows, p, q, moduli, sizes=None):
-        self.variables, self.p, self.q, self._moduli = variables, p, q, moduli
+    def __init__(self, variables, lows, strides, rows, p, q, moduli=None, sizes=None):
+        self.variables, self.p, self.q, self._tops = variables, p, q, moduli
         self.lows, self.strides, self.rows = tuple(lows), tuple(strides), tuple(rows)
         self._sizes = sizes
 
@@ -374,6 +378,12 @@ class PairBox:
     __hash__ = None
 
     # -- storage primitives ---------------------------------------------------
+
+    @property
+    def _moduli(self) -> tuple[float, float]:
+        if self._tops is None:
+            self._tops = max(map(abs, self.p), default=0.0), max(map(abs, self.q), default=0.0)
+        return self._tops
 
     def _p_sizes(self) -> list[float]:
         if self._sizes is None:
@@ -456,9 +466,9 @@ class PairBox:
         p, q = self._rows(self.p, i, start, stop), self._rows(self.q, i, start, stop)
         sizes = self._sizes and self._rows(self._sizes, i, start, stop)
         # a dropped entry is at most the cutoff, so a larger modulus stays
-        moduli = tuple(
+        moduli = self._tops and tuple(
             modulus if cutoff < modulus else max(map(abs, values), default=0.0)
-            for modulus, values in zip(self._moduli, (p, q))
+            for modulus, values in zip(self._tops, (p, q))
         )
         return PairBox(self.variables, lows, self.strides, rows, p, q, moduli, sizes)
 
@@ -500,7 +510,7 @@ def _halves(values: list, chunk: int, pad: int) -> tuple[list, list]:
     chunks of ``chunk`` entries, one chunk per index of the axes before the
     stepped one, and each chunk grows by ``pad`` entries, one row of the
     stepped axis (two on a stride-1 axis), below and above.  The products
-    are not cut.
+    are not cut; evaluation's step cuts once, after the whole step.
 
     The product's coefficient at k is 0j + c[k - e] / 2 +- c[k + e] / 2,
     and c[k - e] sits one row (two on a stride-1 axis) below c[k + e] on
@@ -597,13 +607,17 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     starts as one slot and grows by one row per step (``_half_step``).  Its
     zero end rows are trimmed, and it is converted to ``LaurentPoly`` terms
     at the end, or as soon as it gets too sparse, after which the general
-    products take the remaining steps with a drop scale of 0.  No step cuts:
-    the one ``DROP_EPS`` cut is made at the end, on each component at
-    max(1, its own largest modulus), as ``LaurentPoly`` construction cuts.
-    Either way the result is bitwise the top row of the ``Mat2`` product of
-    ``z_rotation`` and ``signal_operator`` factors multiplied without cuts
-    (a drop scale of 0) and cut once in that way, which stays as the test
-    oracle.  For an empty sequence this is (e^{i phi_0}, 0).
+    products take the remaining steps (``PQPair._extend``).  A step
+    multiplies without cuts and then makes one ``DROP_EPS`` cut, on each
+    component at max(1, its own largest modulus), as ``LaurentPoly``
+    construction cuts.  That cut turns the rounding residue of exact
+    cancellations into exact zeros, which the trim and the sparse hand-off
+    count; kept to the end, the residue of a discrete-angle sequence on m
+    variables can fill all 2^m slots of its box.  Either way the result is
+    bitwise the top row of the ``Mat2`` product of ``z_rotation`` and
+    ``signal_operator`` factors multiplied without cuts (a drop scale of 0)
+    and cut in that way after each step, which stays as the test oracle.
+    For an empty sequence this is (e^{i phi_0}, 0).
 
     Only half of the box is computed.  Every box evaluation builds has
     lowest exponent -(rows - 1) on each axis, so the exponents k and -k sit
@@ -614,9 +628,10 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     rounding to nearest commutes with negation.  Every list of the step
     passes through 0j + x, or is a sum or difference of such lists, so no
     zero part is -0.0, and Q's coefficient at -k is 0j - v for v the one at
-    k.  So the state is the first ceil(N / 2) slots of P followed by those
-    of Q, and the whole box is unfolded from it only to trim rows, when the
-    half holds a zero, and to convert it.
+    k, which the cut keeps: a slot and its mirror have one modulus.  So the
+    state is the first ceil(N / 2) slots of P followed by those of Q, and
+    the whole box is unfolded from it only to trim rows, when the half
+    holds a zero, and to convert it.
     """
     start = cmath.exp(1j * seq.phases[0])
     halves, rows = [start, _ZERO], (1,) * seq.variables
@@ -625,7 +640,7 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
         halves, rows = _half_step(halves, rows, s - 1, cmath.exp(1j * phi))
         slots = terms = math.prod(rows)
         # only Q's middle slot, of an odd box, is always zero; any other
-        # zero may belong to an end row that cancelled exactly
+        # zero may belong to an end row that cancelled
         if halves.count(_ZERO) > slots % 2:
             box = _unfolded(halves, rows)._truncated(s, -1, 0.0)
             rows, slots = box.rows, len(box.p)
@@ -636,7 +651,7 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     pair = _unfolded(halves, rows).to_pair()
     for phi, s in steps:
         pair = pair._extend(s, cmath.exp(1j * phi))
-    return _end_cut(pair)
+    return pair
 
 
 def _half_step(halves: list, rows: tuple, i: int, phase: complex) -> tuple[list, tuple]:
@@ -650,7 +665,8 @@ def _half_step(halves: list, rows: tuple, i: int, phase: complex) -> tuple[list,
     together gives their cosine and sine parts; each component's cosine
     part meets the other's sine part, and the sums are turned by e^{i phi}
     and e^{-i phi} as 0j + x e^{+-i phi}, the product with a constant.
-    Nothing is cut.
+    Then each component is cut once, at ``DROP_EPS`` times max(1, its own
+    largest modulus): its values at or below that become 0j.
     """
     block = math.prod(rows[i + 1 :])
     grown = rows[:i] + (rows[i] + 1,) + rows[i + 1 :]
@@ -663,7 +679,15 @@ def _half_step(halves: list, rows: tuple, i: int, phase: complex) -> tuple[list,
     out = len(cos) // 2
     total = map(add, cos[:half] + cos[out : out + half], sin[out : out + half] + sin[:half])
     turns = [phase] * half + [phase.conjugate()] * half
-    return list(map(add, repeat(_ZERO), map(mul, total, turns))), grown
+    turned = list(map(add, repeat(_ZERO), map(mul, total, turns)))
+    stepped = []
+    for part in (turned[:half], turned[half:]):
+        sizes = list(map(abs, part))
+        cutoff = DROP_EPS * max(1.0, max(sizes))
+        if not min(filter(None, sizes), default=math.inf) > cutoff:
+            part = [value if size > cutoff else _ZERO for value, size in zip(part, sizes)]
+        stepped += part
+    return stepped, grown
 
 
 def _prefixes(halves: list, slots: int, length: int) -> tuple[list, list]:
@@ -680,22 +704,10 @@ def _prefixes(halves: list, slots: int, length: int) -> tuple[list, list]:
 
 
 def _unfolded(halves: list, rows: tuple) -> PairBox:
-    """The whole ``PairBox`` of a half-box state.  A slot and its mirror
-    have one modulus, so the box's ``_moduli`` are measured on the half."""
-    slots, m, size = math.prod(rows), len(rows), len(halves) // 2
+    """The whole ``PairBox`` of a half-box state."""
+    slots, m = math.prod(rows), len(rows)
     p, q = _prefixes(halves, slots, slots)
-    moduli = max(map(abs, halves[:size])), max(map(abs, halves[size:]))
-    return PairBox(m, [1 - r for r in rows], (2,) * m, rows, p, q, moduli)
-
-
-def _end_cut(pair: PQPair) -> PQPair:
-    """Evaluation's one ``DROP_EPS`` cut: each component at max(1, its own
-    largest modulus), as ``LaurentPoly`` construction cuts."""
-    m = pair.variables
-    return PQPair(*(
-        LaurentPoly._from_arithmetic(m, poly.terms, max(1.0, poly.max_modulus()))
-        for poly in (pair.p, pair.q)
-    ))
+    return PairBox(m, [1 - r for r in rows], (2,) * m, rows, p, q)
 
 
 def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float, float]:

@@ -265,8 +265,8 @@ def test_box_peel_is_bitwise_the_product_form(m, mode, scale):
 
 def test_box_steps_keep_signed_zeros_and_holes():
     # parts that are -0.0, slots of the box that hold no term, and phases in
-    # every quadrant: the peel on the box and evaluation's step give the
-    # un-cut general products' values, signs of zero parts included
+    # every quadrant: the peel on the box gives the un-cut general products'
+    # values and evaluation's step the cut ones, signs of zero parts included
     p = LaurentPoly(2, {
         (-1, 0): complex(-0.5, -0.0),
         (1, 0): complex(-0.5, -0.0),
@@ -800,13 +800,13 @@ def test_synthesize_roundtrip(seed, mode):
     pytest.param(1, 2, 4, "continuous", id="1-2-4"),
     pytest.param(2, 3, 6, "continuous", id="2-3-6"),
     # the deep benchmark cells, whose degrees the filters read off the
-    # stored terms of uncut evaluated pairs
+    # stored terms of evaluated pairs, cut once per step
     pytest.param(3, 1, 40, "discrete", id="3-1-40-discrete"),
     pytest.param(4, 2, 30, "discrete", id="4-2-30-discrete"),
     pytest.param(5, 3, 20, "discrete", id="5-3-20-discrete"),
     pytest.param(6, 4, 16, "discrete", id="6-4-16-discrete"),
-    # keeps a term of 2.1e-15 at a1^+-7 a2^+-9, the top exponents of a1 and
-    # a2, which cuts after every step dropped
+    # keeps a term of 1.6e-15 at a1^+-7 a2^+-9, the top exponents of a1 and
+    # a2, which cuts inside each step dropped
     pytest.param(504342, 4, 34, "continuous", id="504342-4-34"),
 ])
 def test_check_necessary_accepts_oracle_pairs(seed, m, n, mode):

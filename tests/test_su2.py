@@ -10,6 +10,7 @@ import pytest
 
 from mqsp import (
     LaurentPoly,
+    Mat2,
     MqspSequence,
     OracleConfig,
     PQPair,
@@ -148,15 +149,17 @@ def test_evaluate_identity_padding():
 
 def matrix_oracle_top_row(seq: MqspSequence) -> PQPair:
     """Top row of the full Mat2 product z(phi_0) A(s_1) z(phi_1) ... A(s_n) z(phi_n),
-    multiplied without cuts (a drop cutoff of 0 keeps every nonzero
-    coefficient) and cut once at the end, each entry at its own scale."""
+    each step A(s_k) z(phi_k) multiplied without cuts (a drop cutoff of 0
+    keeps every nonzero coefficient) and then cut once, each entry at its
+    own scale as LaurentPoly construction cuts."""
     m = seq.variables
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(laurent, "DROP_EPS", 0.0)
-        mat = z_rotation(seq.phases[0], m)
-        for phi, s in zip(seq.phases[1:], seq.indices):
+    mat = z_rotation(seq.phases[0], m)
+    for phi, s in zip(seq.phases[1:], seq.indices):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(laurent, "DROP_EPS", 0.0)
             mat = mat @ signal_operator(s, m) @ z_rotation(phi, m)
-    return PQPair(LaurentPoly(m, mat.a.terms), LaurentPoly(m, mat.b.terms))
+        mat = Mat2(*(LaurentPoly(m, entry.terms) for entry in (mat.a, mat.b, mat.c, mat.d)))
+    return PQPair(mat.a, mat.b)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -187,9 +190,8 @@ def test_both_layouts_evaluate_bitwise_the_matrix_oracle(m, mode, layout):
             assert fingerprint(kernel.q) == fingerprint(oracle.q)
 
 
-def test_evaluation_leaves_a_box_that_gets_sparse(monkeypatch):
-    # with zero phases, 20 signal operators on 20 variables multiply out to
-    # two terms each in P and Q, on a box of 2^20 slots
+def recorded_box_sizes(monkeypatch) -> list:
+    """The slot counts of the ``PairBox``es built from now on, as they are built."""
     built = []
 
     def record(box, *args):
@@ -198,12 +200,33 @@ def test_evaluation_leaves_a_box_that_gets_sparse(monkeypatch):
 
     original = su2.PairBox.__init__
     monkeypatch.setattr(su2.PairBox, "__init__", record)
+    return built
+
+
+def test_evaluation_leaves_a_box_that_gets_sparse(monkeypatch):
+    # with zero phases, 20 signal operators on 20 variables multiply out to
+    # two terms each in P and Q, on a box of 2^20 slots
+    built = recorded_box_sizes(monkeypatch)
     seq = MqspSequence(20, (0.0,) * 21, tuple(range(1, 21)))
     pair = evaluate_sequence(seq)
     corners = ((1,) * 20, (-1,) * 20)
     assert pair.p == LaurentPoly(20, dict(zip(corners, (0.5, 0.5))))
     assert pair.q == LaurentPoly(20, dict(zip(corners, (0.5, -0.5))))
     # two terms allow 8 slots: the first box past that, of 16, is left at once
+    assert max(built) == 16
+
+
+def test_evaluation_cuts_residue_so_the_box_gets_sparse(monkeypatch):
+    # e^{i pi/2} rounds to 6.1e-17 + 1j, so the exact cancellations of this
+    # sequence leave rounding residue in every slot that the zero-phase one
+    # leaves empty; each step's cut zeroes it, and the box is left as soon
+    # as for zero phases, where the residue kept would fill all 2^20 slots
+    built = recorded_box_sizes(monkeypatch)
+    seq = MqspSequence(20, (math.pi / 2,) * 21, tuple(range(1, 21)))
+    assert cmath.exp(1j * math.pi / 2).real != 0.0
+    pair = evaluate_sequence(seq)
+    corners = {(1, -1) * 10, (-1, 1) * 10}
+    assert pair.p.terms.keys() == pair.q.terms.keys() == corners
     assert max(built) == 16
 
 
@@ -264,7 +287,7 @@ def test_evaluated_boxes_are_mirror_images(m, mode):
     assert trimmed or mode == "continuous"
 
 
-def test_phase_factor_cuts_like_the_matrix_product():
+def test_phase_factor_cuts_like_the_matrix_product(monkeypatch):
     # P = 2 tiny (a^3 + a^-3) + 2 (a + a^-1) and Q = 0 as the half-box
     # state, stepped along a by e^{i phi}: P's new coefficients are
     # tiny e^{i phi} at a^+-4 and 2 e^{i phi} at the constant, and Q's are
@@ -275,19 +298,19 @@ def test_phase_factor_cuts_like_the_matrix_product():
     pair = su2._unfolded(halves, rows).to_pair()
     halves, rows = su2._half_step(halves, rows, 0, phase)
     stepped = su2._unfolded(halves, rows).to_pair()
-    # the step cuts nothing: the tiny terms survive in both components,
-    # bitwise as the general products with a drop scale of 0 give them
-    assert (4,) in stepped.p.terms and (4,) in stepped.q.terms
-    oracle = pair._extend(1, phase)
-    assert fingerprint(stepped.p) == fingerprint(oracle.p)
-    assert fingerprint(stepped.q) == fingerprint(oracle.q)
-    # the end cut is made at each component's own scale, as LaurentPoly
-    # construction cuts: P's, about 2, drops the tiny term and Q's, 1,
-    # keeps it, where one scale for both would drop both or keep both
-    cut = su2._end_cut(stepped)
-    assert (4,) not in cut.p.terms and (4,) in cut.q.terms
-    assert fingerprint(cut.p) == fingerprint(LaurentPoly(1, stepped.p.terms))
-    assert fingerprint(cut.q) == fingerprint(LaurentPoly(1, stepped.q.terms))
+    assert fingerprint(stepped.p) == fingerprint(pair._extend(1, phase).p)
+    assert fingerprint(stepped.q) == fingerprint(pair._extend(1, phase).q)
+    # the tiny terms survive the multiply in both components; the step's one
+    # cut is made at each component's own scale, as LaurentPoly construction
+    # cuts: P's, about 2, drops the tiny term and Q's, 1, keeps it, where one
+    # scale for both would drop both or keep both
+    monkeypatch.setattr(laurent, "DROP_EPS", 0.0)
+    uncut = pair._extend(1, phase)
+    monkeypatch.undo()
+    assert (4,) in uncut.p.terms and (4,) in uncut.q.terms
+    assert (4,) not in stepped.p.terms and (4,) in stepped.q.terms
+    assert fingerprint(stepped.p) == fingerprint(LaurentPoly(1, uncut.p.terms))
+    assert fingerprint(stepped.q) == fingerprint(LaurentPoly(1, uncut.q.terms))
 
 
 def test_sequence_validation():
