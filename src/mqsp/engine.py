@@ -14,9 +14,10 @@ zero Q).
 Every branch taken is recorded in a trace, from which one valid choice of
 angle and index parameters can be read off when the pair is accepted.  The
 level logic (degree scan, top-slice phase match, reduction, base case) is
-written once over the storage primitives of ``su2.PairBox`` and ``PQPair``:
-the pair is laid out once on its dense box, or kept as terms when that box
-would be mostly empty.
+written once over the storage primitives of ``su2.PairBox`` and ``PQPair``.
+The pair is laid out once: on the half box that evaluation steps, whose
+peel shares evaluation's step front, or as terms when the pair lacks the
+inversion symmetries or its box would be mostly empty.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import repeat
 from operator import mul, sub
 
 from .laurent import DROP_EPS, EPS
-from .su2 import MqspSequence, PairBox, PQPair, _Record, _set_field
+from .su2 import MqspSequence, PairBox, PQPair, _lattice, _Record, _set_field
 
 REASON_BASE = "final pair is not a pure phase rotation"
 REASON_DEGREE = "degree sum neither equals the step count nor leaves room for padding"
@@ -48,8 +49,9 @@ class PhaseReduction(_Record):
     """One signal operator peeled off variable ``index`` at angle ``phase``.
 
     ``state`` is the reduced pair in the layout the decision runs on (a
-    ``PairBox`` or a ``PQPair``); ``reduced`` converts it to a ``PQPair``
-    when read.  ``repr`` leaves ``state`` out.
+    ``PairBox``, which stores half of the box, or a ``PQPair``); ``reduced``
+    unfolds and converts it to a ``PQPair`` when read.  ``repr`` leaves
+    ``state`` out.
     """
 
     __slots__ = ("steps_left", "index", "phase", "state")
@@ -268,9 +270,11 @@ def run_decision(pair: PQPair, n: int, tol: float = EPS) -> DecisionTrace:
     ``n`` must be an integer (an ``int`` or any type ``operator.index``
     takes): a float, even an integral one, raises TypeError.
 
-    The pair is laid out once: on its ``PairBox`` unless that box would be
-    too sparse, in which case its ``LaurentPoly`` terms are peeled with the
-    general products (both give bitwise the same trace).
+    The pair is laid out once: on its ``PairBox`` when it is centred and
+    stride 2 on every axis, its P and Q are mirror images by value, and
+    the box is dense enough (``PairBox.from_pair``).  Otherwise its
+    ``LaurentPoly`` terms are peeled with the general products, which give
+    bitwise the same trace on a pair the box takes.
     """
     global _last_walk
     n = operator.index(n)
@@ -462,10 +466,12 @@ def qsp1_characterize(pair: PQPair, n: int, tol: float = EPS) -> bool:
 
 
 def term_bound(pair: PQPair) -> int:
-    """Number of slots of the pair's coefficient box (see ``PairBox``): the
-    product over variables of (span_j / stride_j + 1), with span_j the spread
-    of the j-exponents of P and Q and stride_j 2 when they share one parity,
-    else 1.  On a realizable pair this is prod_j (d_j + 1), the largest
-    number of terms either component can carry at its degrees.  The decision
-    runs in O(steps * variables * term_bound)."""
-    return math.prod(PairBox.lattice(pair)[2])
+    """Number of slots of the general lattice that holds the pair: the
+    product over variables of (span_j / stride_j + 1), with span_j the
+    spread of the j-exponents of P and Q and stride_j 2 when they share one
+    parity, else 1.  The unit-norm filter samples on this lattice.  On a
+    realizable pair it is the centred box the decision runs on (see
+    ``su2.PairBox``), of prod_j (d_j + 1) slots, the largest number of terms
+    either component can carry at its degrees.  The decision runs in
+    O(steps * variables * term_bound)."""
+    return math.prod(_lattice(pair)[2])

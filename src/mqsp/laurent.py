@@ -3,8 +3,9 @@
 Polynomials are stored as mappings from exponent tuples (one signed integer
 per variable) to complex coefficients.  This is the form of the public API,
 the JSON documents and the test oracles; sequence evaluation and the
-decision's peel run on the dense ``su2.PairBox`` instead, and use these
-general products only for pairs whose box would be mostly empty.  All values
+decision's peel run on the dense half box ``su2.PairBox`` instead, and use
+these general products only for pairs whose box would be mostly empty or
+that lack the inversion symmetries the half box relies on.  All values
 are immutable after construction and every operation returns a new
 polynomial, so instances can be shared freely between threads.
 

@@ -6,16 +6,18 @@ operator per variable, constant z-rotations, their matrix products, and the
 (-star(invert_vars(Q)), star(invert_vars(P))).
 
 ``evaluate_sequence`` carries only the top row.  It steps the pair on a
-``PairBox``, P and Q as flat coefficient lists on one shared parity-lattice
-box, where multiplying by (a_j +- a_j^{-1})/2 is one shift-add pass, and
-computes only the half of the box that the inversion symmetries do not
-fix; the decision in ``engine`` peels factors off with the same kernel.  A
-pair whose box would be mostly empty stays as ``LaurentPoly`` terms and uses
-the general products, which the kernel reproduces bit for bit.  The peel
-makes no ``DROP_EPS`` cut; evaluation makes one per step, after the whole
-step.  Multiplying the full ``Mat2`` factors out term by term without cuts,
-and cutting the product once after each step, is the independent test
-oracle; the public ``Mat2`` product itself cuts after every operation.
+``PairBox``: P and Q as flat coefficient lists on one centred stride-2 box,
+of which only the half that the inversion symmetries do not fix is stored,
+and where multiplying by (a_j +- a_j^{-1})/2 is one shift-add pass.  The
+decision in ``engine`` peels factors off the same half box with the same
+step front.  A pair whose box would be mostly empty, or that lacks the
+symmetries (a perturbed or hand-written document, say), stays as
+``LaurentPoly`` terms and uses the general products, which the kernel
+reproduces bit for bit.  The peel makes no ``DROP_EPS`` cut; evaluation
+makes one per step, after the whole step.  Multiplying the full ``Mat2``
+factors out term by term without cuts, and cutting the product once after
+each step, is the independent test oracle; the public ``Mat2`` product
+itself cuts after every operation.
 """
 
 from __future__ import annotations
@@ -161,14 +163,14 @@ class PQPair(_Record):
     which is |p|^2 + |q|^2 = 1 for variables on the unit circle; use
     ``is_normalized`` to test for it.  The identity is usually not
     multiplied out: |p|^2 + |q|^2 is sampled on a torus grid of
-    N_j = 2 r_j - 1 points per variable, for the r_j rows of the pair's
-    ``PairBox`` (its exponents at stride 1 or 2), which holds each of its
-    lags once.  ``is_normalized`` decides from Parseval bounds on those
-    samples and transforms back only when the bounds leave the verdict
-    open; ``normalization_defect`` always transforms back (see
+    N_j = 2 r_j - 1 points per variable, for the r_j rows of the general
+    lattice that holds the pair (its exponents at stride 1 or 2), which
+    holds each of its lags once.  ``is_normalized`` decides from Parseval
+    bounds on those samples and transforms back only when the bounds leave
+    the verdict open; ``normalization_defect`` always transforms back (see
     ``_unit_norm_deviation``).  That costs O(G * sum_j N_j) for a grid of
     G = prod_j N_j points instead of the product's O(L^2) in the term count
-    L.  A pair too sparse for its box, by the slots-per-term rule that
+    L.  A pair too sparse for its lattice, by the slots-per-term rule that
     evaluation and the decision use, is multiplied out instead.
     """
 
@@ -293,82 +295,63 @@ _HALF = complex(0.5)
 
 
 class PairBox:
-    """P and Q of one pair as flat coefficient lists on one shared box.
+    """P and Q of one pair with the inversion symmetries, on one centred box.
 
-    Variable i + 1 has ``rows[i]`` rows at the exponents
-    ``lows[i] + strides[i] * r``; the stride is 2 when all its exponents in P
-    and Q share one parity, as in every realizable pair, and 1 otherwise.
-    The lists are row-major, the last variable fastest, so flat order is
-    lexicographic exponent order.  Absent terms are exact zeros ``0j``.
-    ``_moduli`` is the largest |coefficient| of P and of Q, and ``sizes``
-    |coefficient| of every slot of P; each is given when the step that built
-    the box measured it, and is otherwise measured once when first read.
+    Variable i + 1 has ``rows[i]`` rows at the exponents 1 - r, 3 - r, ...,
+    r - 1 for r = ``rows[i]``.  In row-major order, the last variable
+    fastest, flat order is lexicographic exponent order, and the exponents k
+    and -k sit at the flat slots f and N - 1 - f of the N slots.  Both
+    directions keep P(a^{-1}) = P(a) and Q(a^{-1}) = -Q(a) bitwise: P's
+    coefficient at -k is the one at k, and Q's is 0j minus it (see
+    ``evaluate_sequence``).  So ``halves`` holds only the first ceil(N / 2)
+    slots of P followed by those of Q, and the rest is their mirror image
+    (``_prefixes``).  Absent terms are exact zeros ``0j``.  ``_moduli`` is
+    the largest |coefficient| of P and of Q, read from the moduli of the
+    stored slots, which the peel or the trim that built the box gives and
+    which are otherwise measured once, when first read.  The peel keeps the
+    symmetries as evaluation's step does: its value at -k is the same sum
+    as at k with its terms swapped, or negated for Q, and ``_turned`` keeps
+    an empty slot from gaining a -0.0 part.
 
     The box and ``PQPair`` provide the same storage primitives, over which
     the peel in ``engine`` is written once: ``_moduli``,
     ``_visible_degrees``, ``_top_slices``, ``_origin``, ``_peel``,
-    ``_truncated`` and ``to_pair``.  The peel steps the box with one
-    shift-add pass (``_halves``) per component and no cuts, as the general
-    products multiply with a drop scale of 0, and leaves the residue rows to
-    ``_truncated``.  ``evaluate_sequence`` holds only the first half of the
-    slots of P and of Q, which fix the rest bitwise by the inversion
-    symmetries of every pair it builds, and steps both with one ``_halves``
-    pass and one ``DROP_EPS`` cut of each (``_half_step``), as the general
-    products step the pair once it has left its box (``PQPair._extend``).
-    It unfolds the whole box only to trim zero end rows of the stepped
-    variable and to convert it.  Either way both layouts give bitwise the
-    same values.
+    ``_truncated`` and ``to_pair``.  Evaluation's ``_step`` and the
+    decision's ``_peel`` share one front (``_front``): the input prefix the
+    new half depends on, and one ``_halves`` pass over P and Q together.
+    Each direction then combines the parts its own way, as the general
+    products do (``PQPair._extend`` and ``PQPair._peel``), so both layouts
+    give bitwise the same values.
     """
 
-    __slots__ = ("variables", "lows", "strides", "rows", "p", "q", "_tops", "_sizes")
+    __slots__ = ("variables", "rows", "halves", "_tops", "_sizes")
 
-    def __init__(self, variables, lows, strides, rows, p, q, moduli=None, sizes=None):
-        self.variables, self.p, self.q, self._tops = variables, p, q, moduli
-        self.lows, self.strides, self.rows = tuple(lows), tuple(strides), tuple(rows)
-        self._sizes = sizes
-
-    @staticmethod
-    def lattice(pair: PQPair) -> tuple[list[int], list[int], list[int]]:
-        """Lowest exponent, stride and row count per variable of the box
-        that holds ``pair``."""
-        lows, strides, rows = [], [], []
-        for column in list(zip(*pair.p.terms, *pair.q.terms)) or [(0,)] * pair.variables:
-            low = min(column)
-            stride = 2 if len(set(map((1).__and__, column))) == 1 else 1
-            lows.append(low)
-            strides.append(stride)
-            rows.append((max(column) - low) // stride + 1)
-        return lows, strides, rows
+    def __init__(self, rows, halves, sizes=None):
+        self.variables, self.rows, self.halves = len(rows), tuple(rows), halves
+        self._tops, self._sizes = None, sizes
 
     @classmethod
     def from_pair(cls, pair: PQPair) -> PairBox | None:
-        """The pair on its box, or None when the box would have more than
-        ``_BOX_PER_TERM`` slots per stored term."""
-        lows, strides, rows = cls.lattice(pair)
-        if _too_sparse(math.prod(rows), max(len(pair.p), len(pair.q))):
+        """The pair on its box, or None unless the pair's lattice has stride
+        2 and is centred on every axis, its placed P and Q are mirror images
+        by value (P's slot f equals slot N - 1 - f, Q's is its negation) and
+        the box has at most ``_BOX_PER_TERM`` slots per stored term."""
+        lows, strides, rows = _lattice(pair)
+        centred = strides == [2] * pair.variables and lows == [1 - r for r in rows]
+        if not centred or _too_sparse(math.prod(rows), max(len(pair.p), len(pair.q))):
             return None
-        return cls._placed(pair, lows, strides, rows)
-
-    @classmethod
-    def _placed(cls, pair: PQPair, lows, strides, rows) -> PairBox:
-        lists = []
-        for poly in (pair.p, pair.q):
-            index = [0] * len(poly)
-            for column, low, stride, n in zip(zip(*poly.terms), lows, strides, rows):
-                index = [at * n + (e - low) // stride for at, e in zip(index, column)]
-            values = [0j] * math.prod(rows)
-            for at, coeff in zip(index, poly.terms.values()):
-                values[at] = coeff
-            lists.append(values)
-        return cls(pair.variables, lows, strides, rows, *lists, pair._moduli)
+        p, q = _placed(pair, lows, strides, rows)
+        if p != p[::-1] or q != list(map(neg, reversed(q))):
+            return None
+        half = (len(p) + 1) // 2
+        return cls(rows, p[:half] + q[:half])
 
     def to_pair(self) -> PQPair:
-        stops = map(add, self.lows, map(mul, self.strides, self.rows))
-        keys = list(product(*map(range, self.lows, stops, self.strides)))
-        p = dict(compress(zip(keys, self.p), self.p))
-        q = dict(compress(zip(keys, self.q), self.q))
+        keys = list(product(*(range(1 - n, n, 2) for n in self.rows)))
+        p, q = self._prefixes(math.prod(self.rows))
         m = self.variables
-        return PQPair(LaurentPoly._from_arithmetic(m, p, 0.0), LaurentPoly._from_arithmetic(m, q, 0.0))
+        p = LaurentPoly._from_arithmetic(m, dict(compress(zip(keys, p), p)), 0.0)
+        return PQPair(p, LaurentPoly._from_arithmetic(m, dict(compress(zip(keys, q), q)), 0.0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (PairBox, PQPair)):
@@ -379,108 +362,147 @@ class PairBox:
 
     # -- storage primitives ---------------------------------------------------
 
+    def _half_sizes(self) -> list[float]:
+        """|coefficient| of every slot of ``halves``."""
+        if self._sizes is None:
+            self._sizes = list(map(abs, self.halves))
+        return self._sizes
+
     @property
     def _moduli(self) -> tuple[float, float]:
         if self._tops is None:
-            self._tops = max(map(abs, self.p), default=0.0), max(map(abs, self.q), default=0.0)
+            sizes = self._half_sizes()
+            half = len(sizes) // 2
+            self._tops = max(sizes[:half], default=0.0), max(sizes[half:], default=0.0)
         return self._tops
-
-    def _p_sizes(self) -> list[float]:
-        if self._sizes is None:
-            self._sizes = list(map(abs, self.p))
-        return self._sizes
 
     def _visible_degrees(self, cutoff: float) -> tuple[int, ...] | None:
         if not self._moduli[0] > cutoff:
             return None
-        sizes = self._p_sizes()
+        # rows k and -k hold the same moduli, so the first visible row of
+        # an axis gives its degree
+        sizes = self._half_sizes()[: len(self.halves) // 2]
+        sizes += sizes[: math.prod(self.rows) // 2][::-1]
         degrees = []
-        for i, low, stride in zip(range(self.variables), self.lows, self.strides):
-            # the largest |exponent| sits in the first or the last visible row
-            first, last = 0, self.rows[i] - 1
+        for i, n in enumerate(self.rows):
+            first = 0
             while not max(self._rows(sizes, i, first, first + 1)) > cutoff:
                 first += 1
-            while not max(self._rows(sizes, i, last, last + 1)) > cutoff:
-                last -= 1
-            degrees.append(max(abs(low + stride * first), abs(low + stride * last)))
+            degrees.append(n - 1 - 2 * first)
         return tuple(degrees)
 
     def _top_slices(self, j: int, exponent: int) -> tuple[list, list]:
-        i = j - 1
-        r, off = divmod(exponent - self.lows[i], self.strides[i])
-        if off or not 0 <= r < self.rows[i]:
+        i, n = j - 1, self.rows[j - 1]
+        r, off = divmod(exponent + n - 1, 2)
+        if off or not 0 <= r < n:
             return [], []
-        return self._rows(self.p, i, r, r + 1), self._rows(self.q, i, r, r + 1)
+        p, q = self._prefixes(math.prod(self.rows))
+        return self._rows(p, i, r, r + 1), self._rows(q, i, r, r + 1)
 
     def _origin(self) -> tuple[complex, float]:
-        sizes = self._p_sizes()
-        index = 0
-        for low, stride, n in zip(self.lows, self.strides, self.rows):
-            r, off = divmod(-low, stride)
-            if off or not 0 <= r < n:
-                return 0j, max(sizes, default=0.0)
-            index = index * n + r
-        sizes = sizes.copy()
-        sizes[index] = 0.0
-        return self.p[index], max(sizes)
+        # the constant, when every axis has an odd row count, is the middle
+        # slot: the last of P's half
+        sizes = self._half_sizes()
+        half = len(sizes) // 2
+        if math.prod(self.rows) % 2:
+            return self.halves[half - 1], max(sizes[: half - 1], default=0.0)
+        return _ZERO, max(sizes[:half], default=0.0)
 
     def _peel(self, j: int, e: complex) -> PairBox:
-        i = j - 1
+        # P and Q turned, then subtracted, with no cut, as the general
+        # products with a drop scale of 0
+        grown, p_cos, q_cos, p_sin, q_sin = self._front(j - 1)
         ec = e.conjugate()
-        block = math.prod(self.rows[i + 1 :])
-        chunk, pad = self.rows[i] * block, (3 - self.strides[i]) * block
-        p_cos, p_sin = _halves(self.p, chunk, pad)
-        q_cos, q_sin = _halves(self.q, chunk, pad)
-        p = list(map(sub, _turned(p_cos, ec), _turned(q_sin, e)))
-        q = list(map(sub, _turned(q_cos, e), _turned(p_sin, ec)))
-        sizes, q_sizes = list(map(abs, p)), list(map(abs, q))
-        _require_finite(p, sizes)
-        _require_finite(q, q_sizes)
-        return self._stepped(i, p, q, (max(sizes), max(q_sizes)), sizes)
+        halves = list(map(sub, _turned(p_cos, ec), _turned(q_sin, e)))
+        halves += map(sub, _turned(q_cos, e), _turned(p_sin, ec))
+        sizes = list(map(abs, halves))
+        _require_finite(halves, sizes)
+        return PairBox(grown, halves, sizes)
 
     def _truncated(self, j: int, top: int, cutoff: float) -> PairBox:
         """The box without the rows of variable ``j`` beyond +-``top`` whose
         entries in P and Q are all at or below ``cutoff``, trimmed from both
         ends of the axis: from either end, the first row within +-``top`` or
         with an entry above the cutoff stops the trim.  With ``top`` below 0
-        any row can go."""
-        i = j - 1
-        low, stride = self.lows[i], self.strides[i]
-
-        def hidden(r: int) -> bool:
-            return abs(low + stride * r) > top and all(
-                all(map(cutoff.__ge__, map(abs, self._rows(values, i, r, r + 1))))
-                for values in (self.p, self.q)
-            )
-
-        start, stop = 0, self.rows[i]
-        while start < stop and hidden(start):
-            start += 1
-        while start < stop and hidden(stop - 1):
-            stop -= 1
-        if stop - start == self.rows[i]:
+        any row can go.  Rows r and -r hold the same moduli, so they go in
+        mirrored pairs."""
+        i, n = j - 1, self.rows[j - 1]
+        slots, size = math.prod(self.rows), len(self.halves) // 2
+        sizes = self._half_sizes()
+        whole = [part + part[: slots // 2][::-1] for part in (sizes[:size], sizes[size:])]
+        trim = 0
+        while 2 * trim < n and n - 1 - 2 * trim > top and not any(
+            max(self._rows(part, i, trim, trim + 1), default=0.0) > cutoff for part in whole
+        ):
+            trim += 1
+        if not trim:
             return self
-        lows, rows = list(self.lows), list(self.rows)
-        lows[i] += start * stride
-        rows[i] = stop - start
-        p, q = self._rows(self.p, i, start, stop), self._rows(self.q, i, start, stop)
-        sizes = self._sizes and self._rows(self._sizes, i, start, stop)
-        # a dropped entry is at most the cutoff, so a larger modulus stays
-        moduli = self._tops and tuple(
-            modulus if cutoff < modulus else max(map(abs, values), default=0.0)
-            for modulus, values in zip(self._tops, (p, q))
+        rows = list(self.rows)
+        rows[i] = max(0, n - 2 * trim)
+        half = (math.prod(rows) + 1) // 2
+        p, q, p_sizes, q_sizes = (
+            self._rows(values, i, trim, trim + rows[i])[:half]
+            for values in (*self._prefixes(slots), *whole)
         )
-        return PairBox(self.variables, lows, self.strides, rows, p, q, moduli, sizes)
+        return PairBox(rows, p + q, p_sizes + q_sizes)
+
+    # -- the step front -------------------------------------------------------
+
+    def _step(self, j: int, phase: complex) -> PairBox:
+        """One evaluation step along variable ``j``: P and Q times the cosine
+        and sine parts, each component's cosine part plus the other's sine
+        part, turned by e^{i phi} and e^{-i phi} as 0j + x e^{+-i phi}, the
+        product with a constant.  Then each component is cut once, at
+        ``DROP_EPS`` times max(1, its own largest modulus): its values at or
+        below that become 0j."""
+        grown, p_cos, q_cos, p_sin, q_sin = self._front(j - 1)
+        half = len(p_cos)
+        turns = [phase] * half + [phase.conjugate()] * half
+        total = map(add, p_cos + q_cos, q_sin + p_sin)
+        turned = list(map(add, repeat(_ZERO), map(mul, total, turns)))
+        halves = []
+        for part in (turned[:half], turned[half:]):
+            sizes = list(map(abs, part))
+            cutoff = DROP_EPS * max(1.0, max(sizes))
+            if not min(filter(None, sizes), default=math.inf) > cutoff:
+                part = [value if size > cutoff else _ZERO for value, size in zip(part, sizes)]
+            halves += part
+        return PairBox(grown, halves)
+
+    def _front(self, i: int) -> tuple:
+        """The rows of the box grown by one row along axis ``i``, and the
+        first half of the product's slots of P and of Q times (a + a^{-1})/2
+        and times (a - a^{-1})/2: P's cosine part, Q's, P's sine part, Q's.
+
+        The front reads the input rows that the new half depends on: the
+        chunks of the axes before ``i`` up to the one the half ends in, or
+        the first rows of the only chunk it touches, and gives them to one
+        ``_halves`` call on P and Q together."""
+        rows = self.rows
+        block = math.prod(rows[i + 1 :])
+        grown = rows[:i] + (rows[i] + 1,) + rows[i + 1 :]
+        half = (math.prod(grown) + 1) // 2
+        # rows 0 to r of the stepped axis give rows 0 to r of the product
+        chunk = min(rows[i], (half - 1) // block + 1) * block
+        length = ((half - 1) // (grown[i] * block) + 1) * chunk
+        p, q = self._prefixes(length)
+        cos, sin = _halves(p + q, chunk, block)
+        out = len(cos) // 2
+        return grown, cos[:half], cos[out : out + half], sin[:half], sin[out : out + half]
 
     # -- the box geometry -------------------------------------------------------
 
-    def _stepped(self, i: int, p: list, q: list, moduli: tuple, sizes=None) -> PairBox:
-        """The box of a step along axis ``i``, one exponent lower and one
-        higher on that axis, holding the new P and Q."""
-        lows, rows = list(self.lows), list(self.rows)
-        lows[i] -= 1
-        rows[i] += 3 - self.strides[i]
-        return PairBox(self.variables, lows, self.strides, rows, p, q, moduli, sizes)
+    def _prefixes(self, length: int) -> tuple[list, list]:
+        """The first ``length`` slots of P and of Q: past the half, P's
+        mirror images and 0j minus Q's."""
+        halves, size = self.halves, len(self.halves) // 2
+        if length <= size:
+            return halves[:length], halves[size : size + length]
+        slots = math.prod(self.rows)
+        p, q = halves[:size], halves[size:]
+        p += p[slots - length : slots - size][::-1]
+        q += map(sub, repeat(_ZERO), q[slots - length : slots - size][::-1])
+        return p, q
 
     def _rows(self, values: list, i: int, start: int, stop: int) -> list:
         """The entries of ``values`` in rows ``start`` to ``stop`` - 1 of
@@ -509,15 +531,15 @@ def _halves(values: list, chunk: int, pad: int) -> tuple[list, list]:
     variable of one box axis: the step kernel.  ``values`` is a run of
     chunks of ``chunk`` entries, one chunk per index of the axes before the
     stepped one, and each chunk grows by ``pad`` entries, one row of the
-    stepped axis (two on a stride-1 axis), below and above.  The products
-    are not cut; evaluation's step cuts once, after the whole step.
+    stepped axis, below and above.  The products are not cut; evaluation's
+    step cuts once, after the whole step.
 
     The product's coefficient at k is 0j + c[k - e] / 2 +- c[k + e] / 2,
-    and c[k - e] sits one row (two on a stride-1 axis) below c[k + e] on
-    the grown axis.  So the halved input is padded with zero rows below and
-    above, and one pass adds the two copies, another subtracts them.
-    Adding two terms commutes, and subtracting c[k + e] / 2 instead of
-    adding c[k + e] * (-0.5) changes at most the sign of a zero part, which
+    and c[k - e] sits one row below c[k + e] on the grown axis.  So the
+    halved input is padded with zero rows below and above, and one pass
+    adds the two copies, another subtracts them.  Adding two terms
+    commutes, and subtracting c[k + e] / 2 instead of adding
+    c[k + e] * (-0.5) changes at most the sign of a zero part, which
     vanishes in the sum (the first term, 0j + x, has no -0.0 part), so the
     values are bitwise the product's.  The copies are placed one chunk at
     a time, or, when the chunks outnumber the entries of one, one extended
@@ -603,8 +625,8 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
 
     Only the top row is carried: each step maps (p, q) to
     ((p c + q s) e^{i phi}, (p s + q c) e^{-i phi}) with c, s the cosine and
-    sine parts of A(s_k).  The pair lives on a stride-2 ``PairBox`` that
-    starts as one slot and grows by one row per step (``_half_step``).  Its
+    sine parts of A(s_k).  The pair lives on a ``PairBox`` that starts as
+    one slot and grows by one row per step (``PairBox._step``).  Its
     zero end rows are trimmed, and it is converted to ``LaurentPoly`` terms
     at the end, or as soon as it gets too sparse, after which the general
     products take the remaining steps (``PQPair._extend``).  A step
@@ -629,93 +651,67 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     passes through 0j + x, or is a sum or difference of such lists, so no
     zero part is -0.0, and Q's coefficient at -k is 0j - v for v the one at
     k, which the cut keeps: a slot and its mirror have one modulus.  So the
-    state is the first ceil(N / 2) slots of P followed by those of Q, and
-    the whole box is unfolded from it only to trim rows, when the half
-    holds a zero, and to convert it.
+    state is the half box, the first ceil(N / 2) slots of P followed by
+    those of Q, and the whole box is unfolded from it only to trim rows,
+    when the half holds a zero, and to convert it.
     """
-    start = cmath.exp(1j * seq.phases[0])
-    halves, rows = [start, _ZERO], (1,) * seq.variables
+    box = PairBox((1,) * seq.variables, [cmath.exp(1j * seq.phases[0]), _ZERO])
     steps = zip(seq.phases[1:], seq.indices)
     for phi, s in steps:
-        halves, rows = _half_step(halves, rows, s - 1, cmath.exp(1j * phi))
-        slots = terms = math.prod(rows)
+        box = box._step(s, cmath.exp(1j * phi))
+        slots = terms = math.prod(box.rows)
         # only Q's middle slot, of an odd box, is always zero; any other
         # zero may belong to an end row that cancelled
-        if halves.count(_ZERO) > slots % 2:
-            box = _unfolded(halves, rows)._truncated(s, -1, 0.0)
-            rows, slots = box.rows, len(box.p)
-            terms = max(slots - box.p.count(_ZERO), slots - box.q.count(_ZERO))
-            halves = box.p[: (slots + 1) // 2] + box.q[: (slots + 1) // 2]
+        if box.halves.count(_ZERO) > slots % 2:
+            box = box._truncated(s, -1, 0.0)
+            slots = math.prod(box.rows)
+            terms = slots - min(values.count(_ZERO) for values in box._prefixes(slots))
         if _too_sparse(slots, terms):
             break
-    pair = _unfolded(halves, rows).to_pair()
+    pair = box.to_pair()
     for phi, s in steps:
         pair = pair._extend(s, cmath.exp(1j * phi))
     return pair
 
 
-def _half_step(halves: list, rows: tuple, i: int, phase: complex) -> tuple[list, tuple]:
-    """One evaluation step along axis ``i`` of the half-box state ``halves``
-    (see ``evaluate_sequence``) on a box with ``rows``: the new state and
-    its rows.
-
-    The step reads the input rows that the new half depends on: the chunks
-    of the axes before ``i`` up to the one the half ends in, or the first
-    rows of the only chunk it touches.  One ``_halves`` call on P and Q
-    together gives their cosine and sine parts; each component's cosine
-    part meets the other's sine part, and the sums are turned by e^{i phi}
-    and e^{-i phi} as 0j + x e^{+-i phi}, the product with a constant.
-    Then each component is cut once, at ``DROP_EPS`` times max(1, its own
-    largest modulus): its values at or below that become 0j.
-    """
-    block = math.prod(rows[i + 1 :])
-    grown = rows[:i] + (rows[i] + 1,) + rows[i + 1 :]
-    half = (math.prod(grown) + 1) // 2
-    # rows 0 to r of the stepped axis give rows 0 to r of the product
-    chunk = min(rows[i], (half - 1) // block + 1) * block
-    length = ((half - 1) // (grown[i] * block) + 1) * chunk
-    p, q = _prefixes(halves, math.prod(rows), length)
-    cos, sin = _halves(p + q, chunk, block)
-    out = len(cos) // 2
-    total = map(add, cos[:half] + cos[out : out + half], sin[out : out + half] + sin[:half])
-    turns = [phase] * half + [phase.conjugate()] * half
-    turned = list(map(add, repeat(_ZERO), map(mul, total, turns)))
-    stepped = []
-    for part in (turned[:half], turned[half:]):
-        sizes = list(map(abs, part))
-        cutoff = DROP_EPS * max(1.0, max(sizes))
-        if not min(filter(None, sizes), default=math.inf) > cutoff:
-            part = [value if size > cutoff else _ZERO for value, size in zip(part, sizes)]
-        stepped += part
-    return stepped, grown
+def _lattice(pair: PQPair) -> tuple[list[int], list[int], list[int]]:
+    """Lowest exponent, stride and row count per variable of the general
+    lattice that holds ``pair``: the stride is 2 when all the variable's
+    exponents in P and Q share one parity, as in every realizable pair, and
+    1 otherwise."""
+    lows, strides, rows = [], [], []
+    for column in list(zip(*pair.p.terms, *pair.q.terms)) or [(0,)] * pair.variables:
+        low = min(column)
+        stride = 2 if len(set(map((1).__and__, column))) == 1 else 1
+        lows.append(low)
+        strides.append(stride)
+        rows.append((max(column) - low) // stride + 1)
+    return lows, strides, rows
 
 
-def _prefixes(halves: list, slots: int, length: int) -> tuple[list, list]:
-    """The first ``length`` slots of P and of Q on a box of ``slots`` slots,
-    from the half-box state ``halves``: past the half, P's mirror images
-    and 0j minus Q's."""
-    size = len(halves) // 2
-    if length <= size:
-        return halves[:length], halves[size : size + length]
-    p, q = halves[:size], halves[size:]
-    p += p[slots - length : slots - size][::-1]
-    q += map(sub, repeat(_ZERO), q[slots - length : slots - size][::-1])
-    return p, q
-
-
-def _unfolded(halves: list, rows: tuple) -> PairBox:
-    """The whole ``PairBox`` of a half-box state."""
-    slots, m = math.prod(rows), len(rows)
-    p, q = _prefixes(halves, slots, slots)
-    return PairBox(m, [1 - r for r in rows], (2,) * m, rows, p, q)
+def _placed(pair: PQPair, lows, strides, rows) -> list[list]:
+    """P and Q as flat row-major coefficient lists on the lattice with
+    ``lows``, ``strides`` and ``rows``; absent terms are exact zeros 0j."""
+    lists = []
+    for poly in (pair.p, pair.q):
+        index = [0] * len(poly)
+        for column, low, stride, n in zip(zip(*poly.terms), lows, strides, rows):
+            index = [at * n + (e - low) // stride for at, e in zip(index, column)]
+        values = [0j] * math.prod(rows)
+        for at, coeff in zip(index, poly.terms.values()):
+            values[at] = coeff
+        lists.append(values)
+    return lists
 
 
 def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float, float]:
     """Largest deviation of a coefficient of p*p~ + q*q~ from the constant 1,
     and the coefficient scale max(1, max |coefficient|).
 
-    On the unit torus p*p~ + q*q~ equals |p|^2 + |q|^2.  On the pair's
-    ``PairBox`` variable j has r_j rows at stride 1 or 2, so in
+    On the unit torus p*p~ + q*q~ equals |p|^2 + |q|^2.  On the general
+    lattice that holds the pair (``_lattice``), which need not be centred or
+    have the inversion symmetries, variable j has r_j rows at stride 1 or 2,
+    so in
     b_j = a_j^stride_j, with P and Q shifted to b-exponents 0..r_j - 1 (a
     unimodular factor on the torus), every lag of |p|^2 + |q|^2 lies in
     [-(r_j - 1), r_j - 1].  So P and Q are evaluated on N_j = 2 r_j - 1
@@ -731,26 +727,26 @@ def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float,
     verdict; the transform back, and its twiddles, are built only when the
     bounds leave it open.
 
-    A pair too sparse for its box (``PairBox.from_pair`` returns None, the
-    rule that evaluation and the decision use) is multiplied out instead;
-    both ways are exact up to rounding.
+    A pair too sparse for its lattice, by the slots-per-term rule that
+    evaluation and the decision use (``_too_sparse``), is multiplied out
+    instead; both ways are exact up to rounding.
     """
-    box = PairBox.from_pair(pair)
-    if box is None:
+    lows, strides, counts = _lattice(pair)
+    if _too_sparse(math.prod(counts), max(len(pair.p), len(pair.q))):
         p, q = pair.p, pair.q
         combo = p * p.torus_conjugate() + q * q.torus_conjugate()
         one = LaurentPoly.constant(pair.variables, 1.0)
         return combo.max_deviation(one), max(1.0, combo.max_modulus())
     roots = [
         [cmath.exp(2j * math.pi * k / (2 * rows - 1)) for k in range(2 * rows - 1)]
-        for rows in box.rows
+        for rows in counts
     ]
     forward = [
         [[row[t * u % len(row)] for u in range(rows)] for t in range(len(row))]
-        for row, rows in zip(roots, box.rows)
+        for row, rows in zip(roots, counts)
     ]
     samples = repeat(0.0)
-    for values in (box.p, box.q):
+    for values in _placed(pair, lows, strides, counts):
         values = _separable_transform(values, forward)
         samples = [f + v.real * v.real + v.imag * v.imag for f, v in zip(samples, values)]
 
@@ -759,7 +755,7 @@ def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float,
         if bounds is not None:
             return bounds
     inverse = []
-    for i, (row, rows) in enumerate(zip(roots, box.rows)):
+    for i, (row, rows) in enumerate(zip(roots, counts)):
         n = len(row)
         # Hermitian: lags 0..rows - 1 suffice on the last axis
         lags = range(rows if i == len(roots) - 1 else n)

@@ -116,4 +116,4 @@ def no_box(monkeypatch):
     def refuse(*args):
         raise AssertionError("laid out on a dense box")
 
-    monkeypatch.setattr(su2.PairBox, "_placed", classmethod(refuse))
+    monkeypatch.setattr(su2, "_placed", refuse)

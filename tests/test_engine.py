@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import copy
+import json
 import math
 import sys
 import threading
@@ -16,6 +17,7 @@ from mqsp import (
     LaurentPoly,
     MqspSequence,
     NecessaryReport,
+    OracleConfig,
     PhaseReduction,
     PQPair,
     Reject,
@@ -35,7 +37,7 @@ from mqsp import (
     term_bound,
     z_rotation,
 )
-from mqsp import engine, laurent, su2
+from mqsp import documents, engine, laurent, su2
 from mqsp.engine import REASON_BASE, REASON_DEGREE, REASON_PHASE
 from mqsp.fixtures import counterexample_pair, identity_pair, signal_pair
 from mqsp.su2 import PairBox
@@ -89,14 +91,23 @@ def test_find_phase_ties_do_not_depend_on_storage_order():
     # tolerance: the angle is read at the lexicographically largest exponent,
     # (1, 1), whichever order the terms are stored in
     phi_low, phi_high = 0.3 + 1e-10, 0.3
-    p = LaurentPoly(2, {(1, 1): 0.5 * cmath.exp(2j * phi_high), (1, -1): 0.5 * cmath.exp(2j * phi_low)})
+    high, low = 0.5 * cmath.exp(2j * phi_high), 0.5 * cmath.exp(2j * phi_low)
+    p = LaurentPoly(2, {(1, 1): high, (1, -1): low})
     high_first = PQPair(p, LaurentPoly(2, {(1, 1): 0.5, (1, -1): 0.5}))
     low_first = PQPair(p, LaurentPoly(2, {(1, -1): 0.5, (1, 1): 0.5}))
     phi = find_phase(high_first, 1, 1, TOL)
     assert phi == pytest.approx(phi_high, abs=1e-14)
     assert repr(find_phase(low_first, 1, 1, TOL)) == repr(phi)
-    # on the dense box, (1, 1) holds the last maximum of the slice
-    assert repr(find_phase(PairBox.from_pair(low_first), 1, 1, TOL)) == repr(phi)
+    # without the inversion symmetries the pair stays on its terms
+    assert PairBox.from_pair(low_first) is None
+    # with them it goes on the box, where (1, 1) holds the last maximum of
+    # the slice, read from the mirror image of the stored half
+    p = LaurentPoly(2, {(-1, -1): high, (-1, 1): low, (1, -1): low, (1, 1): high})
+    for keys in ([(-1, -1), (-1, 1), (1, -1), (1, 1)], [(1, 1), (1, -1), (-1, 1), (-1, -1)]):
+        q = LaurentPoly(2, {k: 0.5 if k[0] > 0 else -0.5 for k in keys})
+        symmetric = PQPair(p, q)
+        assert repr(find_phase(symmetric, 1, 1, TOL)) == repr(phi)
+        assert repr(find_phase(PairBox.from_pair(symmetric), 1, 1, TOL)) == repr(phi)
 
 
 def test_find_phase_principal_branch():
@@ -263,10 +274,42 @@ def test_box_peel_is_bitwise_the_product_form(m, mode, scale):
                 assert fingerprint(kernel.q) == fingerprint(product.q)
 
 
+def mirrored(half: dict, odd: bool) -> LaurentPoly:
+    """The polynomial with the terms ``half`` and their mirror images at
+    the negated keys: the same coefficient, bit for bit, as in P, or 0j
+    minus it when ``odd``, as in Q."""
+    terms = {tuple(-e for e in k): 0j - c if odd else c for k, c in half.items()}
+    return LaurentPoly(len(next(iter(half))), {**terms, **half})
+
+
 def test_box_steps_keep_signed_zeros_and_holes():
     # parts that are -0.0, slots of the box that hold no term, and phases in
     # every quadrant: the peel on the box gives the un-cut general products'
     # values and evaluation's step the cut ones, signs of zero parts included
+    phis = (0.0, 1.0, 2.0, math.pi, -2.0, -1.0)
+    # P holds -0.0 parts at k and -k; Q in the stored half (the
+    # lexicographically smaller keys), with 0j - c at the mirror images
+    p = mirrored({(-1, 0): complex(-0.5, -0.0), (-1, -2): complex(-0.0, 0.25)}, False)
+    q = mirrored({(-1, 0): complex(-0.0, -0.3), (-1, 2): complex(0.2, -0.0)}, True)
+    # Q's halves at a1^-1 a2^-2 and a1^-1, both stored, add up to
+    # -0.5 + 0j only when each was added to 0j first, as the product does;
+    # at phi = 0 that sign reaches the peeled Q at a1^-1 a2^-1, where P's
+    # sine part vanishes
+    minus_zero = PQPair(
+        mirrored({(-1, -2): 0.5, (-1, 0): 0.5}, False),
+        mirrored({(-1, -2): complex(-0.5, -0.0), (-1, 0): complex(-0.5, -0.0)}, True),
+    )
+    for pair in (PQPair(p, q), minus_zero):
+        box = PairBox.from_pair(pair)
+        assert box.rows == (2, 3) and box.halves.count(0j) == 2
+        for j in range(1, pair.variables + 1):
+            for phi in phis:
+                peeled = reduce_step(box, j, phi).to_pair()
+                product = product_form_reduction(pair, j, phi)
+                assert fingerprint(peeled.p) == fingerprint(product.p)
+                assert fingerprint(peeled.q) == fingerprint(product.q)
+    # the same hazards without the inversion symmetries stay on the terms,
+    # whose peel is the general products
     p = LaurentPoly(2, {
         (-1, 0): complex(-0.5, -0.0),
         (1, 0): complex(-0.5, -0.0),
@@ -274,16 +317,12 @@ def test_box_steps_keep_signed_zeros_and_holes():
         (-1, -2): complex(0.1, 0.0),
     })
     q = LaurentPoly(2, {(1, 0): complex(-0.0, -0.3), (-1, 2): complex(0.2, -0.0)})
-    # Q's two halves (-0.25 - 0j) add up to -0.5 + 0j only when the first
-    # is added to 0j first, as the product does; at phi = 0 that sign
-    # reaches the peeled Q
     minus_zero = LaurentPoly(1, {(-1,): complex(-0.5, -0.0), (1,): complex(-0.5, -0.0)})
     for pair in (PQPair(p, q), PQPair(half_sum(1, 1), minus_zero)):
-        box = PairBox.from_pair(pair)
-        assert len(box.p) in (6, 2)
+        assert PairBox.from_pair(pair) is None
         for j in range(1, pair.variables + 1):
-            for phi in (0.0, 1.0, 2.0, math.pi, -2.0, -1.0):
-                peeled = reduce_step(box, j, phi).to_pair()
+            for phi in phis:
+                peeled = reduce_step(pair, j, phi)
                 product = product_form_reduction(pair, j, phi)
                 assert fingerprint(peeled.p) == fingerprint(product.p)
                 assert fingerprint(peeled.q) == fingerprint(product.q)
@@ -291,13 +330,11 @@ def test_box_steps_keep_signed_zeros_and_holes():
     # box holds no -0.0 part; zero phases leave holes at a1 a2^-1 and a1^-1 a2
     pair = evaluate_sequence(MqspSequence(2, (0.0, 0.0, 0.0), (1, 2)))
     box = PairBox.from_pair(pair)
-    halves = box.p[:2] + box.q[:2]
-    assert box.lows == (-1, -1) and halves.count(0j) == 2
+    assert box.rows == (2, 2) and box.halves.count(0j) == 2
     for j in (1, 2):
-        for phi in (0.0, 1.0, 2.0, math.pi, -2.0, -1.0):
+        for phi in phis:
             phase = cmath.exp(1j * phi)
-            stepped = su2._half_step(halves, box.rows, j - 1, phase)
-            extended, product = su2._unfolded(*stepped).to_pair(), pair._extend(j, phase)
+            extended, product = box._step(j, phase).to_pair(), pair._extend(j, phase)
             assert fingerprint(extended.p) == fingerprint(product.p)
             assert fingerprint(extended.q) == fingerprint(product.q)
 
@@ -315,19 +352,24 @@ def test_box_slots_without_a_term_stay_exact_zeros():
 
 def test_box_peel_keeps_slots_without_a_term_exact_zeros():
     # at phi = -2 the peel turns P's halves by e^{2i} (real part < 0,
-    # imaginary part > 0), which makes 0j into (-0.0 + 0j); Q's half at the
-    # constant, (sin phi) + (cos phi) i, turns to a real part of exactly
-    # +0.0.  The un-cut product holds no P term there, so the peeled P
-    # coefficient is 0j - (+0.0 + ...), and the box must not leave a -0.0
+    # imaginary part > 0), which makes 0j into (-0.0 + 0j); Q's sine part at
+    # the constant, a multiple of (sin phi) + (cos phi) i, turns to a real
+    # part of exactly +0.0.  The un-cut product holds no P term there, so
+    # the peeled P coefficient is 0j - (+0.0 + ...), and the box must not
+    # leave a -0.0
     phi = -2.0
     e = cmath.exp(1j * phi)
     v = complex(e.imag, e.real)
     assert (v * e).real == 0.0
-    pair = PQPair(LaurentPoly(1, {(3,): 0.5}), LaurentPoly(1, {(-1,): 2 * v}))
-    peeled = reduce_step(PairBox.from_pair(pair), 1, phi).to_pair()
-    product = product_form_reduction(pair, 1, phi)
-    assert fingerprint(peeled.p) == fingerprint(product.p)
-    assert fingerprint(peeled.q) == fingerprint(product.q)
+    symmetric = PQPair(mirrored({(-3,): 0.5}, False), mirrored({(-1,): 2 * v}, True))
+    # without the inversion symmetries the pair stays on its terms
+    asymmetric = PQPair(LaurentPoly(1, {(3,): 0.5}), LaurentPoly(1, {(-1,): 2 * v}))
+    assert PairBox.from_pair(asymmetric) is None
+    for pair, state in ((symmetric, PairBox.from_pair(symmetric)), (asymmetric, asymmetric)):
+        peeled = reduce_step(state, 1, phi).to_pair()
+        product = product_form_reduction(pair, 1, phi)
+        assert fingerprint(peeled.p) == fingerprint(product.p)
+        assert fingerprint(peeled.q) == fingerprint(product.q)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -379,6 +421,45 @@ def test_layouts_agree_on_the_corpus(layout, product_outcomes):
     # and on LaurentPoly terms with the general products: un-cut products,
     # truncated to the new degree
     assert corpus_outcomes() == product_outcomes
+
+
+@pytest.mark.parametrize("m,n", [(1, 40), (2, 30), (3, 20), (4, 16)])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_layouts_agree_on_deep_pairs(m, n, mode, monkeypatch):
+    # the deep benchmark cells, where the half box ends inside a chunk of
+    # every axis and the peel amplifies any difference level by level
+    for seed in range(2):
+        seq = random_sequence(OracleConfig(m, n, 3000 * m + 10 * seed + n, mode))
+        pair = evaluate_sequence(seq)
+        assert PairBox.from_pair(pair) is not None
+        on_box = layout_signature(pair, n)
+        monkeypatch.setattr(su2, "_BOX_PER_TERM", 0)
+        assert layout_signature(evaluate_sequence(seq), n) == on_box, seed
+        monkeypatch.undo()
+
+
+def test_only_centred_mirror_images_go_on_the_box():
+    # the box holds half of P and of Q, so a pair goes on it only with
+    # stride 2 and centred on every axis, and with P's slot f equal to its
+    # mirror image and Q's to its negation, by value
+    pair, _ = oracle_pair(2, 8, 5)
+    assert PairBox.from_pair(pair) is not None
+    text = documents.dumps(documents.pair_to_document(pair))
+    assert PairBox.from_pair(documents.pair_from_document(json.loads(text))) is not None
+    # Q's mirror stores -0.0 where 0j - 0.5 stores +0.0: equal by value
+    q = LaurentPoly(1, {(-1,): complex(-0.5, 0.0), (1,): complex(0.5, -0.0)})
+    assert repr(0j - q.terms[(-1,)]) != repr(q.terms[(1,)])
+    signed = PQPair(signal_pair().p, q)
+    assert PairBox.from_pair(signed) is not None and decide(signed, 1, TOL)
+    for rejected in (
+        perturb_pair(pair, 1),
+        # mixed parity: stride 1, centred or not
+        PQPair(LaurentPoly(1, {(-1,): 0.5, (0,): 0.2, (1,): 0.5}), LaurentPoly.zero(1)),
+        PQPair(LaurentPoly(1, {(-1,): 0.5, (0,): 0.5}), LaurentPoly.zero(1)),
+        # off centre
+        PQPair(LaurentPoly(1, {(1,): 1.0}), LaurentPoly.zero(1)),
+    ):
+        assert PairBox.from_pair(rejected) is None, rejected
 
 
 def test_sparse_inputs_stay_on_their_terms(no_box):

@@ -194,9 +194,9 @@ def recorded_box_sizes(monkeypatch) -> list:
     """The slot counts of the ``PairBox``es built from now on, as they are built."""
     built = []
 
-    def record(box, *args):
-        built.append(len(args[4]))
-        original(box, *args)
+    def record(box, rows, *args):
+        built.append(math.prod(rows))
+        original(box, rows, *args)
 
     original = su2.PairBox.__init__
     monkeypatch.setattr(su2.PairBox, "__init__", record)
@@ -295,9 +295,8 @@ def test_phase_factor_cuts_like_the_matrix_product(monkeypatch):
     phase = complex(0.8707277809370632, -0.49176532157566544)
     tiny = complex(1.5e-15, 0.0)
     halves, rows = [2 * tiny, 2.0, 0j, 0j], (4,)
-    pair = su2._unfolded(halves, rows).to_pair()
-    halves, rows = su2._half_step(halves, rows, 0, phase)
-    stepped = su2._unfolded(halves, rows).to_pair()
+    box = su2.PairBox(rows, halves)
+    pair, stepped = box.to_pair(), box._step(1, phase).to_pair()
     assert fingerprint(stepped.p) == fingerprint(pair._extend(1, phase).p)
     assert fingerprint(stepped.q) == fingerprint(pair._extend(1, phase).q)
     # the tiny terms survive the multiply in both components; the step's one
@@ -437,7 +436,9 @@ def assert_filter_matches_product(pair: PQPair) -> None:
     product = unit_norm_product(pair)
     assert abs(pair.normalization_defect() - product.max_deviation(one)) <= 1e-13
     assert pair.is_normalized(TOL) == product.approx_eq(one, TOL)
-    if su2.PairBox.from_pair(pair) is not None:  # sampled: bounds or the inverse
+    # sampled, by bounds or the inverse, unless too sparse for its lattice
+    rows = su2._lattice(pair)[2]
+    if not su2._too_sparse(math.prod(rows), max(len(pair.p), len(pair.q))):
         for tol in tolerances_around(pair):
             assert pair.is_normalized(tol) == verdict_by_the_inverse(pair, tol)
 
