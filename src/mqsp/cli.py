@@ -1,9 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: ``decide`` prints its verdict and its trace only;
+``check`` prints the necessary-condition filter report.
 
-Exit codes are uniform across subcommands: 0 for success / a true decision,
-1 for a false decision or a verification mismatch, 2 for usage or input
-errors, unreadable inputs and unwritable outputs included.  Reports go to
-standard output, errors to standard error.
+Exit codes: 0 for success / a true decision, 1 for a false decision or a
+verification mismatch, 2 for usage or input errors, unreadable inputs and
+unwritable outputs included.  Reports go to stdout, errors to stderr.
 """
 
 from __future__ import annotations
@@ -181,7 +181,6 @@ def cmd_decide(args) -> int:
     verdict = "constructible" if trace.accepted else "not constructible"
     print(f"result: {verdict} in {args.steps} steps (tolerance {args.tolerance:g})")
     print(_format_trace(trace))
-    print(_format_necessary(check_necessary(pair, args.steps, args.tolerance)))
     return EXIT_TRUE if trace.accepted else EXIT_FALSE
 
 

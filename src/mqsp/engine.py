@@ -118,8 +118,12 @@ class SynthesisResult(_Record):
 class NecessaryReport(_Record):
     """Outcome of the cheap rejection filters, each computed independently.
 
-    Any False flag certifies the pair is not constructible in ``steps``
-    steps; all-True proves nothing.
+    Any False flag certifies that the pair is not *exactly* constructible
+    in ``steps`` steps; all-True proves nothing.  The decision works at its
+    tolerance, so it can accept a pair that a filter fails: the degree
+    filters count every stored term, so a realizable pair plus a 1e-12 term
+    above its degree fails them.  ``mqsp check`` prints this report;
+    ``mqsp decide`` does not.
     """
 
     __slots__ = (

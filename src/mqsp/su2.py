@@ -187,14 +187,17 @@ class PQPair(_Record):
         return self.p.variables
 
     def normalization_defect(self) -> float:
-        """Largest coefficient-wise |difference| of p*p~ + q*q~ against 1."""
+        """Largest coefficient-wise |difference| of p*p~ + q*q~ against 1;
+        inf when |p|^2 + |q|^2 overflows a double: its constant coefficient,
+        the sum of |c|^2, or one of its samples."""
         return _unit_norm_deviation(self)[0]
 
     def is_normalized(self, tol: float = EPS) -> bool:
         """The unit-norm identity within ``tol`` relative to the coefficient
         scale, the test ``LaurentPoly.approx_eq`` makes.  The verdict is that
         of ``normalization_defect`` against the scale, usually settled from
-        Parseval bounds on the samples without transforming back."""
+        Parseval bounds on the samples without transforming back.  A pair
+        whose |p|^2 + |q|^2 overflows a double fails: its defect is inf."""
         deviation, scale = _unit_norm_deviation(self, tol)
         return deviation <= tol * scale
 
@@ -730,10 +733,19 @@ def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float,
     A pair too sparse for its lattice, by the slots-per-term rule that
     evaluation and the decision use (``_too_sparse``), is multiplied out
     instead; both ways are exact up to rounding.
+
+    When |p|^2 + |q|^2 overflows a double, the pair fails the identity:
+    the deviation is inf and the scale 1.  That is so when any sample is
+    not finite, or, for a pair multiplied out, the constant coefficient of
+    p*p~ + q*q~, the sum of |c|^2, which by Cauchy-Schwarz bounds every
+    other; then neither the transform back nor the product is made.
     """
     lows, strides, counts = _lattice(pair)
     if _too_sparse(math.prod(counts), max(len(pair.p), len(pair.q))):
         p, q = pair.p, pair.q
+        squares = (c.real * c.real + c.imag * c.imag for x in (p, q) for c in x.terms.values())
+        if not sum(squares) < math.inf:
+            return math.inf, 1.0
         combo = p * p.torus_conjugate() + q * q.torus_conjugate()
         one = LaurentPoly.constant(pair.variables, 1.0)
         return combo.max_deviation(one), max(1.0, combo.max_modulus())
@@ -749,6 +761,8 @@ def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float,
     for values in _placed(pair, lows, strides, counts):
         values = _separable_transform(values, forward)
         samples = [f + v.real * v.real + v.imag * v.imag for f, v in zip(samples, values)]
+    if not all(map(math.isfinite, samples)):
+        return math.inf, 1.0
 
     if tol is not None:
         bounds = _parseval_bounds(samples, list(map(len, roots)), tol)

@@ -49,7 +49,77 @@ def test_decide_counterexample_rejected(ce_path, capsys):
     out = capsys.readouterr().out
     assert "not constructible" in out
     assert "trace:" in out
-    assert "necessary conditions" in out
+    # the filter report is check's; decide prints its verdict and trace only
+    assert "necessary conditions" not in out
+
+
+DECIDE_OUTPUTS = [
+    ("identity", 0, 0, [
+        "result: constructible in 0 steps (tolerance 1e-09)",
+        "trace:",
+        "  [n=0] pure phase rotation reached, phi0 = 0",
+    ]),
+    ("identity", 2, 0, [
+        "result: constructible in 2 steps (tolerance 1e-09)",
+        "trace:",
+        "  [n=2] degree sum leaves room for an identity padding; two steps absorbed",
+        "  [n=0] pure phase rotation reached, phi0 = 0",
+    ]),
+    ("signal-operator", 1, 0, [
+        "result: constructible in 1 steps (tolerance 1e-09)",
+        "trace:",
+        "  [n=1] peeled variable a1 at phase 0",
+        "  [n=0] pure phase rotation reached, phi0 = 0",
+    ]),
+    ("counterexample-2-2", 4, 1, [
+        "result: not constructible in 4 steps (tolerance 1e-09)",
+        "trace:",
+        "  [n=4] reject: no variable has unimodular-proportional top coefficient slices",
+    ]),
+    ("counterexample-2-2", 3, 1, [
+        "result: not constructible in 3 steps (tolerance 1e-09)",
+        "trace:",
+        "  [n=3] reject: degree sum neither equals the step count nor leaves room for padding",
+    ]),
+]
+
+
+@pytest.mark.parametrize("name,steps,code,lines", DECIDE_OUTPUTS)
+def test_decide_prints_the_verdict_and_the_trace_only(name, steps, code, lines, tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    assert main(["fixture", name, "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["decide", str(path), "--steps", str(steps)]) == code
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+def test_decide_accepts_what_the_degree_filter_fails(tmp_path, capsys):
+    # a realizable pair of degrees (4, 2) plus a 1e-12 term above them: the
+    # decision reads degrees at its tolerance and accepts, while the degree
+    # filter counts every stored term
+    pair_out = tmp_path / "pair.json"
+    args = [
+        "gen", "-m", "2", "--steps", "6", "--seed", "7",
+        "--pair-out", str(pair_out), "--sequence-out", str(tmp_path / "seq.json"),
+    ]
+    assert main(args) == 0
+    doc = json.loads(pair_out.read_text())
+    doc["P"].append({"exponents": [6, 0], "re": 1e-12, "im": 0.0})
+    pair_out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["decide", str(pair_out), "--steps", "6"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("result: constructible in 6 steps") and "FAIL" not in out
+    assert main(["check", str(pair_out), "--steps", "6"]) == 1
+    assert "per-variable degree equality   FAIL" in capsys.readouterr().out
+
+
+def test_nan_coefficient_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"variables": 1, "P": [{"exponents": [0], "re": NaN, "im": 0.0}], "Q": []}')
+    assert main(["decide", str(path), "--steps", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err
 
 
 def test_decide_identity_accepted(identity_path):
@@ -266,6 +336,28 @@ def test_check_flags_broken_symmetry(tmp_path, capsys):
 
 def test_check_flags_parity(identity_path):
     assert main(["check", identity_path, "--steps", "1"]) == 1
+
+
+# |P|^2 + |Q|^2 overflows a double: a constant sampled on its box, and a
+# pair too sparse for its box, which is multiplied out
+OVERFLOWING = [
+    pytest.param(PQPair(LaurentPoly(1, {(0,): 1e160}), LaurentPoly.zero(1)), id="sampled"),
+    pytest.param(
+        PQPair(LaurentPoly(1, {(0,): 1e200, (100000,): 1e190}), LaurentPoly.zero(1)),
+        id="multiplied",
+    ),
+]
+
+
+@pytest.mark.parametrize("pair", OVERFLOWING)
+def test_check_fails_the_identity_on_overflow(pair, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    save_pair(pair, str(path))
+    assert main(["check", str(path), "--steps", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "unit-norm identity             FAIL" in out
+    assert out.endswith("result: rejected by a filter\n")
+    assert main(["decide", str(path), "--steps", "0"]) == 1
 
 
 # -- fixture -------------------------------------------------------------------------------

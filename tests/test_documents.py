@@ -110,6 +110,15 @@ def test_oversized_coefficient_rejected(component, part):
         pair_from_document(doc)
 
 
+@pytest.mark.parametrize("component", ["P", "Q"])
+def test_nan_coefficient_rejected(component):
+    # json reads NaN; the constructor's ValueError comes back as a document error
+    doc = {"variables": 1, "P": [{"exponents": [0], "re": 1.0, "im": 0.0}], "Q": []}
+    doc[component] = [{"exponents": [0], "re": float("nan"), "im": 0.0}]
+    with pytest.raises(DocumentError, match=rf"^{component}: non-finite coefficient"):
+        pair_from_document(doc)
+
+
 def test_oversized_phase_rejected():
     doc = {"variables": 1, "phases": [0.0, -(10**400)], "indices": [1]}
     with pytest.raises(DocumentError, match="within the range of a double"):

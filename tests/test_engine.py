@@ -653,6 +653,23 @@ def test_walk_pads_after_a_peel_that_drops_two_degrees():
         assert step_signature(run_decision(pair, k, 1e-3).steps) == step_signature(expected), k
 
 
+def test_walk_pads_down_to_zero_steps():
+    # at tol 0.05 the one peel of this pair leaves degree 0 with two steps
+    # left, so the walk pads to zero steps and the base case decides
+    pair, _ = oracle_pair(1, 5, 53, "discrete")
+    s = sum(engine.effective_degrees(pair, 0.05))
+    assert s == 3
+    steps = run_decision(pair, s, 0.05).steps
+    assert steps[-2:] == (IdentityPad(2), Reject(0, REASON_BASE))
+    assert step_signature(steps) == step_signature(budget_loop_steps(pair, s, 0.05))
+
+
+def test_base_case_rejects_a_visible_q():
+    pair = PQPair(LaurentPoly.constant(1, 1.0), LaurentPoly.constant(1, 0.5))
+    assert engine._base_case(pair, TOL) == Reject(0, REASON_BASE)
+    assert run_decision(pair, 0, TOL).steps == (Reject(0, REASON_BASE),)
+
+
 def test_greedy_variable_choice_loses_no_pair():
     # the walk peels the first variable whose slices match; at every level
     # where another variable matches too, peeling that one instead and
@@ -950,6 +967,18 @@ def test_check_necessary_is_the_product_form_report():
         assert not report.normalization_ok
 
 
+def test_check_necessary_negative_steps():
+    with pytest.raises(ValueError, match="non-negative"):
+        check_necessary(identity_pair(), -1, TOL)
+
+
+def test_check_necessary_fails_the_identity_on_overflow():
+    pair = PQPair(LaurentPoly(1, {(0,): 1e160}), LaurentPoly.zero(1))
+    report = check_necessary(pair, 0, TOL)
+    assert not report.normalization_ok and not report.all_ok
+    assert report.symmetry_p and report.symmetry_q and report.parity_ok
+
+
 def test_check_necessary_counterexample_all_true_yet_rejected():
     pair = counterexample_pair()
     assert check_necessary(pair, 4, TOL).all_ok
@@ -970,6 +999,31 @@ def test_qsp1_rejects_wrong_parity():
 def test_qsp1_requires_arity_one():
     with pytest.raises(ValueError):
         qsp1_characterize(counterexample_pair(), 4, TOL)
+
+
+def test_qsp1_negative_steps():
+    with pytest.raises(ValueError, match="non-negative"):
+        qsp1_characterize(signal_pair(), -1, TOL)
+
+
+def test_qsp1_rejects_on_the_parity_of_q_alone(monkeypatch):
+    # P = 1 is even under a -> -a, as n = 2 asks, and Q = (a - a^-1)/2 has
+    # the inversion antisymmetry but is odd: the closed form rejects before
+    # the unit-norm identity
+    pair = PQPair(LaurentPoly.constant(1, 1.0), LaurentPoly(1, {(1,): 0.5, (-1,): -0.5}))
+
+    def refuse(self, tol):
+        raise AssertionError("reached the unit-norm identity")
+
+    monkeypatch.setattr(PQPair, "is_normalized", refuse)
+    assert qsp1_characterize(pair, 2, TOL) is False
+
+
+def test_qsp1_rejects_an_overflowing_pair():
+    # |P|^2 overflows: the identity used to pass at a scale of inf
+    pair = PQPair(LaurentPoly(1, {(0,): 1e160}), LaurentPoly.zero(1))
+    assert qsp1_characterize(pair, 0, TOL) is False
+    assert not decide(pair, 0, TOL)
 
 
 @pytest.mark.parametrize("seed", range(12))

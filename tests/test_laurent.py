@@ -196,6 +196,13 @@ def test_non_finite_coefficient_rejected():
         lp(1, {(0,): complex("inf")})
 
 
+def test_str():
+    assert str(LaurentPoly.zero(2)) == "0"
+    assert str(LaurentPoly.constant(2, 0.5)) == "((0.5+0j))"
+    mixed = lp(2, {(0, 0): -0.25 + 1j, (0, 2): 1j, (1, -1): 0.5})
+    assert str(mixed) == "((-0.25+1j)) + (1j)*a2^2 + ((0.5+0j))*a1^1*a2^-1"
+
+
 def test_exponent_length_mismatch_rejected():
     with pytest.raises(ValueError):
         lp(2, {(1,): 1.0})

@@ -602,6 +602,36 @@ def test_sparse_wide_pair_is_multiplied_out(pair):
     assert not pair.is_normalized(TOL)
 
 
+# |P|^2 + |Q|^2 overflows a double.  The first two have a constant
+# coefficient, the sum of |c|^2, that is not finite; the last has finite
+# coefficients and only its samples overflow (4 * 6e153 at a = 1, squared)
+OVERFLOWING = [
+    pytest.param(PQPair(LaurentPoly(1, {(0,): 1e160}), LaurentPoly.zero(1)), id="constant"),
+    pytest.param(
+        PQPair(LaurentPoly(1, {(0,): 1e200, (100000,): 1e190}), LaurentPoly.zero(1)),
+        id="sparse",
+    ),
+    pytest.param(
+        PQPair(LaurentPoly(1, {(e,): 6e153 for e in (-3, -1, 1, 3)}), LaurentPoly.zero(1)),
+        id="samples",
+    ),
+]
+
+
+@pytest.mark.parametrize("pair", OVERFLOWING)
+def test_overflowing_pair_fails_the_identity(pair, monkeypatch):
+    # the samples used to overflow to a deviation and a scale of inf, and
+    # inf <= tol * inf passed; the product raised on its inf coefficient
+    def refuse(*args):
+        raise AssertionError("multiplied out or transformed back")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    monkeypatch.setattr(su2, "_parseval_bounds", refuse)
+    for tol in (0.0, TOL, 0.5):
+        assert pair.is_normalized(tol) is False
+    assert pair.normalization_defect() == math.inf
+
+
 @pytest.mark.parametrize("m,n", [(1, 40), (2, 16), (3, 8), (4, 8)])
 def test_realizable_pair_is_sampled(m, n, monkeypatch):
     pair, _ = oracle_pair(m, n, 11 * m + n)
