@@ -29,7 +29,7 @@ from itertools import repeat
 from operator import mul, sub
 
 from .laurent import DROP_EPS, EPS
-from .su2 import MqspSequence, PairBox, PQPair, _lattice, _Record, _set_field
+from .su2 import MqspSequence, PairBox, PQPair, _lattice, _Record
 
 REASON_BASE = "final pair is not a pure phase rotation"
 REASON_DEGREE = "degree sum neither equals the step count nor leaves room for padding"
@@ -37,16 +37,15 @@ REASON_PHASE = "no variable has unimodular-proportional top coefficient slices"
 
 
 class IdentityPad(_Record):
-    """Two trailing steps absorbed by an identity padding (degree sum <= steps - 2)."""
+    """Two trailing steps absorbed by an identity padding (degree sum <= steps - 2),
+    from the step budget ``steps_left`` (int)."""
 
     __slots__ = ("steps_left",)
 
-    def __init__(self, steps_left: int):
-        _set_field(self, "steps_left", steps_left)
-
 
 class PhaseReduction(_Record):
-    """One signal operator peeled off variable ``index`` at angle ``phase``.
+    """One signal operator peeled off variable ``index`` (int, from 1) at
+    angle ``phase`` (float), from the step budget ``steps_left`` (int).
 
     ``state`` is the reduced pair in the layout the decision runs on (a
     ``PairBox``, which stores half of the box, or a ``PQPair``); ``reduced``
@@ -57,44 +56,32 @@ class PhaseReduction(_Record):
     __slots__ = ("steps_left", "index", "phase", "state")
     _hidden = ("state",)
 
-    def __init__(self, steps_left: int, index: int, phase: float, state: PQPair | PairBox):
-        _set_field(self, "steps_left", steps_left)
-        _set_field(self, "index", index)
-        _set_field(self, "phase", phase)
-        _set_field(self, "state", state)
-
     @property
     def reduced(self) -> PQPair:
         return self.state.to_pair()
 
 
 class BaseAccept(_Record):
-    """Step budget exhausted with a pure phase rotation left over."""
+    """Step budget exhausted with a pure phase rotation left over, at the
+    angle ``phase0`` (float), which is phi_0."""
 
     __slots__ = ("phase0",)
 
-    def __init__(self, phase0: float):
-        _set_field(self, "phase0", phase0)
-
 
 class Reject(_Record):
-    __slots__ = ("steps_left", "reason")
+    """The walk stopped at the budget ``steps_left`` (int) for ``reason`` (str, a REASON_*)."""
 
-    def __init__(self, steps_left: int, reason: str):
-        _set_field(self, "steps_left", steps_left)
-        _set_field(self, "reason", reason)
+    __slots__ = ("steps_left", "reason")
 
 
 TraceStep = IdentityPad | PhaseReduction | BaseAccept | Reject
 
 
 class DecisionTrace(_Record):
-    """Ordered record of the branches taken; ends in BaseAccept or Reject."""
+    """Ordered record of the branches taken, ``steps`` (a tuple of
+    ``TraceStep``); ends in BaseAccept or Reject."""
 
     __slots__ = ("steps",)
-
-    def __init__(self, steps: tuple[TraceStep, ...]):
-        _set_field(self, "steps", steps)
 
     @property
     def accepted(self) -> bool:
@@ -107,12 +94,10 @@ class DecisionTrace(_Record):
 
 
 class SynthesisResult(_Record):
-    __slots__ = ("constructible", "sequence", "trace")
+    """``constructible`` (bool), ``sequence`` (``MqspSequence``, or None when
+    not constructible) and ``trace`` (``DecisionTrace``)."""
 
-    def __init__(self, constructible: bool, sequence: MqspSequence | None, trace: DecisionTrace):
-        _set_field(self, "constructible", constructible)
-        _set_field(self, "sequence", sequence)
-        _set_field(self, "trace", trace)
+    __slots__ = ("constructible", "sequence", "trace")
 
 
 class NecessaryReport(_Record):
@@ -124,6 +109,10 @@ class NecessaryReport(_Record):
     filters count every stored term, so a realizable pair plus a 1e-12 term
     above its degree fails them.  ``mqsp check`` prints this report;
     ``mqsp decide`` does not.
+
+    The flags ``symmetry_p`` to ``normalization_ok`` are bool; ``degrees``
+    (tuple of int) are P's over every stored term, ``degree_sum`` (int) is
+    their sum and ``steps`` (int) the step count checked.
     """
 
     __slots__ = (
@@ -137,28 +126,6 @@ class NecessaryReport(_Record):
         "degree_sum",
         "steps",
     )
-
-    def __init__(
-        self,
-        symmetry_p: bool,
-        symmetry_q: bool,
-        degree_equality: bool,
-        p_nonzero: bool,
-        parity_ok: bool,
-        normalization_ok: bool,
-        degrees: tuple[int, ...],
-        degree_sum: int,
-        steps: int,
-    ):
-        _set_field(self, "symmetry_p", symmetry_p)
-        _set_field(self, "symmetry_q", symmetry_q)
-        _set_field(self, "degree_equality", degree_equality)
-        _set_field(self, "p_nonzero", p_nonzero)
-        _set_field(self, "parity_ok", parity_ok)
-        _set_field(self, "normalization_ok", normalization_ok)
-        _set_field(self, "degrees", degrees)
-        _set_field(self, "degree_sum", degree_sum)
-        _set_field(self, "steps", steps)
 
     @property
     def all_ok(self) -> bool:
@@ -249,6 +216,14 @@ def effective_degrees(pair: PQPair | PairBox, tol: float = EPS) -> tuple[int, ..
     return degrees or (0,) * pair.variables
 
 
+def _budget(n) -> int:
+    """``n`` by ``operator.index`` (TypeError for a float), ValueError if negative."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"step count must be non-negative, got {n}")
+    return n
+
+
 # The most recent walk, (pair, tol, degree sum, steps), or None.  One entry,
 # matched by the pair's identity: it holds the pair, so a recycled id never
 # matches, and it is replaced as a whole, so a reader that binds it once
@@ -281,9 +256,7 @@ def run_decision(pair: PQPair, n: int, tol: float = EPS) -> DecisionTrace:
     bitwise the same trace on a pair the box takes.
     """
     global _last_walk
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
+    n = _budget(n)
     memo = _last_walk
     if memo is not None and memo[0] is pair and memo[1] == tol:
         current, degs, s, walk = None, None, memo[2], memo[3]
@@ -414,9 +387,7 @@ def check_necessary(pair: PQPair, n: int, tol: float = EPS) -> NecessaryReport:
     torus grid, see ``PQPair.is_normalized``).  ``n`` must be an integer,
     as for ``run_decision``.
     """
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
+    n = _budget(n)
     p, q = pair.p, pair.q
     degrees = p.degrees()
     total = sum(degrees)
@@ -451,9 +422,7 @@ def qsp1_characterize(pair: PQPair, n: int, tol: float = EPS) -> bool:
         raise ValueError(
             f"single-variable characterization needs arity 1, got {pair.variables}"
         )
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
+    n = _budget(n)
     p, q = pair.p, pair.q
     if p.degree(1) > n or q.degree(1) > n:
         return False

@@ -9,11 +9,12 @@ reproducible from the synthesized parameters.
 from __future__ import annotations
 
 import math
+import operator
 import random
 
-from .engine import decide, synthesize
+from .engine import _budget, decide, synthesize
 from .laurent import EPS
-from .su2 import MqspSequence, _Record, _set_field, evaluate_sequence
+from .su2 import MqspSequence, _Record, evaluate_sequence
 
 ANGLE_MODES = ("continuous", "discrete")
 
@@ -29,21 +30,20 @@ class OracleConfig(_Record):
     ``continuous`` draws angles uniformly from (-pi, pi]; ``discrete`` draws
     multiples of pi/12, whose exact pi/2 cancellation patterns keep the degree
     sum below the step count and so exercise the padding branch.
+    ``variables`` and ``steps`` go through ``operator.index``, as a budget
+    does for ``engine.run_decision``: a float raises TypeError.
     """
 
     __slots__ = ("variables", "steps", "seed", "angle_mode")
 
     def __init__(self, variables: int, steps: int, seed: int, angle_mode: str = "continuous"):
+        variables = operator.index(variables)
         if variables < 1:
             raise ValueError(f"need at least one variable, got {variables}")
-        if steps < 0:
-            raise ValueError(f"step count must be non-negative, got {steps}")
+        steps = _budget(steps)
         if angle_mode not in ANGLE_MODES:
             raise ValueError(f"angle_mode must be one of {ANGLE_MODES}, got {angle_mode!r}")
-        _set_field(self, "variables", variables)
-        _set_field(self, "steps", steps)
-        _set_field(self, "seed", seed)
-        _set_field(self, "angle_mode", angle_mode)
+        _Record.__init__(self, variables, steps, seed, angle_mode)
 
 
 def random_sequence(cfg: OracleConfig) -> MqspSequence:
@@ -59,7 +59,10 @@ def random_sequence(cfg: OracleConfig) -> MqspSequence:
 
 
 class RoundtripReport(_Record):
-    """Per-assertion diagnostics of the soundness/completeness self-check."""
+    """Per-assertion diagnostics of the soundness/completeness self-check:
+    ``generator`` (str), ``steps`` (int), the outcomes ``constructible`` to
+    ``pad_accepted`` (bool) and ``max_deviation`` (float, of the rebuilt
+    pair; inf when the pair was not accepted)."""
 
     __slots__ = (
         "generator",
@@ -70,24 +73,6 @@ class RoundtripReport(_Record):
         "pad_accepted",
         "max_deviation",
     )
-
-    def __init__(
-        self,
-        generator: str,
-        steps: int,
-        constructible: bool,
-        resynthesized: bool,
-        parity_rejected: bool,
-        pad_accepted: bool,
-        max_deviation: float,
-    ):
-        _set_field(self, "generator", generator)
-        _set_field(self, "steps", steps)
-        _set_field(self, "constructible", constructible)
-        _set_field(self, "resynthesized", resynthesized)
-        _set_field(self, "parity_rejected", parity_rejected)
-        _set_field(self, "pad_accepted", pad_accepted)
-        _set_field(self, "max_deviation", max_deviation)
 
     @property
     def passed(self) -> bool:

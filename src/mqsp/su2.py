@@ -40,16 +40,27 @@ class _Record:
     ``MqspSequence``, the trace and report types of ``engine`` and those of
     ``oracle``).
 
-    A record lists its fields in ``__slots__`` and takes them, in that
-    order, as the parameters of its own ``__init__``, which checks them and
-    stores each with ``_set_field``.  The base makes the fields read-only,
-    compares and hashes records by type and field values, shows them as
-    ``Name(field=value, ...)`` without the fields named in ``_hidden``, and
-    pickles and copies them through their constructor.
+    A record lists its fields in ``__slots__``.  The base takes them in that
+    order, by position or keyword, and stores each with ``_set_field``, after
+    a record's own ``__init__`` checks them or fills a default.  It makes the
+    fields read-only, compares and hashes records by type and field values,
+    shows them as ``Name(field=value, ...)`` without the fields named in
+    ``_hidden``, and pickles and copies them through their constructor.
     """
 
     __slots__ = ()
     _hidden: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            rest = names[len(args) :]
+            if len(args) > len(names) or kwargs.keys() != set(rest):
+                call = f"{type(self).__qualname__}({', '.join(names)})"
+                raise TypeError(f"{call} got {len(args)} positional and keywords {sorted(kwargs)}")
+            args += tuple(map(kwargs.get, rest))
+        for name, value in zip(names, args):
+            _set_field(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -105,10 +116,7 @@ class Mat2(_Record):
     def __init__(self, a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly):
         if any(entry.variables != a.variables for entry in (b, c, d)):
             raise ValueError("matrix entries must share one variable count")
-        _set_field(self, "a", a)
-        _set_field(self, "b", b)
-        _set_field(self, "c", c)
-        _set_field(self, "d", d)
+        _Record.__init__(self, a, b, c, d)
 
     @property
     def variables(self) -> int:
@@ -179,8 +187,7 @@ class PQPair(_Record):
     def __init__(self, p: LaurentPoly, q: LaurentPoly):
         if p.variables != q.variables:
             raise ValueError(f"variable-count mismatch: {p.variables} != {q.variables}")
-        _set_field(self, "p", p)
-        _set_field(self, "q", q)
+        _Record.__init__(self, p, q)
 
     @property
     def variables(self) -> int:
@@ -236,34 +243,33 @@ class PQPair(_Record):
         return c0, max(map(abs, rest.values()), default=0.0)
 
     def _extend(self, j: int, phase: complex) -> PQPair:
-        # evaluation's step once the pair has left its box: the general
-        # products with a drop scale of 0, as in _peel, and one cut of each
-        # component at its own scale, as LaurentPoly construction cuts
+        # evaluation's step off the box: p c + q s and q c + p s (the
+        # product's p s + q c; a sum of two terms commutes), turned, then
+        # each cut once at its own scale, as LaurentPoly construction cuts
         m = self.variables
-        cos_part, sin_part = half_sum(j, m), half_diff(j, m)
-
-        def stepped(a: LaurentPoly, b: LaurentPoly, e: complex) -> LaurentPoly:
-            # (a c + b s) e; Q's sum q c + p s is the product's p s + q c,
-            # since a sum of two terms commutes
-            mixed = a._product(cos_part, 0.0)._sum(b._product(sin_part, 0.0), 0.0)
+        p_cos, q_cos, p_sin, q_sin = self._front(j)
+        sums = (p_cos._sum(q_sin, 0.0), phase), (q_cos._sum(p_sin, 0.0), phase.conjugate())
+        pair = []
+        for mixed, e in sums:
             turned = mixed._product(LaurentPoly.constant(m, e), 0.0)
-            return LaurentPoly._from_arithmetic(m, turned.terms, max(1.0, turned.max_modulus()))
-
-        return PQPair(stepped(self.p, self.q, phase), stepped(self.q, self.p, phase.conjugate()))
+            top = max(1.0, turned.max_modulus())
+            pair.append(LaurentPoly._from_arithmetic(m, turned.terms, top))
+        return PQPair(*pair)
 
     def _peel(self, j: int, e: complex) -> PQPair:
-        # the general products with a drop scale of 0: only exact zeros go
-        cos_part, sin_part = half_sum(j, self.variables), half_diff(j, self.variables)
+        # turned, then subtracted, with no cut: only exact zeros go
+        p_cos, q_cos, p_sin, q_sin = self._front(j)
         ec = e.conjugate()
-        p, q = self.p, self.q
         return PQPair(
-            p._product(cos_part, 0.0)._scaled(ec, 0.0)._difference(
-                q._product(sin_part, 0.0)._scaled(e, 0.0), 0.0
-            ),
-            q._product(cos_part, 0.0)._scaled(e, 0.0)._difference(
-                p._product(sin_part, 0.0)._scaled(ec, 0.0), 0.0
-            ),
+            p_cos._scaled(ec, 0.0)._difference(q_sin._scaled(e, 0.0), 0.0),
+            q_cos._scaled(e, 0.0)._difference(p_sin._scaled(ec, 0.0), 0.0),
         )
+
+    def _front(self, j: int) -> tuple:
+        """``PairBox._front`` on the terms, by the general products with a
+        drop scale of 0: P's cosine part, Q's, P's sine part, Q's."""
+        parts = half_sum(j, self.variables), half_diff(j, self.variables)
+        return tuple(x._product(part, 0.0) for part in parts for x in (self.p, self.q))
 
     def _truncated(self, j: int, top: int, cutoff: float) -> PQPair:
         """``PairBox._truncated`` on the terms."""
@@ -323,8 +329,8 @@ class PairBox:
     decision's ``_peel`` share one front (``_front``): the input prefix the
     new half depends on, and one ``_halves`` pass over P and Q together.
     Each direction then combines the parts its own way, as the general
-    products do (``PQPair._extend`` and ``PQPair._peel``), so both layouts
-    give bitwise the same values.
+    products do after ``PQPair._front`` (``_extend`` and ``_peel``), so both
+    layouts give bitwise the same values.
     """
 
     __slots__ = ("variables", "rows", "halves", "_tops", "_sizes")
@@ -395,12 +401,22 @@ class PairBox:
         return tuple(degrees)
 
     def _top_slices(self, j: int, exponent: int) -> tuple[list, list]:
+        """Row r of axis j - 1 of P and of Q in flat order, read from the
+        half: the row's slots in it, then the mirror images of the rest,
+        the first slots of row n - 1 - r reversed, with Q's values 0j minus
+        the stored ones, as ``_prefixes`` unfolds them."""
         i, n = j - 1, self.rows[j - 1]
         r, off = divmod(exponent + n - 1, 2)
         if off or not 0 <= r < n:
             return [], []
-        p, q = self._prefixes(math.prod(self.rows))
-        return self._rows(p, i, r, r + 1), self._rows(q, i, r, r + 1)
+        size, row_size = len(self.halves) // 2, math.prod(self.rows) // n
+        rows = []
+        for half in (self.halves[:size], self.halves[size:]):
+            near = self._rows(half, i, r, r + 1)
+            far = self._rows(half, i, n - 1 - r, n - r)[: row_size - len(near)]
+            rows.append((near, far[::-1]))
+        (p, p_far), (q, q_far) = rows
+        return p + p_far, q + list(map(sub, repeat(_ZERO), q_far))
 
     def _origin(self) -> tuple[complex, float]:
         # the constant, when every axis has an odd row count, is the middle
@@ -508,12 +524,13 @@ class PairBox:
         return p, q
 
     def _rows(self, values: list, i: int, start: int, stop: int) -> list:
-        """The entries of ``values`` in rows ``start`` to ``stop`` - 1 of
-        axis ``i``: one slice per outer chunk, or, when the chunks outnumber
-        the entries taken from each, one extended slice per entry."""
+        """The entries of ``values``, the box's first slots, in rows ``start``
+        to ``stop`` - 1 of axis ``i``: one slice per outer chunk, or, when the
+        chunks outnumber the entries taken from each, one extended slice per
+        entry and one slice of a last, partial chunk."""
         block = math.prod(self.rows[i + 1 :])
         chunk = self.rows[i] * block
-        if chunk == len(values):
+        if len(values) <= chunk:
             return values[start * block : stop * block]
         if block == 1 and stop == start + 1:
             return values[start::chunk]
@@ -523,10 +540,11 @@ class PairBox:
             for at in range(first, len(values), chunk):
                 out += values[at : at + width]
             return out
-        out = [_ZERO] * (len(values) // chunk * width)
+        whole = len(values) - len(values) % chunk
+        out = [_ZERO] * (whole // chunk * width)
         for at in range(width):
-            out[at::width] = values[first + at :: chunk]
-        return out
+            out[at::width] = values[first + at : whole : chunk]
+        return out + values[whole + first : whole + first + width]
 
 
 def _halves(values: list, chunk: int, pad: int) -> tuple[list, list]:
@@ -603,9 +621,7 @@ class MqspSequence(_Record):
         if indices and not 1 <= min(indices) <= max(indices) <= variables:
             s = next(s for s in indices if not 1 <= s <= variables)
             raise ValueError(f"index {s} out of range 1..{variables}")
-        _set_field(self, "variables", variables)
-        _set_field(self, "phases", phases)
-        _set_field(self, "indices", indices)
+        _Record.__init__(self, variables, phases, indices)
 
     @property
     def steps(self) -> int:

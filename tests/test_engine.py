@@ -543,6 +543,13 @@ def test_budget_must_be_an_integer():
     for k in (3, 4, 6):
         assert qsp1_characterize(line, Index(k), TOL) is qsp1_characterize(line, k, TOL)
     assert qsp1_characterize(line, Index(4), TOL) is True
+    # the generator's counts too, when it is configured, not when it draws
+    for args in ((1, 3.0, 1), (2.0, 3, 1)):
+        with pytest.raises(TypeError):
+            OracleConfig(*args)
+    cfg = OracleConfig(Index(2), Index(3), 1)
+    assert cfg == OracleConfig(2, 3, 1)
+    assert type(cfg.variables) is int and type(cfg.steps) is int
 
 
 def test_trace_shape():

@@ -129,7 +129,22 @@ def test_repr_names_the_fields():
     assert repr(trace).startswith("DecisionTrace(steps=(PhaseReduction(steps_left=3, index=")
 
 
-def test_keyword_construction_and_defaults():
+@pytest.mark.parametrize("record", every_record(), ids=lambda r: type(r).__name__)
+def test_keyword_construction_and_defaults(record):
+    # every record takes its fields by position or by keyword, in
+    # ``__slots__`` order, and refuses a call that does not bind them
+    build, names = type(record), type(record).__slots__
+    values = [getattr(record, name) for name in names]
+    assert build(**dict(zip(names, values))) == build(*values) == record
+    with pytest.raises(TypeError):
+        build(*values, values[0])
+    with pytest.raises(TypeError):
+        build(*values, colour="red")
+    with pytest.raises(TypeError):
+        build(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError):
+        build(**dict(zip(names[1:], values[1:])))
+
     cfg = OracleConfig(variables=2, steps=3, seed=1)
     assert cfg.angle_mode == "continuous"
     assert cfg == OracleConfig(2, 3, 1, "continuous")
