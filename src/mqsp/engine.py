@@ -251,7 +251,8 @@ def run_decision(pair: PQPair, n: int, tol: float = EPS) -> DecisionTrace:
 
     The pair is laid out once: on its ``PairBox`` when it is centred and
     stride 2 on every axis, its P and Q are mirror images by value, and
-    the box is dense enough (``PairBox.from_pair``).  Otherwise its
+    the box is dense enough (``PairBox.from_pair``); a pair that
+    ``evaluate_sequence`` left on its box is taken as it is.  Otherwise its
     ``LaurentPoly`` terms are peeled with the general products, which give
     bitwise the same trace on a pair the box takes.
     """

@@ -9,9 +9,10 @@ operator per variable, constant z-rotations, their matrix products, and the
 ``PairBox``: P and Q as flat coefficient lists on one centred stride-2 box,
 of which only the half that the inversion symmetries do not fix is stored,
 and where multiplying by (a_j +- a_j^{-1})/2 is one shift-add pass.  The
-decision in ``engine`` peels factors off the same half box with the same
-step front.  A pair whose box would be mostly empty, or that lacks the
-symmetries (a perturbed or hand-written document, say), stays as
+evaluated pair keeps its box and builds its terms only when they are read.
+The decision in ``engine`` peels factors off the same half box with the
+same step front.  A pair whose box would be mostly empty, or that lacks
+the symmetries (a perturbed or hand-written document, say), stays as
 ``LaurentPoly`` terms and uses the general products, which the kernel
 reproduces bit for bit.  The peel makes no ``DROP_EPS`` cut; evaluation
 makes one per step, after the whole step.  Multiplying the full ``Mat2``
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from itertools import compress, product, repeat
 from operator import add, mul, neg, sub
@@ -162,7 +164,13 @@ def z_rotation(phi: float, variables: int) -> Mat2:
     )
 
 
-class PQPair(_Record):
+class _BoxSlot(_Record):
+    """A record with a slot ``_box`` that is not one of its fields."""
+
+    __slots__ = ("_box",)
+
+
+class PQPair(_BoxSlot):
     """Ordered top row (p, q) of a structured 2x2 matrix.
 
     The bottom row is determined by the top one, see ``pair_to_matrix``.  A
@@ -180,6 +188,16 @@ class PQPair(_Record):
     G = prod_j N_j points instead of the product's O(L^2) in the term count
     L.  A pair too sparse for its lattice, by the slots-per-term rule that
     evaluation and the decision use, is multiplied out instead.
+
+    A pair has one of two storages.  Most hold their ``LaurentPoly`` terms
+    ``p`` and ``q``.  A pair that ``evaluate_sequence`` finishes on its
+    ``PairBox`` keeps that box instead, when it is the box
+    ``PairBox.from_pair`` would build from the terms: ``p`` and ``q`` are
+    built from it on first read and then kept.  The decision, the unit-norm
+    filter and the comparison of two such pairs on boxes of equal rows read
+    the box, so their terms are built only when asked for.  The box is not a
+    field: equality, hash, repr, pickling and copying see only ``p`` and
+    ``q``, and a copy or unpickled pair holds terms.
     """
 
     __slots__ = ("p", "q")
@@ -188,10 +206,28 @@ class PQPair(_Record):
         if p.variables != q.variables:
             raise ValueError(f"variable-count mismatch: {p.variables} != {q.variables}")
         _Record.__init__(self, p, q)
+        _set_field(self, "_box", None)
+
+    @classmethod
+    def _on_box(cls, box: PairBox) -> PQPair:
+        """The pair stored as ``box``, whose terms are built when first read."""
+        pair = cls.__new__(cls)
+        _set_field(pair, "_box", box)
+        return pair
+
+    def __getattr__(self, name):
+        # only an unset field of a pair stored as a box gets here
+        if name not in ("p", "q"):
+            raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
+        p, q = self._box._terms()
+        _set_field(self, "p", p)
+        _set_field(self, "q", q)
+        return p if name == "p" else q
 
     @property
     def variables(self) -> int:
-        return self.p.variables
+        box = self._box
+        return self.p.variables if box is None else box.variables
 
     def normalization_defect(self) -> float:
         """Largest coefficient-wise |difference| of p*p~ + q*q~ against 1;
@@ -209,10 +245,29 @@ class PQPair(_Record):
         return deviation <= tol * scale
 
     def max_deviation(self, other: PQPair) -> float:
-        return max(self.p.max_deviation(other.p), self.q.max_deviation(other.q))
+        deviations = self._box_deviations(other)
+        if deviations is None:
+            return max(self.p.max_deviation(other.p), self.q.max_deviation(other.q))
+        return max(deviations)
 
     def approx_eq(self, other: PQPair, tol: float = EPS) -> bool:
-        return self.p.approx_eq(other.p, tol) and self.q.approx_eq(other.q, tol)
+        deviations = self._box_deviations(other)
+        if deviations is None:
+            return self.p.approx_eq(other.p, tol) and self.q.approx_eq(other.q, tol)
+        (dp, dq), (sp, sq), (op, oq) = deviations, self._box._moduli, other._box._moduli
+        return dp <= tol * max(1.0, sp, op) and dq <= tol * max(1.0, sq, oq)
+
+    def _box_deviations(self, other: PQPair) -> tuple[float, float] | None:
+        """``LaurentPoly.max_deviation`` of P and of Q against ``other``'s,
+        read from the halves when both pairs are stored on boxes with equal
+        rows, else None.  A slot and its mirror image differ by one modulus,
+        as Q's 0j - v is exact, so the half gives the same float."""
+        box, other_box = self._box, other._box
+        if box is None or other_box is None or box.rows != other_box.rows:
+            return None
+        gaps = list(map(abs, map(sub, box.halves, other_box.halves)))
+        size = len(gaps) // 2
+        return max(gaps[:size], default=0.0), max(gaps[size:], default=0.0)
 
     # -- storage primitives of the step logic, shared with PairBox ------------
 
@@ -344,7 +399,10 @@ class PairBox:
         """The pair on its box, or None unless the pair's lattice has stride
         2 and is centred on every axis, its placed P and Q are mirror images
         by value (P's slot f equals slot N - 1 - f, Q's is its negation) and
-        the box has at most ``_BOX_PER_TERM`` slots per stored term."""
+        the box has at most ``_BOX_PER_TERM`` slots per stored term.  A pair
+        stored as its box (see ``PQPair``) gives that box."""
+        if pair._box is not None:
+            return pair._box
         lows, strides, rows = _lattice(pair)
         centred = strides == [2] * pair.variables and lows == [1 - r for r in rows]
         if not centred or _too_sparse(math.prod(rows), max(len(pair.p), len(pair.q))):
@@ -356,11 +414,16 @@ class PairBox:
         return cls(rows, p[:half] + q[:half])
 
     def to_pair(self) -> PQPair:
+        return PQPair(*self._terms())
+
+    def _terms(self) -> tuple[LaurentPoly, LaurentPoly]:
+        """P and Q as ``LaurentPoly`` terms: the whole box, without its zeros."""
         keys = list(product(*(range(1 - n, n, 2) for n in self.rows)))
-        p, q = self._prefixes(math.prod(self.rows))
         m = self.variables
-        p = LaurentPoly._from_arithmetic(m, dict(compress(zip(keys, p), p)), 0.0)
-        return PQPair(p, LaurentPoly._from_arithmetic(m, dict(compress(zip(keys, q), q)), 0.0))
+        return tuple(
+            LaurentPoly._from_arithmetic(m, dict(compress(zip(keys, values), values)), 0.0)
+            for values in self._prefixes(math.prod(self.rows))
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (PairBox, PQPair)):
@@ -391,11 +454,10 @@ class PairBox:
         # rows k and -k hold the same moduli, so the first visible row of
         # an axis gives its degree
         sizes = self._half_sizes()[: len(self.halves) // 2]
-        sizes += sizes[: math.prod(self.rows) // 2][::-1]
         degrees = []
         for i, n in enumerate(self.rows):
             first = 0
-            while not max(self._rows(sizes, i, first, first + 1)) > cutoff:
+            while not self._row_top(sizes, i, first) > cutoff:
                 first += 1
             degrees.append(n - 1 - 2 * first)
         return tuple(degrees)
@@ -446,22 +508,24 @@ class PairBox:
         any row can go.  Rows r and -r hold the same moduli, so they go in
         mirrored pairs."""
         i, n = j - 1, self.rows[j - 1]
-        slots, size = math.prod(self.rows), len(self.halves) // 2
+        size = len(self.halves) // 2
         sizes = self._half_sizes()
-        whole = [part + part[: slots // 2][::-1] for part in (sizes[:size], sizes[size:])]
+        parts = sizes[:size], sizes[size:]
         trim = 0
         while 2 * trim < n and n - 1 - 2 * trim > top and not any(
-            max(self._rows(part, i, trim, trim + 1), default=0.0) > cutoff for part in whole
+            self._row_top(part, i, trim) > cutoff for part in parts
         ):
             trim += 1
         if not trim:
             return self
         rows = list(self.rows)
         rows[i] = max(0, n - 2 * trim)
+        # the kept rows are centred as before, so the new half is a prefix
+        # of the kept rows' entries in the old one
         half = (math.prod(rows) + 1) // 2
         p, q, p_sizes, q_sizes = (
             self._rows(values, i, trim, trim + rows[i])[:half]
-            for values in (*self._prefixes(slots), *whole)
+            for values in (self.halves[:size], self.halves[size:], *parts)
         )
         return PairBox(rows, p + q, p_sizes + q_sizes)
 
@@ -522,6 +586,15 @@ class PairBox:
         p += p[slots - length : slots - size][::-1]
         q += map(sub, repeat(_ZERO), q[slots - length : slots - size][::-1])
         return p, q
+
+    def _row_top(self, sizes: list, i: int, r: int) -> float:
+        """The largest modulus in row ``r`` of axis ``i`` of the whole box,
+        from ``sizes``, the moduli of P's or Q's half: the row's slots in the
+        half and those of row n - 1 - r, which hold the mirror images of the
+        rest; 0.0 for an empty row."""
+        n = self.rows[i]
+        row = self._rows(sizes, i, r, r + 1) + self._rows(sizes, i, n - 1 - r, n - r)
+        return max(row, default=0.0)
 
     def _rows(self, values: list, i: int, start: int, stop: int) -> list:
         """The entries of ``values``, the box's first slots, in rows ``start``
@@ -599,13 +672,15 @@ class MqspSequence(_Record):
     """Angle parameters phi_0..phi_n and index parameters s_1..s_n.
 
     ``indices`` are 1-based variable choices; there is always exactly one
-    more phase than there are indices.  ``phases`` and ``indices`` are
-    stored as tuples of float and of int.
+    more phase than there are indices.  ``variables`` goes through
+    ``operator.index``, so a float count raises TypeError; ``phases`` and
+    ``indices`` are stored as tuples of float and of int.
     """
 
     __slots__ = ("variables", "phases", "indices")
 
     def __init__(self, variables: int, phases, indices):
+        variables = operator.index(variables)
         phases = tuple(map(float, phases))
         indices = tuple(map(int, indices))
         if variables < 1:
@@ -645,16 +720,20 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     Only the top row is carried: each step maps (p, q) to
     ((p c + q s) e^{i phi}, (p s + q c) e^{-i phi}) with c, s the cosine and
     sine parts of A(s_k).  The pair lives on a ``PairBox`` that starts as
-    one slot and grows by one row per step (``PairBox._step``).  Its
-    zero end rows are trimmed, and it is converted to ``LaurentPoly`` terms
-    at the end, or as soon as it gets too sparse, after which the general
-    products take the remaining steps (``PQPair._extend``).  A step
-    multiplies without cuts and then makes one ``DROP_EPS`` cut, on each
-    component at max(1, its own largest modulus), as ``LaurentPoly``
-    construction cuts.  That cut turns the rounding residue of exact
-    cancellations into exact zeros, which the trim and the sparse hand-off
-    count; kept to the end, the residue of a discrete-angle sequence on m
-    variables can fill all 2^m slots of its box.  Either way the result is
+    one slot and grows by one row per step (``PairBox._step``).  Its zero
+    end rows are trimmed.  As soon as it gets too sparse it is converted to
+    ``LaurentPoly`` terms, and the general products take the remaining
+    steps (``PQPair._extend``).  A box that stays dense to the end is the
+    result's storage when it is the box ``PairBox.from_pair`` would build
+    from the terms, that is when every axis has an entry in its end rows;
+    the terms are built when first read (see ``PQPair``).  Any other box is
+    converted at the end.  A step multiplies without cuts and then makes
+    one ``DROP_EPS`` cut, on each component at max(1, its own largest
+    modulus), as ``LaurentPoly`` construction cuts.  That cut turns the
+    rounding residue of exact cancellations into exact zeros, which the
+    trim and the sparse hand-off count; kept to the end, the residue of a
+    discrete-angle sequence on m variables can fill all 2^m slots of its
+    box.  Either way the result is
     bitwise the top row of the ``Mat2`` product of ``z_rotation`` and
     ``signal_operator`` factors multiplied without cuts (a drop scale of 0)
     and cut in that way after each step, which stays as the test oracle.
@@ -671,11 +750,12 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     zero part is -0.0, and Q's coefficient at -k is 0j - v for v the one at
     k, which the cut keeps: a slot and its mirror have one modulus.  So the
     state is the half box, the first ceil(N / 2) slots of P followed by
-    those of Q, and the whole box is unfolded from it only to trim rows,
-    when the half holds a zero, and to convert it.
+    those of Q, and the whole box is unfolded from it only to count the
+    terms left by a trim and to convert it.
     """
     box = PairBox((1,) * seq.variables, [cmath.exp(1j * seq.phases[0]), _ZERO])
     steps = zip(seq.phases[1:], seq.indices)
+    slots = terms = 1
     for phi, s in steps:
         box = box._step(s, cmath.exp(1j * phi))
         slots = terms = math.prod(box.rows)
@@ -687,6 +767,11 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
             terms = slots - min(values.count(_ZERO) for values in box._prefixes(slots))
         if _too_sparse(slots, terms):
             break
+    # the lattice of the terms is the box when no axis has an empty end row,
+    # as when P or Q fills every slot
+    ends = (box._truncated(j, -1, 0.0) is box for j in range(1, box.variables + 1))
+    if not _too_sparse(slots, terms) and (terms == slots or all(ends)):
+        return PQPair._on_box(box)
     pair = box.to_pair()
     for phi, s in steps:
         pair = pair._extend(s, cmath.exp(1j * phi))
@@ -748,7 +833,8 @@ def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float,
 
     A pair too sparse for its lattice, by the slots-per-term rule that
     evaluation and the decision use (``_too_sparse``), is multiplied out
-    instead; both ways are exact up to rounding.
+    instead; both ways are exact up to rounding.  A pair stored as its box
+    is sampled from the box, which is its lattice with P and Q placed.
 
     When |p|^2 + |q|^2 overflows a double, the pair fails the identity:
     the deviation is inf and the scale 1.  That is so when any sample is
@@ -756,15 +842,21 @@ def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float,
     p*p~ + q*q~, the sum of |c|^2, which by Cauchy-Schwarz bounds every
     other; then neither the transform back nor the product is made.
     """
-    lows, strides, counts = _lattice(pair)
-    if _too_sparse(math.prod(counts), max(len(pair.p), len(pair.q))):
-        p, q = pair.p, pair.q
-        squares = (c.real * c.real + c.imag * c.imag for x in (p, q) for c in x.terms.values())
-        if not sum(squares) < math.inf:
-            return math.inf, 1.0
-        combo = p * p.torus_conjugate() + q * q.torus_conjugate()
-        one = LaurentPoly.constant(pair.variables, 1.0)
-        return combo.max_deviation(one), max(1.0, combo.max_modulus())
+    box = pair._box
+    if box is not None:
+        counts = box.rows
+        placed = box._prefixes(math.prod(counts))
+    else:
+        lows, strides, counts = _lattice(pair)
+        if _too_sparse(math.prod(counts), max(len(pair.p), len(pair.q))):
+            p, q = pair.p, pair.q
+            squares = (c.real * c.real + c.imag * c.imag for x in (p, q) for c in x.terms.values())
+            if not sum(squares) < math.inf:
+                return math.inf, 1.0
+            combo = p * p.torus_conjugate() + q * q.torus_conjugate()
+            one = LaurentPoly.constant(pair.variables, 1.0)
+            return combo.max_deviation(one), max(1.0, combo.max_modulus())
+        placed = _placed(pair, lows, strides, counts)
     roots = [
         [cmath.exp(2j * math.pi * k / (2 * rows - 1)) for k in range(2 * rows - 1)]
         for rows in counts
@@ -774,7 +866,7 @@ def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float,
         for row, rows in zip(roots, counts)
     ]
     samples = repeat(0.0)
-    for values in _placed(pair, lows, strides, counts):
+    for values in placed:
         values = _separable_transform(values, forward)
         samples = [f + v.real * v.real + v.imag * v.imag for f, v in zip(samples, values)]
     if not all(map(math.isfinite, samples)):

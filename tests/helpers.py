@@ -112,8 +112,10 @@ def layout(request, monkeypatch):
 
 @pytest.fixture
 def no_box(monkeypatch):
-    """Fail the test if any pair is laid out on a dense box."""
+    """Fail the test if any pair is laid out on a dense box, or an
+    evaluated pair is stored as one."""
     def refuse(*args):
         raise AssertionError("laid out on a dense box")
 
     monkeypatch.setattr(su2, "_placed", refuse)
+    monkeypatch.setattr(su2.PQPair, "_on_box", refuse)

@@ -438,6 +438,31 @@ def test_layouts_agree_on_deep_pairs(m, n, mode, monkeypatch):
         monkeypatch.undo()
 
 
+def reduced_fingerprints(trace) -> list[tuple]:
+    """The fingerprints of P and Q of every reduced pair of ``trace``."""
+    return [
+        (fingerprint(step.reduced.p), fingerprint(step.reduced.q))
+        for step in trace.steps
+        if isinstance(step, PhaseReduction)
+    ]
+
+
+@pytest.mark.parametrize("m,n", [(1, 14), (2, 9), (3, 7), (4, 6)])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("tol", [0.0, TOL, 1e-6])
+def test_stored_box_decides_as_its_term_twin(m, n, mode, tol):
+    # an evaluated pair keeps its box, which the decision takes as it is;
+    # its term twin is laid out on the box again
+    for seed in range(3):
+        pair, _ = oracle_pair(m, n, 6000 + 100 * m + 10 * seed + n, mode)
+        twin = PQPair(pair.p, pair.q)
+        assert pair._box is not None and twin._box is None
+        for budget in (n, n + 1, n + 2):
+            stored, relaid = run_decision(pair, budget, tol), run_decision(twin, budget, tol)
+            assert stored == relaid and repr(stored) == repr(relaid), (seed, budget)
+            assert reduced_fingerprints(stored) == reduced_fingerprints(relaid), (seed, budget)
+
+
 def test_only_centred_mirror_images_go_on_the_box():
     # the box holds half of P and of Q, so a pair goes on it only with
     # stride 2 and centred on every axis, and with P's slot f equal to its

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import cmath
+import copy
 import math
+import pickle
 from unittest import mock
 
 import pytest
@@ -23,7 +25,7 @@ from mqsp import (
     signal_operator,
     z_rotation,
 )
-from mqsp import laurent, su2
+from mqsp import documents, laurent, roundtrip_check, su2
 from helpers import (
     M20_CORNERS,
     SPAN_100001,
@@ -243,6 +245,7 @@ def test_evaluation_hands_off_mid_sequence_bitwise(monkeypatch):
     seq = MqspSequence(6, (0.0,) * 5 + (0.4, -1.1, 2.5), (1, 2, 3, 4, 5, 6, 1))
     kernel = evaluate_sequence(seq)
     assert stepped == [5, 6, 1]
+    assert kernel._box is None
     oracle = matrix_oracle_top_row(seq)
     assert fingerprint(kernel.p) == fingerprint(oracle.p)
     assert fingerprint(kernel.q) == fingerprint(oracle.q)
@@ -321,10 +324,126 @@ def test_sequence_validation():
         MqspSequence(0, (0.0,), ())
 
 
+def test_sequence_variable_count_goes_through_index():
+    # a float count raises at construction, not in evaluate_sequence
+    with pytest.raises(TypeError):
+        MqspSequence(2.0, (0.0, 0.1), (1,))
+
+    class Two:
+        def __index__(self):
+            return 2
+
+    seq = MqspSequence(Two(), (0.0, 0.1), (2,))
+    assert type(seq.variables) is int and seq.variables == 2
+
+
 @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
 def test_sequence_phases_must_be_finite(phase):
     with pytest.raises(ValueError, match="not finite"):
         MqspSequence(1, (0.0, phase), (1,))
+
+
+# -- pairs stored as their box ----------------------------------------------------------
+
+
+def term_twin(pair: PQPair) -> PQPair:
+    """The pair built from its terms, so stored as terms."""
+    return PQPair(pair.p, pair.q)
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (1, 9), (2, 6), (3, 5), (4, 4)])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_evaluated_pair_keeps_the_box_its_terms_lay_out_on(m, n, mode):
+    pair, _ = oracle_pair(m, n, 5000 + 10 * m + n, mode)
+    box = pair._box
+    assert box is not None and pair.variables == m
+    twin = term_twin(pair)
+    assert twin._box is None
+    assert su2.PairBox.from_pair(pair) is box
+    relaid = su2.PairBox.from_pair(twin)
+    assert relaid.rows == box.rows
+    assert list(map(repr, relaid.halves)) == list(map(repr, box.halves))
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (2, 6), (4, 4)])
+def test_evaluated_pair_behaves_as_its_term_twin(m, n):
+    # the box is not a field: equality, hash, repr, pickling and copying see
+    # the terms alone, and a copy holds them; each check gets a fresh pair,
+    # whose terms nothing has read yet
+    seq = random_sequence(OracleConfig(m, n, 5100 + m))
+    twin = term_twin(evaluate_sequence(seq))
+    assert evaluate_sequence(seq) == twin and twin == evaluate_sequence(seq)
+    assert repr(evaluate_sequence(seq)) == repr(twin)
+    assert fingerprint(evaluate_sequence(seq).p) == fingerprint(twin.p)
+    assert fingerprint(evaluate_sequence(seq).q) == fingerprint(twin.q)
+    for unhashable in (evaluate_sequence(seq), twin):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(unhashable)
+    for copier in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        again = copier(evaluate_sequence(seq))
+        assert type(again) is PQPair and again._box is None
+        assert again == twin and repr(again) == repr(twin)
+
+
+def comparisons(a: PQPair, b: PQPair) -> list:
+    """``max_deviation`` by repr and ``approx_eq`` at several tolerances."""
+    return [repr(a.max_deviation(b))] + [a.approx_eq(b, tol) for tol in (0.0, 1e-15, 1e-12, TOL)]
+
+
+@pytest.mark.parametrize("m,n", [(1, 12), (2, 8), (3, 6), (4, 5)])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_box_comparisons_are_bitwise_the_term_comparisons(m, n, mode):
+    # two boxes with equal rows compare on their halves; any other
+    # combination, or boxes with different rows, on the terms
+    pair, seq = oracle_pair(m, n, 5200 + 10 * m + n, mode)
+    others = [
+        evaluate_sequence(MqspSequence(m, [phi + shift for phi in seq.phases], seq.indices))
+        for shift in (0.0, 1e-13, 1e-10, 1e-3)
+    ]
+    others.append(evaluate_sequence(MqspSequence(m, seq.phases[:-1], seq.indices[:-1])))
+    assert all(other._box is not None for other in others)
+    assert others[-1]._box.rows != pair._box.rows
+    assert others[2]._box.rows == pair._box.rows and others[2].max_deviation(pair) > 0.0
+    for other in others:
+        forwards = comparisons(term_twin(pair), term_twin(other))
+        backwards = comparisons(term_twin(other), term_twin(pair))
+        for a in (pair, term_twin(pair)):
+            for b in (other, term_twin(other)):
+                assert comparisons(a, b) == forwards
+                assert comparisons(b, a) == backwards
+
+
+def test_sparse_evaluations_come_back_as_terms():
+    # zero phases keep two terms each in P and Q: three steps on three
+    # variables end on a box of 8 slots, which two terms may fill; a fourth
+    # on a fourth variable ends on 16, too sparse, so its last step leaves
+    # the box; a fifth step is taken on the terms
+    for m in (3, 4, 5):
+        pair = evaluate_sequence(MqspSequence(m, (0.0,) * (m + 1), tuple(range(1, m + 1))))
+        assert len(pair.p) == len(pair.q) == 2
+        assert (pair._box is not None) == (m == 3)
+        assert su2.PairBox.from_pair(pair) is pair._box
+    # documents and perturbed pairs hold terms
+    pair, _ = oracle_pair(2, 6, 5300)
+    assert perturb_pair(pair, 1)._box is None
+    assert documents.pair_from_document(documents.pair_to_document(pair))._box is None
+
+
+def test_a_roundtrip_never_builds_the_terms(monkeypatch):
+    # decide, synthesize, rebuild and compare, the unit-norm filter: all on
+    # the boxes
+    def refuse(box):
+        raise AssertionError("terms built")
+
+    monkeypatch.setattr(su2.PairBox, "_terms", refuse)
+    for m, n, seed in ((1, 12, 1), (2, 8, 2), (3, 6, 3), (4, 5, 4)):
+        seq = random_sequence(OracleConfig(m, n, 5400 + seed))
+        report = roundtrip_check(seq)
+        assert report.passed and report.max_deviation <= TOL, report
+        pair = evaluate_sequence(seq)
+        assert pair.is_normalized(TOL) and pair.normalization_defect() <= TOL
+    with pytest.raises(AssertionError, match="terms built"):
+        repr(pair)
 
 
 # -- pair embedding ----------------------------------------------------------------
