@@ -34,6 +34,7 @@ from .su2 import MqspSequence, PairBox, PQPair, _lattice, _Record
 REASON_BASE = "final pair is not a pure phase rotation"
 REASON_DEGREE = "degree sum neither equals the step count nor leaves room for padding"
 REASON_PHASE = "no variable has unimodular-proportional top coefficient slices"
+REASON_OVERFLOW = "a peeled coefficient overflows a double"
 
 
 class IdentityPad(_Record):
@@ -47,10 +48,10 @@ class PhaseReduction(_Record):
     """One signal operator peeled off variable ``index`` (int, from 1) at
     angle ``phase`` (float), from the step budget ``steps_left`` (int).
 
-    ``state`` is the reduced pair in the layout the decision runs on (a
-    ``PairBox``, which stores half of the box, or a ``PQPair``); ``reduced``
-    unfolds and converts it to a ``PQPair`` when read.  ``repr`` leaves
-    ``state`` out.
+    ``state`` is the reduced pair, a ``PQPair``; ``reduced`` is the same
+    object.  When the decision runs on a ``PairBox``, the pair is stored as
+    the box (see ``PQPair``) and builds its terms only when read.  ``repr``
+    leaves ``state`` out.
     """
 
     __slots__ = ("steps_left", "index", "phase", "state")
@@ -58,7 +59,7 @@ class PhaseReduction(_Record):
 
     @property
     def reduced(self) -> PQPair:
-        return self.state.to_pair()
+        return self.state
 
 
 class BaseAccept(_Record):
@@ -211,6 +212,12 @@ def effective_degrees(pair: PQPair | PairBox, tol: float = EPS) -> tuple[int, ..
     the rows it keeps sits far below the tolerance and must not masquerade
     as surviving degree.  (The rows above the new degree are truncated by
     ``run_decision``.)
+
+    On the input pair these degrees bound the step count: for a pair within
+    ``tol`` of an n-step product, every term counted here is a term of the
+    product, so the degrees sum to at most n and to n's parity (see
+    ``run_decision``).  On a reduced pair, read again at ``tol`` in the
+    middle of the walk, they certify nothing.
     """
     degrees = pair._visible_degrees(tol * max(1.0, *pair._moduli))
     return degrees or (0,) * pair.variables
@@ -222,6 +229,14 @@ def _budget(n) -> int:
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
     return n
+
+
+def _tolerance(tol: float) -> float:
+    """``tol``, or ValueError unless it is a finite number >= 0: no
+    comparison means anything at a NaN, infinite or negative tolerance."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 # The most recent walk, (pair, tol, degree sum, steps), or None.  One entry,
@@ -247,7 +262,26 @@ def run_decision(pair: PQPair, n: int, tol: float = EPS) -> DecisionTrace:
     reduced pairs of its trace, until the next walk replaces it.
 
     ``n`` must be an integer (an ``int`` or any type ``operator.index``
-    takes): a float, even an integral one, raises TypeError.
+    takes): a float, even an integral one, raises TypeError.  ``tol`` must
+    be a finite number >= 0, or ValueError is raised.
+
+    The two opening rejects are certificates.  Let the pair be within
+    ``tol`` of an n-step product R, as ``PQPair.approx_eq`` measures it, and
+    let variable j take c_j of its steps.  R's coefficients have modulus at
+    most 1, as Fourier coefficients of an entry of a unitary matrix.  So a
+    term of P above the cutoff of ``effective_degrees``,
+    tol * max(1, max|P|, max|Q|), is more than tol * max(1, max|P|,
+    max|R_P|) from zero, and R's P has a term at its exponent.  Variable j's
+    exponent in a term of R has the parity of c_j and is at most c_j in
+    modulus.  So s <= n and s = n (mod 2), and a budget below s, or of the
+    other parity, has no n-step product within ``tol``.  That takes a
+    visible term in P, which exists when tol <= 1 / (2 L + 1) for L the
+    number of terms of R's P, at most prod_j (c_j + 1): at a = (1, ..., 1)
+    every signal operator is the identity, so |R_P(1)| = 1 and some term of
+    R's P has modulus at least 1 / L.  The other degree branches only guess.
+    Padding when s falls below n takes the pair's rows below ``tol`` for
+    rounding, though they may be genuine, and a degree reject in the middle
+    of the walk reads the reduced pair again at ``tol``.
 
     The pair is laid out once: on its ``PairBox`` when it is centred and
     stride 2 on every axis, its P and Q are mirror images by value, and
@@ -257,7 +291,7 @@ def run_decision(pair: PQPair, n: int, tol: float = EPS) -> DecisionTrace:
     bitwise the same trace on a pair the box takes.
     """
     global _last_walk
-    n = _budget(n)
+    n, tol = _budget(n), _tolerance(tol)
     memo = _last_walk
     if memo is not None and memo[0] is pair and memo[1] == tol:
         current, degs, s, walk = None, None, memo[2], memo[3]
@@ -289,7 +323,13 @@ def _walk(current: PQPair | PairBox, degs: tuple[int, ...], tol: float) -> tuple
     below the cutoff ``effective_degrees`` uses.  A row with a visible entry
     stops the truncation and is kept, so the next degree scan or the base
     case rejects the pair.  A peel that lowers the degree sum by two or more
-    leaves room for identity pads inside the walk.
+    leaves room for identity pads inside the walk.  A peel whose
+    coefficients overflow a double ends the walk with ``REASON_OVERFLOW``.
+    A peeled coefficient is at most twice as large as the largest one it is
+    peeled from, and the peel is unitary on the torus, so only a pair whose
+    coefficients have a root sum of squares near the largest double
+    overflows.  No tolerance below 1 puts such a pair near a product, whose
+    coefficients have modulus at most 1.
     """
     steps: list[TraceStep] = []
     remaining = sum(degs)
@@ -303,24 +343,25 @@ def _walk(current: PQPair | PairBox, degs: tuple[int, ...], tol: float) -> tuple
             if remaining == 0:
                 break
         if total != remaining:
-            steps.append(Reject(remaining, REASON_DEGREE))
-            return tuple(steps)
+            return (*steps, Reject(remaining, REASON_DEGREE))
         for j in range(1, current.variables + 1):
             phi = find_phase(current, j, degs[j - 1], tol)
             if phi is not None:
-                current = reduce_step(current, j, phi)
+                try:
+                    current = reduce_step(current, j, phi)
+                except (OverflowError, ValueError):
+                    # a peeled value, or its modulus, is not a finite double
+                    return (*steps, Reject(remaining, REASON_OVERFLOW))
                 cutoff = tol * max(1.0, *current._moduli)
                 current = current._truncated(j, degs[j - 1] - 1, cutoff)
-                steps.append(PhaseReduction(remaining, j, phi, current))
+                steps.append(PhaseReduction(remaining, j, phi, current.to_pair()))
                 remaining -= 1
                 break
         else:
-            steps.append(Reject(remaining, REASON_PHASE))
-            return tuple(steps)
+            return (*steps, Reject(remaining, REASON_PHASE))
         if remaining:
             degs = effective_degrees(current, tol)
-    steps.append(_base_case(current, tol))
-    return tuple(steps)
+    return (*steps, _base_case(current, tol))
 
 
 def _base_case(pair: PQPair | PairBox, tol: float) -> BaseAccept | Reject:
@@ -386,9 +427,9 @@ def check_necessary(pair: PQPair, n: int, tol: float = EPS) -> NecessaryReport:
     per-variable degree equality of P and Q, P != 0, matching parity of the
     degree sum and the step count, and the unit-norm identity (sampled on a
     torus grid, see ``PQPair.is_normalized``).  ``n`` must be an integer,
-    as for ``run_decision``.
+    as for ``run_decision``, and ``tol`` a finite number >= 0.
     """
-    n = _budget(n)
+    n, tol = _budget(n), _tolerance(tol)
     p, q = pair.p, pair.q
     degrees = p.degrees()
     total = sum(degrees)
@@ -416,14 +457,14 @@ def qsp1_characterize(pair: PQPair, n: int, tol: float = EPS) -> bool:
     (18 of the 60 oracle pairs at n = 20, seeds 100000 to 100059, which the
     closed form all accepts; see
     ``test_closed_form_accepts_what_the_peel_rejects`` in
-    ``tests/test_conditioning.py``).  ``n`` must be an integer, as for
-    ``run_decision``.
+    ``tests/test_conditioning.py``).  ``n`` must be an integer and ``tol``
+    a finite number >= 0, as for ``run_decision``.
     """
     if pair.variables != 1:
         raise ValueError(
             f"single-variable characterization needs arity 1, got {pair.variables}"
         )
-    n = _budget(n)
+    n, tol = _budget(n), _tolerance(tol)
     p, q = pair.p, pair.q
     if p.degree(1) > n or q.degree(1) > n:
         return False

@@ -180,10 +180,11 @@ class PQPair(_BoxSlot):
     ``is_normalized`` to test for it.  The identity is usually not
     multiplied out: |p|^2 + |q|^2 is sampled on a torus grid of
     N_j = 2 r_j - 1 points per variable, for the r_j rows of the general
-    lattice that holds the pair (its exponents at stride 1 or 2), which
-    holds each of its lags once.  ``is_normalized`` decides from Parseval
-    bounds on those samples and transforms back only when the bounds leave
-    the verdict open; ``normalization_defect`` always transforms back (see
+    lattice that holds the pair (its exponents at stride 1 or 2), or of its
+    box when it is stored as one, which holds each of its lags once.
+    ``is_normalized`` decides from Parseval bounds on those samples and
+    transforms back only when the bounds leave the verdict open;
+    ``normalization_defect`` always transforms back (see
     ``_unit_norm_deviation``).  That costs O(G * sum_j N_j) for a grid of
     G = prod_j N_j points instead of the product's O(L^2) in the term count
     L.  A pair too sparse for its lattice, by the slots-per-term rule that
@@ -191,13 +192,16 @@ class PQPair(_BoxSlot):
 
     A pair has one of two storages.  Most hold their ``LaurentPoly`` terms
     ``p`` and ``q``.  A pair that ``evaluate_sequence`` finishes on its
-    ``PairBox`` keeps that box instead, when it is the box
-    ``PairBox.from_pair`` would build from the terms: ``p`` and ``q`` are
-    built from it on first read and then kept.  The decision, the unit-norm
-    filter and the comparison of two such pairs on boxes of equal rows read
-    the box, so their terms are built only when asked for.  The box is not a
-    field: equality, hash, repr, pickling and copying see only ``p`` and
-    ``q``, and a copy or unpickled pair holds terms.
+    ``PairBox``, and each reduced pair of a decision that runs on a box
+    (``PhaseReduction.state``), keeps that box instead (``PairBox.to_pair``):
+    ``p`` and ``q`` are built from it on first read and then kept.  Such a
+    box may have more rows than the lattice of the terms, when an axis ends
+    in rows whose slots are all 0j.  The decision, the unit-norm filter and
+    the comparison of two such pairs on boxes of equal rows read the box, so
+    their terms are built only when asked for; boxes of different rows are
+    compared on the terms.  The box is not a field: equality, hash, repr,
+    pickling and copying see only ``p`` and ``q``, and a copy or unpickled
+    pair holds terms.
     """
 
     __slots__ = ("p", "q")
@@ -400,7 +404,8 @@ class PairBox:
         2 and is centred on every axis, its placed P and Q are mirror images
         by value (P's slot f equals slot N - 1 - f, Q's is its negation) and
         the box has at most ``_BOX_PER_TERM`` slots per stored term.  A pair
-        stored as its box (see ``PQPair``) gives that box."""
+        stored as its box (see ``PQPair``) gives that box, which may have
+        empty end rows that a box built from the terms would not."""
         if pair._box is not None:
             return pair._box
         lows, strides, rows = _lattice(pair)
@@ -414,7 +419,8 @@ class PairBox:
         return cls(rows, p[:half] + q[:half])
 
     def to_pair(self) -> PQPair:
-        return PQPair(*self._terms())
+        """The pair stored as this box; its terms are built when first read."""
+        return PQPair._on_box(self)
 
     def _terms(self) -> tuple[LaurentPoly, LaurentPoly]:
         """P and Q as ``LaurentPoly`` terms: the whole box, without its zeros."""
@@ -424,13 +430,6 @@ class PairBox:
             LaurentPoly._from_arithmetic(m, dict(compress(zip(keys, values), values)), 0.0)
             for values in self._prefixes(math.prod(self.rows))
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (PairBox, PQPair)):
-            return NotImplemented
-        return self.to_pair() == other.to_pair()
-
-    __hash__ = None
 
     # -- storage primitives ---------------------------------------------------
 
@@ -724,16 +723,16 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     end rows are trimmed.  As soon as it gets too sparse it is converted to
     ``LaurentPoly`` terms, and the general products take the remaining
     steps (``PQPair._extend``).  A box that stays dense to the end is the
-    result's storage when it is the box ``PairBox.from_pair`` would build
-    from the terms, that is when every axis has an entry in its end rows;
-    the terms are built when first read (see ``PQPair``).  Any other box is
-    converted at the end.  A step multiplies without cuts and then makes
-    one ``DROP_EPS`` cut, on each component at max(1, its own largest
-    modulus), as ``LaurentPoly`` construction cuts.  That cut turns the
-    rounding residue of exact cancellations into exact zeros, which the
-    trim and the sparse hand-off count; kept to the end, the residue of a
-    discrete-angle sequence on m variables can fill all 2^m slots of its
-    box.  Either way the result is
+    result's storage, and the terms are built when first read (see
+    ``PQPair``).  Only the stepped axis is trimmed, so such a box may keep
+    an empty end row on another axis; it then has more rows than the
+    lattice of its terms, and every slot of those rows is 0j.  A step
+    multiplies without cuts and then makes one ``DROP_EPS`` cut, on each
+    component at max(1, its own largest modulus), as ``LaurentPoly``
+    construction cuts.  That cut turns the rounding residue of exact
+    cancellations into exact zeros, which the trim and the sparse hand-off
+    count; kept to the end, the residue of a discrete-angle sequence on m
+    variables can fill all 2^m slots of its box.  Either way the result is
     bitwise the top row of the ``Mat2`` product of ``z_rotation`` and
     ``signal_operator`` factors multiplied without cuts (a drop scale of 0)
     and cut in that way after each step, which stays as the test oracle.
@@ -755,7 +754,6 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     """
     box = PairBox((1,) * seq.variables, [cmath.exp(1j * seq.phases[0]), _ZERO])
     steps = zip(seq.phases[1:], seq.indices)
-    slots = terms = 1
     for phi, s in steps:
         box = box._step(s, cmath.exp(1j * phi))
         slots = terms = math.prod(box.rows)
@@ -767,12 +765,9 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
             terms = slots - min(values.count(_ZERO) for values in box._prefixes(slots))
         if _too_sparse(slots, terms):
             break
-    # the lattice of the terms is the box when no axis has an empty end row,
-    # as when P or Q fills every slot
-    ends = (box._truncated(j, -1, 0.0) is box for j in range(1, box.variables + 1))
-    if not _too_sparse(slots, terms) and (terms == slots or all(ends)):
+    else:
         return PQPair._on_box(box)
-    pair = box.to_pair()
+    pair = PQPair(*box._terms())
     for phi, s in steps:
         pair = pair._extend(s, cmath.exp(1j * phi))
     return pair
@@ -834,7 +829,10 @@ def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float,
     A pair too sparse for its lattice, by the slots-per-term rule that
     evaluation and the decision use (``_too_sparse``), is multiplied out
     instead; both ways are exact up to rounding.  A pair stored as its box
-    is sampled from the box, which is its lattice with P and Q placed.
+    is sampled from the box: its lattice with P and Q placed, or a larger
+    one when the box keeps empty end rows (see ``PQPair``).  The larger
+    grid still holds each lag once, so the coefficients are still exact up
+    to rounding, though not bitwise those of the lattice's grid.
 
     When |p|^2 + |q|^2 overflows a double, the pair fails the identity:
     the deviation is inf and the scale 1.  That is so when any sample is

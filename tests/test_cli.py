@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mqsp import LaurentPoly, PQPair
 from mqsp.cli import main
 from mqsp.documents import save_pair
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -161,6 +167,31 @@ def test_tolerance_must_be_finite_and_non_negative(command, tolerance, ce_path, 
 
 def test_zero_tolerance_is_accepted(identity_path):
     assert main(["decide", identity_path, "--steps", "0", "--tolerance", "0"]) == 0
+
+
+@pytest.mark.parametrize("command", ["decide", "synthesize"])
+def test_overflowing_peel_exits_1_with_its_trace(command, tmp_path):
+    # P = 1e308 (a + a^-1), Q = 1e308 (a - a^-1): the peel doubles the
+    # constant past the largest double, which used to end in a traceback
+    path = tmp_path / "overflow.json"
+    c = 1e308
+    p, q = LaurentPoly(1, {(1,): c, (-1,): c}), LaurentPoly(1, {(1,): c, (-1,): -c})
+    save_pair(PQPair(p, q), str(path))
+    run = subprocess.run(
+        [sys.executable, "-m", "mqsp.cli", command, str(path), "--steps", "1"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 1, run.stderr
+    assert run.stderr == ""
+    tolerance = " (tolerance 1e-09)" if command == "decide" else ""
+    assert run.stdout.splitlines() == [
+        f"result: not constructible in 1 steps{tolerance}",
+        "trace:",
+        "  [n=1] reject: a peeled coefficient overflows a double",
+    ]
 
 
 # -- synthesize --------------------------------------------------------------

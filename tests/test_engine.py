@@ -6,12 +6,15 @@ import cmath
 import copy
 import json
 import math
+import pickle
+import random
 import sys
 import threading
 
 import pytest
 
 from mqsp import (
+    ANGLE_MODES,
     BaseAccept,
     IdentityPad,
     LaurentPoly,
@@ -38,7 +41,7 @@ from mqsp import (
     z_rotation,
 )
 from mqsp import documents, engine, laurent, su2
-from mqsp.engine import REASON_BASE, REASON_DEGREE, REASON_PHASE
+from mqsp.engine import REASON_BASE, REASON_DEGREE, REASON_OVERFLOW, REASON_PHASE
 from mqsp.fixtures import counterexample_pair, identity_pair, signal_pair
 from mqsp.su2 import PairBox
 from helpers import (
@@ -463,6 +466,87 @@ def test_stored_box_decides_as_its_term_twin(m, n, mode, tol):
             assert reduced_fingerprints(stored) == reduced_fingerprints(relaid), (seed, budget)
 
 
+def test_trace_states_are_pairs(layout):
+    # on the box, each level's pair is stored as its box; on the terms it is
+    # the peeled pair itself
+    for m, n in ((1, 9), (2, 6), (3, 5), (4, 4)):
+        pair, _ = oracle_pair(m, n, 6500 + m)
+        reductions = [
+            step for step in run_decision(pair, n, TOL).steps if isinstance(step, PhaseReduction)
+        ]
+        assert reductions, (m, n)
+        for step in reductions:
+            assert type(step.state) is PQPair and step.reduced is step.state
+            assert (step.state._box is not None) == (layout == "box")
+
+
+def test_traces_of_a_pair_and_its_term_twin_compare_and_pickle():
+    for m, n, mode in ((1, 9, "continuous"), (2, 6, "discrete"), (3, 5, "continuous")):
+        pair, _ = oracle_pair(m, n, 6600 + m, mode)
+        twin = PQPair(pair.p, pair.q)
+        for budget in (n, n + 2):
+            trace, twin_trace = run_decision(pair, budget, TOL), run_decision(twin, budget, TOL)
+            assert trace == twin_trace and twin_trace == trace
+            for kept in (trace, twin_trace):
+                again = pickle.loads(pickle.dumps(kept))
+                assert again == trace and repr(again) == repr(trace)
+                states = [s.state for s in again.steps if isinstance(s, PhaseReduction)]
+                assert states and all(state._box is None for state in states)
+
+
+def with_empty_end_rows(box: PairBox, i: int) -> PairBox:
+    """``box`` with an empty row added at each end of axis ``i``, as an
+    evaluation that zeroes the end rows of an axis it does not step would
+    leave it."""
+    rows = list(box.rows)
+    block = math.prod(rows[i + 1 :])
+    chunk = rows[i] * block
+    padded = []
+    for values in box._prefixes(math.prod(rows)):
+        grown = []
+        for at in range(0, len(values), chunk):
+            grown += [0j] * block + values[at : at + chunk] + [0j] * block
+        padded.append(grown)
+    rows[i] += 2
+    half = (math.prod(rows) + 1) // 2
+    return PairBox(rows, padded[0][:half] + padded[1][:half])
+
+
+def test_a_box_with_empty_end_rows_acts_as_its_term_twin():
+    # no evaluation was seen to leave such a box, so it is built by hand:
+    # the decision steps it, comparisons fall back to the terms unless the
+    # rows agree, and the unit-norm filter samples a larger grid
+    for m, n in ((1, 9), (2, 6), (3, 5)):
+        pair, seq = oracle_pair(m, n, 6700 + m)
+        shifts = [phi + 1e-10 for phi in seq.phases]
+        shifted = evaluate_sequence(MqspSequence(m, shifts, seq.indices))
+        for i in range(m):
+            padded = PQPair._on_box(with_empty_end_rows(pair._box, i))
+            twin = PQPair(padded.p, padded.q)
+            assert fingerprint(twin.p) == fingerprint(pair.p)
+            assert fingerprint(twin.q) == fingerprint(pair.q)
+            for tol in (0.0, TOL, 1e-3):
+                for budget in (n, n + 1, n + 2):
+                    expected = step_signature(run_decision(twin, budget, tol).steps)
+                    got = step_signature(run_decision(padded, budget, tol).steps)
+                    assert got == expected, (m, i, tol, budget)
+            neighbour = PQPair._on_box(with_empty_end_rows(shifted._box, i))
+            assert neighbour._box.rows == padded._box.rows
+            for a, b in ((padded, pair), (padded, neighbour), (neighbour, padded)):
+                a_twin, b_twin = PQPair(a.p, a.q), PQPair(b.p, b.q)
+                assert repr(a.max_deviation(b)) == repr(a_twin.max_deviation(b_twin))
+                for tol in (0.0, 1e-15, 1e-12, TOL):
+                    assert a.approx_eq(b, tol) == a_twin.approx_eq(b_twin, tol)
+            for factor in (1.0, 1.001):
+                box = with_empty_end_rows(pair._box, i)
+                stored = PQPair._on_box(PairBox(box.rows, [v * factor for v in box.halves]))
+                stored_twin = PQPair(stored.p, stored.q)
+                for tol in (1e-12, TOL, 1e-3):
+                    verdict = stored.is_normalized(tol)
+                    assert verdict == stored_twin.is_normalized(tol) == (factor == 1.0)
+            assert padded.normalization_defect() <= 1e-13
+
+
 def test_only_centred_mirror_images_go_on_the_box():
     # the box holds half of P and of Q, so a pair goes on it only with
     # stride 2 and centred on every axis, and with P's slot f equal to its
@@ -577,6 +661,31 @@ def test_budget_must_be_an_integer():
     assert type(cfg.variables) is int and type(cfg.steps) is int
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_tolerance_must_be_finite_and_non_negative(tol):
+    # a NaN tolerance synthesized the witness pair, with a sequence that
+    # rebuilds it to 0.54, and a negative one rejected the identity
+    calls = [
+        lambda: decide(identity_pair(), 0, tol),
+        lambda: synthesize(counterexample_pair(), 4, tol),
+        lambda: run_decision(signal_pair(), 1, tol),
+        lambda: check_necessary(identity_pair(), 0, tol),
+        lambda: qsp1_characterize(signal_pair(), 1, tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+            call()
+
+
+def test_zero_tolerance_decides():
+    assert decide(identity_pair(), 0, 0.0) and decide(signal_pair(), 3, 0.0)
+    assert synthesize(identity_pair(), 2, 0.0).constructible
+    assert run_decision(signal_pair(), 1, 0.0).accepted
+    assert not decide(counterexample_pair(), 4, 0.0)
+    assert check_necessary(identity_pair(), 0, 0.0).all_ok
+    assert qsp1_characterize(identity_pair(), 2, 0.0)
+
+
 def test_trace_shape():
     trace = run_decision(identity_pair(), 4, TOL)
     assert isinstance(trace.steps[-1], BaseAccept)
@@ -638,7 +747,7 @@ def budget_loop_steps(pair: PQPair, n: int, tol: float) -> list:
                 current = reduce_step(current, j, phi)
                 cutoff = tol * max(1.0, *current._moduli)
                 current = current._truncated(j, degs[j - 1] - 1, cutoff)
-                steps.append(PhaseReduction(remaining, j, phi, current))
+                steps.append(PhaseReduction(remaining, j, phi, current.to_pair()))
                 remaining -= 1
                 break
         else:
@@ -870,6 +979,55 @@ def test_peel_truncates_to_the_new_degree(m, mode):
                     before = after
 
 
+def within_half_tol(seq: MqspSequence, tol: float, rng: random.Random) -> PQPair:
+    """The pair of ``seq`` with up to three of its terms in each of P and Q
+    bumped, and three terms added to each where the product has none: above
+    its degree in one variable, at the wrong parity there, or both.  Every
+    change is at most tol / 2 in modulus."""
+    pair = evaluate_sequence(seq)
+    counts = [seq.indices.count(j) for j in range(1, seq.variables + 1)]
+
+    def bump() -> complex:
+        return tol / 2 * rng.random() * cmath.exp(2j * math.pi * rng.random())
+
+    polys = []
+    for poly in (pair.p, pair.q):
+        terms = dict(poly.terms)
+        for key in rng.sample(sorted(terms), min(3, len(terms))):
+            terms[key] += bump()
+        for _ in range(3):
+            key = [rng.randint(-c, c) for c in counts]
+            i = rng.randrange(seq.variables)
+            c = counts[i]
+            key[i] = rng.choice([c + 1, c + 2, -(c + 1), -(c + 2), c - 1 if c else 1])
+            terms[tuple(key)] = terms.get(tuple(key), 0j) + bump()
+        polys.append(LaurentPoly(seq.variables, terms))
+    return PQPair(*polys)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_opening_degree_rejects_are_sound(m, tol):
+    """For a pair within ``tol`` of an n-step product, every term of P
+    visible at ``tol`` is a term of the product.  So the degree sum s is at
+    most n and has n's parity: neither opening reject fires at n, and the
+    parity reject at n + 1 is right."""
+    rng = random.Random(8000 + m)
+    for mode in ANGLE_MODES:
+        for n in range(9):
+            seq = random_sequence(OracleConfig(m, n, 8000 + 100 * m + n, mode))
+            near = within_half_tol(seq, tol, rng)
+            assert near.approx_eq(evaluate_sequence(seq), tol)
+            # tol <= 1 / (2 L + 1) for L <= 2^n terms of the product's P
+            assert near._visible_degrees(tol * max(1.0, *near._moduli)) is not None
+            s = sum(engine.effective_degrees(near, tol))
+            assert s <= n and (n - s) % 2 == 0, (mode, n, s)
+            steps = run_decision(near, n, tol).steps
+            assert steps[: (n - s) // 2] == tuple(map(IdentityPad, range(n, s, -2)))
+            assert steps[(n - s) // 2 :] and not isinstance(steps[(n - s) // 2], IdentityPad)
+            assert run_decision(near, n + 1, tol).rejection == Reject(s + 1, REASON_DEGREE)
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-12, 1e-3, 3.7, 1e300, 1.7e308])
 def test_decision_survives_extreme_scales(layout, scale):
     """The peel multiplies without cuts.  Realizable pairs scaled by any of
@@ -882,6 +1040,32 @@ def test_decision_survives_extreme_scales(layout, scale):
                 pair, _ = oracle_pair(m, n, 7300 + 10 * n, mode)
                 trace = run_decision(scaled_pair(pair, scale), n, TOL)
                 assert trace.rejection == Reject(0, REASON_BASE), (m, mode, n)
+
+
+def signal_pair_times(c: complex) -> PQPair:
+    """c (a + a^{-1}) and c (a - a^{-1}): the top slices match at phase 0,
+    and the peel doubles the constant."""
+    return PQPair(LaurentPoly(1, {(1,): c, (-1,): c}), LaurentPoly(1, {(1,): c, (-1,): -c}))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [1e308, 1e308j, 1e308 * cmath.exp(0.25j * math.pi)],
+    ids=["real", "imaginary", "finite-past-its-modulus"],
+)
+def test_an_overflowing_peel_is_rejected(layout, c):
+    # the peeled constant is past the largest double, or, for the last c,
+    # finite with a modulus past it; both used to raise from the peel
+    pair = signal_pair_times(c)
+    assert (PairBox.from_pair(pair) is not None) == (layout == "box")
+    assert run_decision(pair, 1, TOL).steps == (Reject(1, REASON_OVERFLOW),)
+    assert run_decision(pair, 3, TOL).steps == (IdentityPad(3), Reject(1, REASON_OVERFLOW))
+    result = synthesize(pair, 1, TOL)
+    assert not result.constructible and result.trace.rejection == Reject(1, REASON_OVERFLOW)
+    # a pair whose peel stays finite keeps its trace
+    steps = run_decision(signal_pair_times(c * 0.8), 1, TOL).steps
+    assert [type(step) for step in steps] == [PhaseReduction, Reject]
+    assert steps[-1] == Reject(0, REASON_BASE)
 
 
 # -- synthesize ----------------------------------------------------------------------

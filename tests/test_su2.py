@@ -354,15 +354,20 @@ def term_twin(pair: PQPair) -> PQPair:
 @pytest.mark.parametrize("m,n", [(1, 0), (1, 9), (2, 6), (3, 5), (4, 4)])
 @pytest.mark.parametrize("mode", ["continuous", "discrete"])
 def test_evaluated_pair_keeps_the_box_its_terms_lay_out_on(m, n, mode):
+    # every box that stays dense is kept; the box its terms lay out on again
+    # is the kept one without the empty end rows it may have
     pair, _ = oracle_pair(m, n, 5000 + 10 * m + n, mode)
     box = pair._box
     assert box is not None and pair.variables == m
     twin = term_twin(pair)
     assert twin._box is None
     assert su2.PairBox.from_pair(pair) is box
+    trimmed = box
+    for j in range(1, m + 1):
+        trimmed = trimmed._truncated(j, -1, 0.0)
     relaid = su2.PairBox.from_pair(twin)
-    assert relaid.rows == box.rows
-    assert list(map(repr, relaid.halves)) == list(map(repr, box.halves))
+    assert relaid.rows == trimmed.rows
+    assert list(map(repr, relaid.halves)) == list(map(repr, trimmed.halves))
 
 
 @pytest.mark.parametrize("m,n", [(1, 0), (2, 6), (4, 4)])
