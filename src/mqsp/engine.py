@@ -154,9 +154,10 @@ def find_phase(pair: PQPair | PairBox, j: int, degree: int, tol: float = EPS) ->
     Unimodularity of the ratio is measured as a modulus mismatch at the
     floored coefficient scale, like every other comparison; a scale-free
     test on the ratio itself would amplify the absolute rounding error
-    carried by small slices.  The returned angle is the principal
-    representative in (-pi/2, pi/2]; any representative mod pi reproduces
-    the pair.
+    carried by small slices.  A mismatch, or a turned Q slice, whose modulus
+    passes the largest double is no match.  The returned angle is the
+    principal representative in (-pi/2, pi/2]; any representative mod pi
+    reproduces the pair.
     """
     cp, cq = pair._top_slices(j, degree)
     top_p = max(map(abs, cp), default=0.0)
@@ -176,8 +177,12 @@ def find_phase(pair: PQPair | PairBox, j: int, degree: int, tol: float = EPS) ->
     ratio /= abs(ratio)
     # cp.approx_eq(cq * ratio, tol), on the aligned slices
     turned = list(map(mul, cq, repeat(ratio)))
-    top_turned = max(map(abs, turned))
-    if max(map(abs, map(sub, cp, turned))) > tol * max(1.0, top_p, top_turned):
+    try:
+        top_turned = max(map(abs, turned))
+        mismatch = max(map(abs, map(sub, cp, turned)))
+    except OverflowError:
+        return None  # a mismatch too large for a double is no match
+    if mismatch > tol * max(1.0, top_p, top_turned):
         return None
     phi = cmath.phase(ratio) / 2.0
     if phi <= -math.pi / 2.0:

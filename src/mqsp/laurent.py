@@ -65,7 +65,7 @@ class LaurentPoly:
                     f"exponent vector {key} has length {len(key)}, expected {variables}"
                 )
             validated[key] = complex(coeff)
-        drop_scale = max(1.0, max(map(abs, validated.values()), default=0.0))
+        drop_scale = max(1.0, max(_moduli(validated.values(), validated), default=0.0))
         self.variables = variables
         self.terms, self._max_modulus = _cut(validated, drop_scale)
 
@@ -274,10 +274,11 @@ def _cut(terms: dict[Exponents, complex], drop_scale: float) -> tuple[dict, floa
     """Drop the terms of modulus at most ``DROP_EPS * drop_scale``.
 
     Returns the kept terms (``terms`` itself when nothing is dropped) and
-    their maximum modulus.  Raises ValueError on a non-finite coefficient.
+    their maximum modulus.  Raises ValueError on a non-finite coefficient,
+    or one whose modulus passes the largest double.
     """
     values = list(terms.values())
-    sizes = list(map(abs, values))
+    sizes = _moduli(values, terms)
     _require_finite(values, sizes, terms)
     cutoff = DROP_EPS * drop_scale
     top = max(sizes, default=0.0)
@@ -286,6 +287,21 @@ def _cut(terms: dict[Exponents, complex], drop_scale: float) -> tuple[dict, floa
     if min(sizes) > cutoff:
         return terms, top
     return {key: value for key, value, size in zip(terms, values, sizes) if size > cutoff}, top
+
+
+def _moduli(values, keys) -> list[float]:
+    """The moduli of ``values``.  A value whose modulus passes the largest
+    double, though both its parts are finite, raises ValueError naming its
+    key from ``keys``, as a non-finite value does."""
+    try:
+        return list(map(abs, values))
+    except OverflowError:
+        for key, value in zip(keys, values):
+            if math.hypot(value.real, value.imag) == math.inf:
+                raise ValueError(
+                    f"coefficient {value!r} at {key} has a modulus too large for a double"
+                ) from None
+        raise
 
 
 def _require_finite(values: list, sizes: list, keys=None) -> None:

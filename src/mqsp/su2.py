@@ -196,10 +196,11 @@ class PQPair(_BoxSlot):
     (``PhaseReduction.state``), keeps that box instead (``PairBox.to_pair``):
     ``p`` and ``q`` are built from it on first read and then kept.  Such a
     box may have more rows than the lattice of the terms, when an axis ends
-    in rows whose slots are all 0j.  The decision, the unit-norm filter and
-    the comparison of two such pairs on boxes of equal rows read the box, so
-    their terms are built only when asked for; boxes of different rows are
-    compared on the terms.  The box is not a field: equality, hash, repr,
+    in rows whose slots are all 0j.  The decision and the unit-norm filter
+    read the box, and two such pairs on boxes of equal rows compare the
+    stored half of P with P's and that of Q with Q's, so their terms are
+    built only when asked for; boxes of different rows are compared on the
+    terms.  The box is not a field: equality, hash, repr,
     pickling and copying see only ``p`` and ``q``, and a copy or unpickled
     pair holds terms.
     """
@@ -263,15 +264,15 @@ class PQPair(_BoxSlot):
 
     def _box_deviations(self, other: PQPair) -> tuple[float, float] | None:
         """``LaurentPoly.max_deviation`` of P and of Q against ``other``'s,
-        read from the halves when both pairs are stored on boxes with equal
-        rows, else None.  A slot and its mirror image differ by one modulus,
-        as Q's 0j - v is exact, so the half gives the same float."""
+        read from ``p_half`` and ``q_half`` when both pairs are stored on
+        boxes with equal rows, else None.  A slot and its mirror image
+        differ by one modulus, as Q's 0j - v is exact, so the half gives the
+        same float."""
         box, other_box = self._box, other._box
         if box is None or other_box is None or box.rows != other_box.rows:
             return None
-        gaps = list(map(abs, map(sub, box.halves, other_box.halves)))
-        size = len(gaps) // 2
-        return max(gaps[:size], default=0.0), max(gaps[size:], default=0.0)
+        halves = (box.p_half, other_box.p_half), (box.q_half, other_box.q_half)
+        return tuple(max(map(abs, map(sub, a, b)), default=0.0) for a, b in halves)
 
     # -- storage primitives of the step logic, shared with PairBox ------------
 
@@ -371,31 +372,33 @@ class PairBox:
     and -k sit at the flat slots f and N - 1 - f of the N slots.  Both
     directions keep P(a^{-1}) = P(a) and Q(a^{-1}) = -Q(a) bitwise: P's
     coefficient at -k is the one at k, and Q's is 0j minus it (see
-    ``evaluate_sequence``).  So ``halves`` holds only the first ceil(N / 2)
-    slots of P followed by those of Q, and the rest is their mirror image
-    (``_prefixes``).  Absent terms are exact zeros ``0j``.  ``_moduli`` is
-    the largest |coefficient| of P and of Q, read from the moduli of the
-    stored slots, which the peel or the trim that built the box gives and
-    which are otherwise measured once, when first read.  The peel keeps the
-    symmetries as evaluation's step does: its value at -k is the same sum
-    as at k with its terms swapped, or negated for Q, and ``_turned`` keeps
-    an empty slot from gaining a -0.0 part.
+    ``evaluate_sequence``).  So ``p_half`` and ``q_half`` hold only the
+    first ceil(N / 2) slots of P and of Q, and the rest is their mirror
+    image (``_prefixes``).  Absent terms are exact zeros ``0j``.
+    ``_moduli`` is the largest |coefficient| of P and of Q, read from the
+    moduli of the stored slots of each, which the peel or the trim that
+    built the box gives and which are otherwise measured once, when first
+    read.  The peel keeps the symmetries as evaluation's step does: its
+    value at -k is the same sum as at k with its terms swapped, or negated
+    for Q, and ``_turned`` keeps an empty slot from gaining a -0.0 part.
 
     The box and ``PQPair`` provide the same storage primitives, over which
     the peel in ``engine`` is written once: ``_moduli``,
     ``_visible_degrees``, ``_top_slices``, ``_origin``, ``_peel``,
     ``_truncated`` and ``to_pair``.  Evaluation's ``_step`` and the
     decision's ``_peel`` share one front (``_front``): the input prefix the
-    new half depends on, and one ``_halves`` pass over P and Q together.
-    Each direction then combines the parts its own way, as the general
-    products do after ``PQPair._front`` (``_extend`` and ``_peel``), so both
-    layouts give bitwise the same values.
+    new half depends on, and one ``_halves`` pass over P and Q together,
+    the one place where the two sit in one list.  It hands back P's and
+    Q's parts apart, and each direction combines them its own way, as the
+    general products do after ``PQPair._front`` (``_extend`` and
+    ``_peel``), so both layouts give bitwise the same values.
     """
 
-    __slots__ = ("variables", "rows", "halves", "_tops", "_sizes")
+    __slots__ = ("variables", "rows", "p_half", "q_half", "_tops", "_sizes")
 
-    def __init__(self, rows, halves, sizes=None):
-        self.variables, self.rows, self.halves = len(rows), tuple(rows), halves
+    def __init__(self, rows, p_half, q_half, sizes=None):
+        self.variables, self.rows = len(rows), tuple(rows)
+        self.p_half, self.q_half = p_half, q_half
         self._tops, self._sizes = None, sizes
 
     @classmethod
@@ -416,7 +419,7 @@ class PairBox:
         if p != p[::-1] or q != list(map(neg, reversed(q))):
             return None
         half = (len(p) + 1) // 2
-        return cls(rows, p[:half] + q[:half])
+        return cls(rows, p[:half], q[:half])
 
     def to_pair(self) -> PQPair:
         """The pair stored as this box; its terms are built when first read."""
@@ -433,18 +436,17 @@ class PairBox:
 
     # -- storage primitives ---------------------------------------------------
 
-    def _half_sizes(self) -> list[float]:
-        """|coefficient| of every slot of ``halves``."""
+    def _half_sizes(self) -> tuple[list[float], list[float]]:
+        """|coefficient| of every slot of ``p_half`` and of ``q_half``."""
         if self._sizes is None:
-            self._sizes = list(map(abs, self.halves))
+            self._sizes = list(map(abs, self.p_half)), list(map(abs, self.q_half))
         return self._sizes
 
     @property
     def _moduli(self) -> tuple[float, float]:
         if self._tops is None:
-            sizes = self._half_sizes()
-            half = len(sizes) // 2
-            self._tops = max(sizes[:half], default=0.0), max(sizes[half:], default=0.0)
+            p, q = self._half_sizes()
+            self._tops = max(p, default=0.0), max(q, default=0.0)
         return self._tops
 
     def _visible_degrees(self, cutoff: float) -> tuple[int, ...] | None:
@@ -452,7 +454,7 @@ class PairBox:
             return None
         # rows k and -k hold the same moduli, so the first visible row of
         # an axis gives its degree
-        sizes = self._half_sizes()[: len(self.halves) // 2]
+        sizes = self._half_sizes()[0]
         degrees = []
         for i, n in enumerate(self.rows):
             first = 0
@@ -470,9 +472,9 @@ class PairBox:
         r, off = divmod(exponent + n - 1, 2)
         if off or not 0 <= r < n:
             return [], []
-        size, row_size = len(self.halves) // 2, math.prod(self.rows) // n
+        row_size = math.prod(self.rows) // n
         rows = []
-        for half in (self.halves[:size], self.halves[size:]):
+        for half in (self.p_half, self.q_half):
             near = self._rows(half, i, r, r + 1)
             far = self._rows(half, i, n - 1 - r, n - r)[: row_size - len(near)]
             rows.append((near, far[::-1]))
@@ -482,22 +484,22 @@ class PairBox:
     def _origin(self) -> tuple[complex, float]:
         # the constant, when every axis has an odd row count, is the middle
         # slot: the last of P's half
-        sizes = self._half_sizes()
-        half = len(sizes) // 2
+        sizes = self._half_sizes()[0]
         if math.prod(self.rows) % 2:
-            return self.halves[half - 1], max(sizes[: half - 1], default=0.0)
-        return _ZERO, max(sizes[:half], default=0.0)
+            return self.p_half[-1], max(sizes[:-1], default=0.0)
+        return _ZERO, max(sizes, default=0.0)
 
     def _peel(self, j: int, e: complex) -> PairBox:
         # P and Q turned, then subtracted, with no cut, as the general
         # products with a drop scale of 0
         grown, p_cos, q_cos, p_sin, q_sin = self._front(j - 1)
         ec = e.conjugate()
-        halves = list(map(sub, _turned(p_cos, ec), _turned(q_sin, e)))
-        halves += map(sub, _turned(q_cos, e), _turned(p_sin, ec))
-        sizes = list(map(abs, halves))
-        _require_finite(halves, sizes)
-        return PairBox(grown, halves, sizes)
+        p = list(map(sub, _turned(p_cos, ec), _turned(q_sin, e)))
+        q = list(map(sub, _turned(q_cos, e), _turned(p_sin, ec)))
+        sizes = list(map(abs, p)), list(map(abs, q))
+        _require_finite(p, sizes[0])
+        _require_finite(q, sizes[1])
+        return PairBox(grown, p, q, sizes)
 
     def _truncated(self, j: int, top: int, cutoff: float) -> PairBox:
         """The box without the rows of variable ``j`` beyond +-``top`` whose
@@ -507,9 +509,7 @@ class PairBox:
         any row can go.  Rows r and -r hold the same moduli, so they go in
         mirrored pairs."""
         i, n = j - 1, self.rows[j - 1]
-        size = len(self.halves) // 2
-        sizes = self._half_sizes()
-        parts = sizes[:size], sizes[size:]
+        parts = self._half_sizes()
         trim = 0
         while 2 * trim < n and n - 1 - 2 * trim > top and not any(
             self._row_top(part, i, trim) > cutoff for part in parts
@@ -524,9 +524,9 @@ class PairBox:
         half = (math.prod(rows) + 1) // 2
         p, q, p_sizes, q_sizes = (
             self._rows(values, i, trim, trim + rows[i])[:half]
-            for values in (self.halves[:size], self.halves[size:], *parts)
+            for values in (self.p_half, self.q_half, *parts)
         )
-        return PairBox(rows, p + q, p_sizes + q_sizes)
+        return PairBox(rows, p, q, (p_sizes, q_sizes))
 
     # -- the step front -------------------------------------------------------
 
@@ -538,18 +538,15 @@ class PairBox:
         ``DROP_EPS`` times max(1, its own largest modulus): its values at or
         below that become 0j."""
         grown, p_cos, q_cos, p_sin, q_sin = self._front(j - 1)
-        half = len(p_cos)
-        turns = [phase] * half + [phase.conjugate()] * half
-        total = map(add, p_cos + q_cos, q_sin + p_sin)
-        turned = list(map(add, repeat(_ZERO), map(mul, total, turns)))
         halves = []
-        for part in (turned[:half], turned[half:]):
+        for cos, sin, turn in (p_cos, q_sin, phase), (q_cos, p_sin, phase.conjugate()):
+            part = list(map(add, repeat(_ZERO), map(mul, map(add, cos, sin), repeat(turn))))
             sizes = list(map(abs, part))
             cutoff = DROP_EPS * max(1.0, max(sizes))
             if not min(filter(None, sizes), default=math.inf) > cutoff:
                 part = [value if size > cutoff else _ZERO for value, size in zip(part, sizes)]
-            halves += part
-        return PairBox(grown, halves)
+            halves.append(part)
+        return PairBox(grown, *halves)
 
     def _front(self, i: int) -> tuple:
         """The rows of the box grown by one row along axis ``i``, and the
@@ -577,14 +574,13 @@ class PairBox:
     def _prefixes(self, length: int) -> tuple[list, list]:
         """The first ``length`` slots of P and of Q: past the half, P's
         mirror images and 0j minus Q's."""
-        halves, size = self.halves, len(self.halves) // 2
+        p, q = self.p_half, self.q_half
+        size = len(p)
         if length <= size:
-            return halves[:length], halves[size : size + length]
+            return p[:length], q[:length]
         slots = math.prod(self.rows)
-        p, q = halves[:size], halves[size:]
-        p += p[slots - length : slots - size][::-1]
-        q += map(sub, repeat(_ZERO), q[slots - length : slots - size][::-1])
-        return p, q
+        far = slice(slots - length, slots - size)
+        return p + p[far][::-1], q + list(map(sub, repeat(_ZERO), q[far][::-1]))
 
     def _row_top(self, sizes: list, i: int, r: int) -> float:
         """The largest modulus in row ``r`` of axis ``i`` of the whole box,
@@ -748,18 +744,18 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     passes through 0j + x, or is a sum or difference of such lists, so no
     zero part is -0.0, and Q's coefficient at -k is 0j - v for v the one at
     k, which the cut keeps: a slot and its mirror have one modulus.  So the
-    state is the half box, the first ceil(N / 2) slots of P followed by
-    those of Q, and the whole box is unfolded from it only to count the
-    terms left by a trim and to convert it.
+    state is the half box, the first ceil(N / 2) slots of P and of Q in two
+    lists, and the whole box is unfolded from them only to count the terms
+    left by a trim and to convert it.
     """
-    box = PairBox((1,) * seq.variables, [cmath.exp(1j * seq.phases[0]), _ZERO])
+    box = PairBox((1,) * seq.variables, [cmath.exp(1j * seq.phases[0])], [_ZERO])
     steps = zip(seq.phases[1:], seq.indices)
     for phi, s in steps:
         box = box._step(s, cmath.exp(1j * phi))
         slots = terms = math.prod(box.rows)
         # only Q's middle slot, of an odd box, is always zero; any other
         # zero may belong to an end row that cancelled
-        if box.halves.count(_ZERO) > slots % 2:
+        if box.p_half.count(_ZERO) + box.q_half.count(_ZERO) > slots % 2:
             box = box._truncated(s, -1, 0.0)
             slots = math.prod(box.rows)
             terms = slots - min(values.count(_ZERO) for values in box._prefixes(slots))

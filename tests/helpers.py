@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 
@@ -97,6 +98,17 @@ SPAN_100001 = PQPair(
 )
 M20_CORNERS = PQPair(
     LaurentPoly(20, {(0,) * 20: 0.5, (1,) * 20: 0.5}), LaurentPoly.zero(20)
+)
+
+# c (a1 a2 + a1 a2^-1 + a1^-1 a2 + a1^-1 a2^-1) and
+# c (-a1 a2 + a1 a2^-1 - a1^-1 a2 + a1^-1 a2^-1) for c = 1.1e308 e^{i pi/4}:
+# the top a1 slices have equal moduli and the ratio -1, and mismatch by 2c,
+# whose parts are 1.6e308 each, so its modulus passes the largest double.
+# The a2 slices match, and that peel overflows.
+_C = 1.1e308 * cmath.exp(0.25j * math.pi)
+OVERFLOWING_MISMATCH = PQPair(
+    LaurentPoly(2, dict.fromkeys([(1, 1), (1, -1), (-1, 1), (-1, -1)], _C)),
+    LaurentPoly(2, {(1, 1): -_C, (1, -1): _C, (-1, 1): -_C, (-1, -1): _C}),
 )
 
 

@@ -14,6 +14,7 @@ import pytest
 from mqsp import LaurentPoly, PQPair
 from mqsp.cli import main
 from mqsp.documents import save_pair
+from helpers import OVERFLOWING_MISMATCH
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -192,6 +193,43 @@ def test_overflowing_peel_exits_1_with_its_trace(command, tmp_path):
         "trace:",
         "  [n=1] reject: a peeled coefficient overflows a double",
     ]
+
+
+def write_overflow_document(tmp_path, name) -> str:
+    """``OVERFLOWING_MISMATCH``, or a coefficient whose parts are finite and
+    whose modulus is not, written as a pair document."""
+    path = tmp_path / f"{name}.json"
+    if name == "mismatch":
+        save_pair(OVERFLOWING_MISMATCH, str(path))
+    else:
+        term = {"exponents": [0], "re": 1.5e308, "im": 1.5e308}
+        path.write_text(json.dumps({"variables": 1, "P": [term], "Q": []}))
+    return str(path)
+
+
+# both documents used to end in an OverflowError traceback and exit 1
+@pytest.mark.parametrize("command", ["check", "decide", "synthesize", "verify"])
+@pytest.mark.parametrize("name,code", [("mismatch", 1), ("modulus", 2)])
+def test_overflowing_document_exits_without_a_traceback(name, code, command, tmp_path):
+    path = write_overflow_document(tmp_path, name)
+    variables = 2 if name == "mismatch" else 1
+    if command == "verify":
+        args = [path, write_sequence(tmp_path, "zero.json", variables, [0.0], [])]
+    else:
+        args = [path, "--steps", "2"]
+    run = subprocess.run(
+        [sys.executable, "-m", "mqsp.cli", command, *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+    if code == 2:
+        assert run.stderr.startswith("error: ") and "too large for a double" in run.stderr
+    elif command in ("decide", "synthesize"):
+        assert run.stdout.endswith("  [n=2] reject: a peeled coefficient overflows a double\n")
 
 
 # -- synthesize --------------------------------------------------------------

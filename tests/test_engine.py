@@ -46,6 +46,7 @@ from mqsp.fixtures import counterexample_pair, identity_pair, signal_pair
 from mqsp.su2 import PairBox
 from helpers import (
     M20_CORNERS,
+    OVERFLOWING_MISMATCH,
     SPAN_100001,
     corpus_configs,
     fingerprint,
@@ -304,7 +305,7 @@ def test_box_steps_keep_signed_zeros_and_holes():
     )
     for pair in (PQPair(p, q), minus_zero):
         box = PairBox.from_pair(pair)
-        assert box.rows == (2, 3) and box.halves.count(0j) == 2
+        assert box.rows == (2, 3) and box.p_half.count(0j) + box.q_half.count(0j) == 2
         for j in range(1, pair.variables + 1):
             for phi in phis:
                 peeled = reduce_step(box, j, phi).to_pair()
@@ -333,7 +334,7 @@ def test_box_steps_keep_signed_zeros_and_holes():
     # box holds no -0.0 part; zero phases leave holes at a1 a2^-1 and a1^-1 a2
     pair = evaluate_sequence(MqspSequence(2, (0.0, 0.0, 0.0), (1, 2)))
     box = PairBox.from_pair(pair)
-    assert box.rows == (2, 2) and box.halves.count(0j) == 2
+    assert box.rows == (2, 2) and box.p_half.count(0j) + box.q_half.count(0j) == 2
     for j in (1, 2):
         for phi in phis:
             phase = cmath.exp(1j * phi)
@@ -509,7 +510,7 @@ def with_empty_end_rows(box: PairBox, i: int) -> PairBox:
         padded.append(grown)
     rows[i] += 2
     half = (math.prod(rows) + 1) // 2
-    return PairBox(rows, padded[0][:half] + padded[1][:half])
+    return PairBox(rows, padded[0][:half], padded[1][:half])
 
 
 def test_a_box_with_empty_end_rows_acts_as_its_term_twin():
@@ -539,7 +540,8 @@ def test_a_box_with_empty_end_rows_acts_as_its_term_twin():
                     assert a.approx_eq(b, tol) == a_twin.approx_eq(b_twin, tol)
             for factor in (1.0, 1.001):
                 box = with_empty_end_rows(pair._box, i)
-                stored = PQPair._on_box(PairBox(box.rows, [v * factor for v in box.halves]))
+                scaled = ([v * factor for v in half] for half in (box.p_half, box.q_half))
+                stored = PQPair._on_box(PairBox(box.rows, *scaled))
                 stored_twin = PQPair(stored.p, stored.q)
                 for tol in (1e-12, TOL, 1e-3):
                     verdict = stored.is_normalized(tol)
@@ -1066,6 +1068,18 @@ def test_an_overflowing_peel_is_rejected(layout, c):
     steps = run_decision(signal_pair_times(c * 0.8), 1, TOL).steps
     assert [type(step) for step in steps] == [PhaseReduction, Reject]
     assert steps[-1] == Reject(0, REASON_BASE)
+
+
+def test_an_overflowing_slice_mismatch_is_no_match(layout):
+    # the a1 slices mismatch by a modulus past the largest double, which
+    # used to raise OverflowError from find_phase; the a2 slices match at
+    # e^{2i phi} = -1, and that peel overflows
+    pair = OVERFLOWING_MISMATCH
+    current = PairBox.from_pair(pair) or pair
+    assert (current is not pair) == (layout == "box")
+    assert find_phase(current, 1, 1, TOL) is None
+    assert find_phase(current, 2, 1, TOL) == math.pi / 2
+    assert run_decision(pair, 2, TOL).steps == (Reject(2, REASON_OVERFLOW),)
 
 
 # -- synthesize ----------------------------------------------------------------------

@@ -196,6 +196,15 @@ def test_non_finite_coefficient_rejected():
         lp(1, {(0,): complex("inf")})
 
 
+def test_modulus_past_the_largest_double_rejected():
+    # both parts are finite, but abs() overflows: the constructor and the
+    # operators raise ValueError naming the exponent, not OverflowError
+    with pytest.raises(ValueError, match=r"at \(0,\) has a modulus too large for a double"):
+        lp(1, {(0,): complex(1.5e308, 1.5e308)})
+    with pytest.raises(ValueError, match=r"at \(1,\) has a modulus too large"):
+        lp(1, {(1,): 1e308}) * complex(1.5, 1.5)
+
+
 def test_str():
     assert str(LaurentPoly.zero(2)) == "0"
     assert str(LaurentPoly.constant(2, 0.5)) == "((0.5+0j))"

@@ -297,8 +297,7 @@ def test_phase_factor_cuts_like_the_matrix_product(monkeypatch):
     # +-tiny e^{-i phi} at a^+-4 and at most 1 elsewhere
     phase = complex(0.8707277809370632, -0.49176532157566544)
     tiny = complex(1.5e-15, 0.0)
-    halves, rows = [2 * tiny, 2.0, 0j, 0j], (4,)
-    box = su2.PairBox(rows, halves)
+    box = su2.PairBox((4,), [2 * tiny, 2.0], [0j, 0j])
     pair, stepped = box.to_pair(), box._step(1, phase).to_pair()
     assert fingerprint(stepped.p) == fingerprint(pair._extend(1, phase).p)
     assert fingerprint(stepped.q) == fingerprint(pair._extend(1, phase).q)
@@ -367,7 +366,8 @@ def test_evaluated_pair_keeps_the_box_its_terms_lay_out_on(m, n, mode):
         trimmed = trimmed._truncated(j, -1, 0.0)
     relaid = su2.PairBox.from_pair(twin)
     assert relaid.rows == trimmed.rows
-    assert list(map(repr, relaid.halves)) == list(map(repr, trimmed.halves))
+    assert list(map(repr, relaid.p_half)) == list(map(repr, trimmed.p_half))
+    assert list(map(repr, relaid.q_half)) == list(map(repr, trimmed.q_half))
 
 
 @pytest.mark.parametrize("m,n", [(1, 0), (2, 6), (4, 4)])
