@@ -9,10 +9,9 @@ unwritable outputs included.  Reports go to stdout, errors to stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
-from . import documents, fixtures
+from . import documents, engine, fixtures
 from .engine import (
     BaseAccept,
     DecisionTrace,
@@ -155,15 +154,13 @@ def _load(loader, path: str):
 
 
 def _tolerance(text: str) -> float:
-    """``--tolerance``: a finite number >= 0.  An infinite tolerance would
-    accept any pair, and a NaN or negative one would reject every pair."""
+    """``--tolerance``: a finite number >= 0, the library's rule
+    (``engine._tolerance``).  An infinite tolerance would accept any pair,
+    and a NaN or negative one would reject every pair."""
     try:
-        value = float(text)
+        return engine._tolerance(float(text))
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
 
 
 def _check_steps(steps: int) -> None:

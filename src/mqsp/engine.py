@@ -157,8 +157,10 @@ def find_phase(pair: PQPair | PairBox, j: int, degree: int, tol: float = EPS) ->
     carried by small slices.  A mismatch, or a turned Q slice, whose modulus
     passes the largest double is no match.  The returned angle is the
     principal representative in (-pi/2, pi/2]; any representative mod pi
-    reproduces the pair.
+    reproduces the pair.  ``tol`` must be a finite number >= 0, or
+    ValueError is raised.
     """
+    tol = _tolerance(tol)
     cp, cq = pair._top_slices(j, degree)
     top_p = max(map(abs, cp), default=0.0)
     sizes = list(map(abs, cq))
@@ -200,9 +202,9 @@ def reduce_step(pair: PQPair | PairBox, j: int, phi: float) -> PQPair | PairBox:
     returned by ``find_phase`` at the top degree d of variable ``j``, the
     rows at +-(d + 1) cancel, so for a pair whose top slices match to
     rounding (a freshly evaluated one, say) the degree in that variable
-    drops by exactly one and the other degrees are unchanged.
-    ``run_decision`` truncates a larger residue at its tolerance.  The result
-    has the input's layout.
+    drops by exactly one and the other degrees are unchanged.  The result
+    has the input's layout.  The decision does not call this: it peels and
+    trims once per level, keeping the rows within +-(d - 1) (see ``_walk``).
     """
     peeled = pair._peel(j, cmath.exp(1j * phi))
     return peeled._truncated(j, -1, DROP_EPS * max(1.0, *peeled._moduli))
@@ -222,8 +224,10 @@ def effective_degrees(pair: PQPair | PairBox, tol: float = EPS) -> tuple[int, ..
     ``tol`` of an n-step product, every term counted here is a term of the
     product, so the degrees sum to at most n and to n's parity (see
     ``run_decision``).  On a reduced pair, read again at ``tol`` in the
-    middle of the walk, they certify nothing.
+    middle of the walk, they certify nothing.  ``tol`` must be a finite
+    number >= 0, or ValueError is raised.
     """
+    tol = _tolerance(tol)
     degrees = pair._visible_degrees(tol * max(1.0, *pair._moduli))
     return degrees or (0,) * pair.variables
 
@@ -322,19 +326,25 @@ def _walk(current: PQPair | PairBox, degs: tuple[int, ...], tol: float) -> tuple
     The recursion only ever shrinks the budget by one or two, so it is
     realized as a loop.  Variables are scanned in ascending order and the
     first phase match wins, which makes the walk deterministic.  A peel at
-    the matched degree d of variable j lowers that degree to d - 1, so after
-    each ``reduce_step`` the rows of j beyond +-(d - 1) are truncated from
-    the ends of the axis, as long as every entry of P and Q in them is at or
-    below the cutoff ``effective_degrees`` uses.  A row with a visible entry
-    stops the truncation and is kept, so the next degree scan or the base
-    case rejects the pair.  A peel that lowers the degree sum by two or more
-    leaves room for identity pads inside the walk.  A peel whose
-    coefficients overflow a double ends the walk with ``REASON_OVERFLOW``.
-    A peeled coefficient is at most twice as large as the largest one it is
-    peeled from, and the peel is unitary on the torus, so only a pair whose
-    coefficients have a root sum of squares near the largest double
-    overflows.  No tolerance below 1 puts such a pair near a product, whose
-    coefficients have modulus at most 1.
+    the matched degree d of variable j lowers that degree to d - 1, so each
+    level peels the factor off (``_peel``, ``reduce_step`` without its trim)
+    and trims once: the rows of j beyond +-(d - 1) are truncated from the
+    ends of the axis, as long as every entry of P and Q in them is at or
+    below max(tol, ``DROP_EPS``) times the peeled pair's coefficient scale:
+    the cutoff ``effective_degrees`` uses, raised to the rounding floor.  A
+    row with a visible entry stops the truncation and is kept, so the next
+    degree scan or the base case rejects the pair.  The rows within
+    +-(d - 1) are kept whatever they hold.  Row d - 1 of P + Q after the
+    peel is row d of P e^{-i phi} + Q e^{i phi} before it, so only a
+    tolerance below about 2 ``DROP_EPS`` lets a match leave them under the
+    floor.  A peel that lowers the degree sum by two or more leaves room for
+    identity pads inside the walk.  A peel whose coefficients overflow a
+    double ends the walk with ``REASON_OVERFLOW``.  A peeled coefficient is
+    at most twice as large as the largest one it is peeled from, and the
+    peel is unitary on the torus, so only a pair whose coefficients have a
+    root sum of squares near the largest double overflows.  No tolerance
+    below 1 puts such a pair near a product, whose coefficients have modulus
+    at most 1.
     """
     steps: list[TraceStep] = []
     remaining = sum(degs)
@@ -353,11 +363,11 @@ def _walk(current: PQPair | PairBox, degs: tuple[int, ...], tol: float) -> tuple
             phi = find_phase(current, j, degs[j - 1], tol)
             if phi is not None:
                 try:
-                    current = reduce_step(current, j, phi)
+                    current = current._peel(j, cmath.exp(1j * phi))
+                    cutoff = max(tol, DROP_EPS) * max(1.0, *current._moduli)
                 except (OverflowError, ValueError):
                     # a peeled value, or its modulus, is not a finite double
                     return (*steps, Reject(remaining, REASON_OVERFLOW))
-                cutoff = tol * max(1.0, *current._moduli)
                 current = current._truncated(j, degs[j - 1] - 1, cutoff)
                 steps.append(PhaseReduction(remaining, j, phi, current.to_pair()))
                 remaining -= 1

@@ -745,8 +745,9 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     zero part is -0.0, and Q's coefficient at -k is 0j - v for v the one at
     k, which the cut keeps: a slot and its mirror have one modulus.  So the
     state is the half box, the first ceil(N / 2) slots of P and of Q in two
-    lists, and the whole box is unfolded from them only to count the terms
-    left by a trim and to convert it.
+    lists.  The terms left by a trim are counted on it, each zero of a half
+    standing for a slot and its mirror, and the whole box is unfolded from
+    it only to convert it.
     """
     box = PairBox((1,) * seq.variables, [cmath.exp(1j * seq.phases[0])], [_ZERO])
     steps = zip(seq.phases[1:], seq.indices)
@@ -758,7 +759,9 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
         if box.p_half.count(_ZERO) + box.q_half.count(_ZERO) > slots % 2:
             box = box._truncated(s, -1, 0.0)
             slots = math.prod(box.rows)
-            terms = slots - min(values.count(_ZERO) for values in box._prefixes(slots))
+            # a half's zeros stand for two slots each, save the middle slot
+            halves = box.p_half, box.q_half
+            terms = slots - min(2 * h.count(_ZERO) - (slots % 2 and not h[-1]) for h in halves)
         if _too_sparse(slots, terms):
             break
     else:

@@ -666,13 +666,18 @@ def test_budget_must_be_an_integer():
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
 def test_tolerance_must_be_finite_and_non_negative(tol):
     # a NaN tolerance synthesized the witness pair, with a sequence that
-    # rebuilds it to 0.54, and a negative one rejected the identity
+    # rebuilds it to 0.54, and a negative one rejected the identity; the
+    # witness's top a_1 slices matched at a NaN tolerance, both variables at
+    # an infinite one, and a NaN one gave the degrees (0, 0)
     calls = [
         lambda: decide(identity_pair(), 0, tol),
         lambda: synthesize(counterexample_pair(), 4, tol),
         lambda: run_decision(signal_pair(), 1, tol),
         lambda: check_necessary(identity_pair(), 0, tol),
         lambda: qsp1_characterize(signal_pair(), 1, tol),
+        lambda: find_phase(counterexample_pair(), 1, 2, tol),
+        lambda: find_phase(PairBox.from_pair(signal_pair()), 1, 1, tol),
+        lambda: engine.effective_degrees(counterexample_pair(), tol),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
@@ -768,7 +773,7 @@ def step_signature(steps) -> list:
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("mode", ["continuous", "discrete"])
-@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+@pytest.mark.parametrize("tol", [0.0, 1e-16, 1e-9, 1e-3])
 def test_every_budget_is_pads_and_one_walk(m, mode, tol):
     # realizable, scaled and perturbed pairs at every budget up to three
     # past the degree sum, decided in ascending order on one pair object so
@@ -805,6 +810,33 @@ def test_walk_pads_down_to_zero_steps():
     steps = run_decision(pair, s, 0.05).steps
     assert steps[-2:] == (IdentityPad(2), Reject(0, REASON_BASE))
     assert step_signature(steps) == step_signature(budget_loop_steps(pair, s, 0.05))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-16, 1e-15])
+def test_walk_keeps_the_rows_below_the_peeled_degree(layout, tol):
+    # P = t (a^3 + a^-3) + a + a^-1 and Q = t (a^3 - a^-3) + a - a^-1 match at
+    # degree 3 with phase 0.  The peel leaves 1.55e-15 at a^+-2 and 2 at a^0,
+    # so rows +-2 sit under the rounding floor 1e-15 * 2, but above tol * 2
+    # at the two smaller tolerances.  The walk trims only the rows beyond
+    # +-2, so they stay, and the degree scan sees them.  A second trim of
+    # every end row at the floor dropped them: the walk padded down to the
+    # constant 2, which the base case rejected
+    t = 1.5e-15
+    pair = PQPair(
+        LaurentPoly(1, {(3,): t, (1,): 1.0, (-1,): 1.0, (-3,): t}),
+        LaurentPoly(1, {(3,): t, (1,): 1.0, (-1,): -1.0, (-3,): -t}),
+    )
+    steps = run_decision(pair, 3, tol).steps
+    reduced = steps[0].reduced
+    assert sorted(reduced.p.terms) == [(-2,), (0,), (2,)]
+    assert sorted(reduced.q.terms) == [(-2,), (2,)]
+    assert reduced.p.terms[(0,)] == 2.0 and reduced.p.terms[(2,)].real < 2e-15
+    if tol < 1e-15:
+        rest = [PhaseReduction(2, 1, 0.0, None), Reject(1, REASON_PHASE)]
+    else:
+        # at the floor itself the rows are kept but not seen
+        rest = [IdentityPad(2), Reject(0, REASON_BASE)]
+    assert list(map(repr, steps)) == list(map(repr, [PhaseReduction(3, 1, 0.0, None), *rest]))
 
 
 def test_base_case_rejects_a_visible_q():
