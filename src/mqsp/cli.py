@@ -11,20 +11,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import documents, engine, fixtures
-from .engine import (
-    BaseAccept,
-    DecisionTrace,
-    IdentityPad,
-    NecessaryReport,
-    PhaseReduction,
-    Reject,
-    check_necessary,
-    run_decision,
-    synthesize,
-)
+from . import documents, fixtures, laurent
 from .oracle import ANGLE_MODES, OracleConfig, random_sequence
 from .su2 import evaluate_sequence
+
+# check, decide and synthesize import the decision engine when they run, so
+# that gen, verify and fixture never compile it.
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -99,6 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _format_trace(trace: DecisionTrace) -> str:
+    from .engine import BaseAccept, IdentityPad, PhaseReduction, Reject
+
     lines = ["trace:"]
     for step in trace.steps:
         if isinstance(step, IdentityPad):
@@ -155,10 +149,10 @@ def _load(loader, path: str):
 
 def _tolerance(text: str) -> float:
     """``--tolerance``: a finite number >= 0, the library's rule
-    (``engine._tolerance``).  An infinite tolerance would accept any pair,
+    (``laurent._tolerance``).  An infinite tolerance would accept any pair,
     and a NaN or negative one would reject every pair."""
     try:
-        return engine._tolerance(float(text))
+        return laurent._tolerance(float(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
 
@@ -172,6 +166,8 @@ def _check_steps(steps: int) -> None:
 
 
 def cmd_decide(args) -> int:
+    from .engine import run_decision
+
     _check_steps(args.steps)
     pair = _load(documents.load_pair, args.input)
     trace = run_decision(pair, args.steps, args.tolerance)
@@ -182,6 +178,8 @@ def cmd_decide(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    from .engine import synthesize
+
     _check_steps(args.steps)
     pair = _load(documents.load_pair, args.input)
     result = synthesize(pair, args.steps, args.tolerance)
@@ -233,6 +231,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .engine import check_necessary
+
     _check_steps(args.steps)
     pair = _load(documents.load_pair, args.input)
     report = check_necessary(pair, args.steps, args.tolerance)

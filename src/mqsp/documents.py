@@ -141,11 +141,15 @@ def dumps(doc: dict[str, object]) -> str:
 
 
 def _load_json(path: str) -> object:
+    """The parsed file; a parse failure is a DocumentError that, like every
+    other, leaves naming the file to the caller."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path}: invalid JSON ({exc})") from exc
+        raise DocumentError(f"invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise DocumentError("JSON nested too deeply to parse") from None
 
 
 def load_pair(path: str) -> PQPair:

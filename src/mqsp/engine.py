@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from itertools import repeat
 from operator import mul, sub
 
-from .laurent import DROP_EPS, EPS
+from .laurent import DROP_EPS, EPS, _budget, _tolerance
 from .su2 import MqspSequence, PairBox, PQPair, _lattice, _Record
 
 REASON_BASE = "final pair is not a pure phase rotation"
@@ -230,22 +229,6 @@ def effective_degrees(pair: PQPair | PairBox, tol: float = EPS) -> tuple[int, ..
     tol = _tolerance(tol)
     degrees = pair._visible_degrees(tol * max(1.0, *pair._moduli))
     return degrees or (0,) * pair.variables
-
-
-def _budget(n) -> int:
-    """``n`` by ``operator.index`` (TypeError for a float), ValueError if negative."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
-    return n
-
-
-def _tolerance(tol: float) -> float:
-    """``tol``, or ValueError unless it is a finite number >= 0: no
-    comparison means anything at a NaN, infinite or negative tolerance."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    return tol
 
 
 # The most recent walk, (pair, tol, degree sum, steps), or None.  One entry,

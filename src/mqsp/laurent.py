@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections.abc import Iterator, Mapping
 from operator import add
 
@@ -311,3 +312,23 @@ def _require_finite(values: list, sizes: list, keys=None) -> None:
         for key, value in zip(range(len(values)) if keys is None else keys, values):
             if not cmath.isfinite(value):
                 raise ValueError(f"non-finite coefficient {value!r} at {key}")
+
+
+# The decision's argument checks live here, not in ``engine``, so that the
+# command line and ``oracle`` run them without loading the decision.
+
+
+def _budget(n) -> int:
+    """``n`` by ``operator.index`` (TypeError for a float), ValueError if negative."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"step count must be non-negative, got {n}")
+    return n
+
+
+def _tolerance(tol: float) -> float:
+    """``tol``, or ValueError unless it is a finite number >= 0: no
+    comparison means anything at a NaN, infinite or negative tolerance."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return tol

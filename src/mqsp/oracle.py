@@ -12,8 +12,7 @@ import math
 import operator
 import random
 
-from .engine import _budget, decide, synthesize
-from .laurent import EPS
+from .laurent import EPS, _budget
 from .su2 import MqspSequence, _Record, evaluate_sequence
 
 ANGLE_MODES = ("continuous", "discrete")
@@ -92,6 +91,8 @@ def roundtrip_check(seq: MqspSequence, tol: float = EPS) -> RoundtripReport:
     rejected; two extra steps are accepted.  Failures are reported, not
     raised.
     """
+    from .engine import decide, synthesize  # loaded here: drawing needs no decision
+
     pair = evaluate_sequence(seq)
     n = seq.steps
     constructible = decide(pair, n, tol)

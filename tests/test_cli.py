@@ -137,7 +137,11 @@ def test_decide_truncated_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"variables": 1,')
     assert main(["decide", str(path), "--steps", "0"]) == 2
-    assert "error:" in capsys.readouterr().err
+    # the file is named once
+    assert capsys.readouterr().err == (
+        f"error: {path}: invalid JSON (Expecting property name enclosed in double "
+        "quotes: line 1 column 17 (char 16))\n"
+    )
 
 
 def test_decide_missing_file(tmp_path):
@@ -230,6 +234,25 @@ def test_overflowing_document_exits_without_a_traceback(name, code, command, tmp
         assert run.stderr.startswith("error: ") and "too large for a double" in run.stderr
     elif command in ("decide", "synthesize"):
         assert run.stdout.endswith("  [n=2] reject: a peeled coefficient overflows a double\n")
+
+
+# a document nested past the parser's recursion limit used to end in a
+# RecursionError traceback and exit 1, the code of a negative verdict
+@pytest.mark.parametrize("command", ["check", "decide", "synthesize", "verify"])
+def test_deeply_nested_document_is_an_input_error(command, identity_path, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    args = [identity_path, str(path)] if command == "verify" else [str(path), "--steps", "2"]
+    run = subprocess.run(
+        [sys.executable, "-m", "mqsp.cli", command, *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr == f"error: {path}: JSON nested too deeply to parse\n"
 
 
 # -- synthesize --------------------------------------------------------------

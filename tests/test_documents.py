@@ -149,3 +149,12 @@ def test_invalid_json_file(tmp_path):
     path.write_text('{"variables": 1, "P": [')
     with pytest.raises(DocumentError, match="invalid JSON"):
         load_pair(str(path))
+
+
+@pytest.mark.parametrize("load", [load_pair, load_sequence])
+def test_deeply_nested_json_file(load, tmp_path):
+    # past the parser's recursion limit: a DocumentError, not a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text('{"variables": ' + "[" * 100000 + "]" * 100000 + "}")
+    with pytest.raises(DocumentError, match="^JSON nested too deeply to parse$"):
+        load(str(path))

@@ -1,4 +1,4 @@
-"""The immutable record types, and what importing the command line loads."""
+"""The immutable record types, and what importing the package loads."""
 
 from __future__ import annotations
 
@@ -198,24 +198,117 @@ def test_sequence_phases_convert_before_the_checks():
         MqspSequence(1, ["x", 0.0], [1])
 
 
-def test_command_line_import_loads_no_dataclasses():
-    # the records generate no code, so importing the command line pulls in
-    # neither dataclasses nor what it imports (inspect, ast, dis), nor
-    # typing; the standard modules the package uses are imported first, so
-    # that only what the package itself adds is counted
-    code = (
-        "import sys, argparse, cmath, collections.abc, itertools, json, math, operator, random; "
-        "watched = {'dataclasses', 'inspect', 'ast', 'dis', 'typing'}; "
-        "before = watched & set(sys.modules); "
-        "import mqsp.cli; "
-        "print(sorted(watched & set(sys.modules) - before))"
-    )
-    out = subprocess.run(
+def run_bare(code: str, cwd: Path | None = None) -> str:
+    """The stdout of ``code`` run in a fresh interpreter without ``site``,
+    with the package's source on the path."""
+    run = subprocess.run(
         [sys.executable, "-S", "-c", code],
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
-        check=True,
         timeout=60,
-    ).stdout
-    assert out.strip() == "[]"
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def loaded_by(code: str, cwd: Path | None = None) -> list[str]:
+    """The package modules a fresh interpreter holds after running ``code``."""
+    probe = "; print(*sorted(k for k in sys.modules if k.split('.')[0] == 'mqsp'))"
+    return run_bare(f"import sys; {code}{probe}", cwd).split()
+
+
+def test_command_line_import_loads_no_dataclasses():
+    # the records generate no code, so importing the command line and the
+    # engine it loads to decide pulls in neither dataclasses nor what it
+    # imports (inspect, ast, dis), nor typing; the standard modules the
+    # package uses are imported first, so that only what the package itself
+    # adds is counted
+    code = (
+        "import sys, argparse, cmath, collections.abc, importlib, itertools, json, math, "
+        "operator, random; "
+        "watched = {'dataclasses', 'inspect', 'ast', 'dis', 'typing'}; "
+        "before = watched & set(sys.modules); "
+        "import mqsp.cli; "
+        "assert 'mqsp.engine' not in sys.modules; "
+        "import mqsp.engine; "
+        "print(sorted(watched & set(sys.modules) - before))"
+    )
+    assert run_bare(code).strip() == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_by("import mqsp") == ["mqsp"]
+
+
+def test_document_set_up_loads_no_decision():
+    # what the command-line benchmark prepares before it starts its calls
+    loaded = loaded_by("from mqsp import documents, fixtures")
+    assert "mqsp.documents" in loaded and "mqsp.fixtures" in loaded
+    assert "mqsp.engine" not in loaded and "mqsp.oracle" not in loaded
+
+
+def test_only_the_deciding_commands_load_the_engine(tmp_path):
+    calls = [
+        ["gen", "-m", "2", "--steps", "6", "--seed", "7", "--pair-out", "p.json",
+         "--sequence-out", "s.json"],
+        ["verify", "p.json", "s.json"],
+        ["fixture", "identity", "-o", "i.json"],
+        ["decide", "p.json", "--steps", "6"],
+    ]
+    code = (
+        "import sys, contextlib, io; from mqsp.cli import main\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(argv[0], code, 'mqsp.engine' in sys.modules)"
+    )
+    assert run_bare(code, tmp_path).splitlines() == [
+        "gen 0 False",
+        "verify 0 False",
+        "fixture 0 False",
+        "decide 0 True",
+    ]
+
+
+def test_public_names_load_on_first_use():
+    code = (
+        "import importlib, sys, mqsp\n"
+        "for name in mqsp.__all__:\n"
+        "    assert name not in vars(mqsp), name\n"
+        "    value = getattr(mqsp, name)\n"
+        "    home = importlib.import_module('mqsp.' + mqsp._SOURCES[name])\n"
+        "    assert value is getattr(home, name) and vars(mqsp)[name] is value, name\n"
+        "print(sorted(mqsp._SOURCES) == sorted(mqsp.__all__))"
+    )
+    assert run_bare(code).strip() == "True"
+
+
+def test_star_import_and_dir_cover_every_public_name():
+    code = (
+        "import mqsp\n"
+        "listed = set(dir(mqsp))\n"
+        "space = {}\n"
+        "exec('from mqsp import *', space)\n"
+        "print(sorted(set(mqsp.__all__) - listed), sorted(set(mqsp.__all__) - set(space)))"
+    )
+    assert run_bare(code).strip() == "[] []"
+
+
+def test_unknown_name_is_an_attribute_error():
+    code = (
+        "import mqsp\n"
+        "try:\n"
+        "    mqsp.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    from mqsp import no_such_name\n"
+        "except ImportError as exc:\n"
+        "    print(type(exc).__name__)"
+    )
+    assert run_bare(code).splitlines() == [
+        "module 'mqsp' has no attribute 'no_such_name'",
+        "ImportError",
+    ]
