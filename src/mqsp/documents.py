@@ -59,7 +59,38 @@ def sequence_to_document(seq: MqspSequence) -> dict[str, object]:
 
 # -- decoding ---------------------------------------------------------------
 # Each check formats its message only when it fails: a pair document can hold
-# thousands of terms.
+# thousands of terms.  A message shows a bad value by ``_shown``.
+
+#: The longest repr of a bad value that a message shows whole.
+_SHOWN = 100
+
+
+def _shown(value: object) -> str:
+    """``repr(value)``, or its first ``_SHOWN`` characters and "..." when it
+    is longer, built from ``_pieces`` only as far as it is shown."""
+    text = ""
+    for piece in _pieces(value):
+        text += piece
+        if len(text) > _SHOWN:
+            return text[:_SHOWN] + "..."
+    return text
+
+
+def _pieces(value: object):
+    """``repr`` of a JSON value in pieces: a list or an object item by item,
+    a string by its first ``_SHOWN + 1`` characters."""
+    if isinstance(value, (list, dict)):
+        yield "{" if isinstance(value, dict) else "["
+        for n, item in enumerate(value):
+            yield ", " if n else ""
+            if isinstance(value, dict):
+                yield from _pieces(item)
+                yield ": "
+                item = value[item]
+            yield from _pieces(item)
+        yield "}" if isinstance(value, dict) else "]"
+    else:
+        yield repr(value[: _SHOWN + 1] if isinstance(value, str) else value)
 
 
 def _is_int(value: object) -> bool:
@@ -75,7 +106,7 @@ def _parse_variables(doc: object) -> int:
         raise DocumentError("document must be a JSON object")
     variables = doc.get("variables")
     if not (_is_int(variables) and variables >= 1):
-        raise DocumentError(f"'variables' must be a positive integer, got {variables!r}")
+        raise DocumentError(f"'variables' must be a positive integer, got {_shown(variables)}")
     return variables
 
 
@@ -89,20 +120,21 @@ def poly_from_terms(records: object, variables: int, label: str) -> LaurentPoly:
         exps = record.get("exponents")
         if not (isinstance(exps, list) and len(exps) == variables and all(map(_is_int, exps))):
             raise DocumentError(
-                f"{label}: 'exponents' must be a list of {variables} integers, got {exps!r}"
+                f"{label}: 'exponents' must be a list of {_shown(variables)} integers, "
+                f"got {_shown(exps)}"
             )
         key = tuple(exps)
         if key in terms:
-            raise DocumentError(f"{label}: duplicate exponent vector {exps}")
+            raise DocumentError(f"{label}: duplicate exponent vector {_shown(exps)}")
         re, im = record.get("re"), record.get("im")
         if not (_is_number(re) and _is_number(im)):
             name, value = ("im", im) if _is_number(re) else ("re", re)
-            raise DocumentError(f"{label}: '{name}' must be a number, got {value!r}")
+            raise DocumentError(f"{label}: '{name}' must be a number, got {_shown(value)}")
         try:
             terms[key] = complex(re, im)
         except OverflowError:
             raise DocumentError(
-                f"{label}: the coefficient at {exps} is too large for a double"
+                f"{label}: the coefficient at {_shown(exps)} is too large for a double"
             ) from None
     try:
         return LaurentPoly(variables, terms)

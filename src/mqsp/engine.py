@@ -15,9 +15,9 @@ Every branch taken is recorded in a trace, from which one valid choice of
 angle and index parameters can be read off when the pair is accepted.  The
 level logic (degree scan, top-slice phase match, reduction, base case) is
 written once over the storage primitives of ``su2.PairBox`` and ``PQPair``.
-The pair is laid out once: on the half box that evaluation steps, whose
-peel shares evaluation's step front, or as terms when the pair lacks the
-inversion symmetries or its box would be mostly empty.
+The pair is laid out once: on the half box that evaluation steps, or as
+terms when the pair lacks the inversion symmetries or its box would be
+mostly empty; both peel with evaluation's front and one combine.
 """
 
 from __future__ import annotations
@@ -279,8 +279,8 @@ def run_decision(pair: PQPair, n: int, tol: float = EPS) -> DecisionTrace:
     stride 2 on every axis, its P and Q are mirror images by value, and
     the box is dense enough (``PairBox.from_pair``); a pair that
     ``evaluate_sequence`` left on its box is taken as it is.  Otherwise its
-    ``LaurentPoly`` terms are peeled with the general products, which give
-    bitwise the same trace on a pair the box takes.
+    ``LaurentPoly`` terms are peeled with the same step algebra on their
+    keys, which gives bitwise the same trace on a pair the box takes.
     """
     global _last_walk
     n, tol = _budget(n), _tolerance(tol)

@@ -2,12 +2,13 @@
 
 Polynomials are stored as mappings from exponent tuples (one signed integer
 per variable) to complex coefficients.  This is the form of the public API,
-the JSON documents and the test oracles; sequence evaluation and the
-decision's peel run on the dense half box ``su2.PairBox`` instead, and use
-these general products only for pairs whose box would be mostly empty or
-that lack the inversion symmetries the half box relies on.  All values
-are immutable after construction and every operation returns a new
-polynomial, so instances can be shared freely between threads.
+the JSON documents and the test oracles.  Sequence evaluation and the
+decision's peel do not use these products: they step a pair with the step
+algebra of ``su2``, on the dense half box ``su2.PairBox`` or, for a pair
+whose box would be mostly empty or that lacks the inversion symmetries the
+half box relies on, on its terms.  All values are immutable after
+construction and every operation returns a new polynomial, so instances
+can be shared freely between threads.
 
 Coefficients live in double precision.  Equality and zero tests are
 tolerance-mediated: comparisons are relative to the maximum coefficient
@@ -66,9 +67,8 @@ class LaurentPoly:
                     f"exponent vector {key} has length {len(key)}, expected {variables}"
                 )
             validated[key] = complex(coeff)
-        drop_scale = max(1.0, max(_moduli(validated.values(), validated), default=0.0))
         self.variables = variables
-        self.terms, self._max_modulus = _cut(validated, drop_scale)
+        self.terms, self._max_modulus = _cut(validated)
 
     # -- constructors -----------------------------------------------------
 
@@ -159,13 +159,19 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._require_same_shape(other)
-        return self._sum(other, self._pair_scale(other))
+        merged = dict(self.terms)
+        for k, c in other.terms.items():
+            merged[k] = merged.get(k, 0j) + c
+        return LaurentPoly._from_arithmetic(self.variables, merged, self._pair_scale(other))
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._require_same_shape(other)
-        return self._difference(other, self._pair_scale(other))
+        merged = dict(self.terms)
+        for k, c in other.terms.items():
+            merged[k] = merged.get(k, 0j) - c
+        return LaurentPoly._from_arithmetic(self.variables, merged, self._pair_scale(other))
 
     def __neg__(self) -> LaurentPoly:
         return self._same_support(lambda k, c: -c)
@@ -173,39 +179,18 @@ class LaurentPoly:
     def __mul__(self, other) -> LaurentPoly:
         if isinstance(other, LaurentPoly):
             self._require_same_shape(other)
-            return self._product(other, self._pair_scale(other))
+            out: dict[Exponents, complex] = {}
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    k = tuple(map(add, k1, k2))
+                    out[k] = out.get(k, 0j) + c1 * c2
+            return LaurentPoly._from_arithmetic(self.variables, out, self._pair_scale(other))
         if isinstance(other, (int, float, complex)):
             c = complex(other)
-            return self._scaled(c, max(1.0, self.max_modulus() * abs(c)))
+            scaled = {k: v * c for k, v in self.terms.items()}
+            drop_scale = max(1.0, self.max_modulus() * abs(c))
+            return LaurentPoly._from_arithmetic(self.variables, scaled, drop_scale)
         return NotImplemented
-
-    # The operators with an explicit drop scale: a scale of 0 drops only
-    # exact zeros, which is how evaluation's step and the decision's peel
-    # multiply.
-
-    def _sum(self, other: LaurentPoly, drop_scale: float) -> LaurentPoly:
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            merged[k] = merged.get(k, 0j) + c
-        return LaurentPoly._from_arithmetic(self.variables, merged, drop_scale)
-
-    def _difference(self, other: LaurentPoly, drop_scale: float) -> LaurentPoly:
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            merged[k] = merged.get(k, 0j) - c
-        return LaurentPoly._from_arithmetic(self.variables, merged, drop_scale)
-
-    def _product(self, other: LaurentPoly, drop_scale: float) -> LaurentPoly:
-        out: dict[Exponents, complex] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(map(add, k1, k2))
-                out[k] = out.get(k, 0j) + c1 * c2
-        return LaurentPoly._from_arithmetic(self.variables, out, drop_scale)
-
-    def _scaled(self, c: complex, drop_scale: float) -> LaurentPoly:
-        scaled = {k: v * c for k, v in self.terms.items()}
-        return LaurentPoly._from_arithmetic(self.variables, scaled, drop_scale)
 
     __rmul__ = __mul__
 
@@ -271,8 +256,9 @@ class LaurentPoly:
         return out
 
 
-def _cut(terms: dict[Exponents, complex], drop_scale: float) -> tuple[dict, float]:
-    """Drop the terms of modulus at most ``DROP_EPS * drop_scale``.
+def _cut(terms: dict[Exponents, complex], drop_scale: float | None = None) -> tuple[dict, float]:
+    """Drop the terms of modulus at most ``DROP_EPS * drop_scale``, by
+    default at max(1, the terms' own largest modulus).
 
     Returns the kept terms (``terms`` itself when nothing is dropped) and
     their maximum modulus.  Raises ValueError on a non-finite coefficient,
@@ -281,8 +267,8 @@ def _cut(terms: dict[Exponents, complex], drop_scale: float) -> tuple[dict, floa
     values = list(terms.values())
     sizes = _moduli(values, terms)
     _require_finite(values, sizes, terms)
-    cutoff = DROP_EPS * drop_scale
     top = max(sizes, default=0.0)
+    cutoff = DROP_EPS * (max(1.0, top) if drop_scale is None else drop_scale)
     if top <= cutoff:
         return {}, 0.0
     if min(sizes) > cutoff:

@@ -13,12 +13,13 @@ evaluated pair keeps its box and builds its terms only when they are read.
 The decision in ``engine`` peels factors off the same half box with the
 same step front.  A pair whose box would be mostly empty, or that lacks
 the symmetries (a perturbed or hand-written document, say), stays as
-``LaurentPoly`` terms and uses the general products, which the kernel
-reproduces bit for bit.  The peel makes no ``DROP_EPS`` cut; evaluation
-makes one per step, after the whole step.  Multiplying the full ``Mat2``
-factors out term by term without cuts, and cutting the product once after
-each step, is the independent test oracle; the public ``Mat2`` product
-itself cuts after every operation.
+``LaurentPoly`` terms, whose front makes the same shift-add on the exponent
+keys; both layouts share one combine per direction, so they give bitwise
+the same values.  The peel makes no ``DROP_EPS`` cut; evaluation makes one
+per step, after the whole step.  Multiplying the full ``Mat2`` factors out
+term by term without cuts, and cutting the product once after each step, is
+the independent test oracle; the public ``Mat2`` product itself cuts after
+every operation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import cmath
 import math
 import operator
 import sys
-from itertools import compress, product, repeat
+from itertools import chain, compress, product, repeat
 from operator import add, mul, neg, sub
 
 from .laurent import DROP_EPS, EPS, LaurentPoly, _require_finite
@@ -303,33 +304,31 @@ class PQPair(_BoxSlot):
         return c0, max(map(abs, rest.values()), default=0.0)
 
     def _extend(self, j: int, phase: complex) -> PQPair:
-        # evaluation's step off the box: p c + q s and q c + p s (the
-        # product's p s + q c; a sum of two terms commutes), turned, then
-        # each cut once at its own scale, as LaurentPoly construction cuts
-        m = self.variables
-        p_cos, q_cos, p_sin, q_sin = self._front(j)
-        sums = (p_cos._sum(q_sin, 0.0), phase), (q_cos._sum(p_sin, 0.0), phase.conjugate())
-        pair = []
-        for mixed, e in sums:
-            turned = mixed._product(LaurentPoly.constant(m, e), 0.0)
-            top = max(1.0, turned.max_modulus())
-            pair.append(LaurentPoly._from_arithmetic(m, turned.terms, top))
-        return PQPair(*pair)
+        """``PairBox._step`` on the terms."""
+        keys, *parts = self._front(j)
+        return PQPair(*_as_terms(self.variables, keys, *_stepped(*parts, phase)))
 
     def _peel(self, j: int, e: complex) -> PQPair:
-        # turned, then subtracted, with no cut: only exact zeros go
-        p_cos, q_cos, p_sin, q_sin = self._front(j)
-        ec = e.conjugate()
-        return PQPair(
-            p_cos._scaled(ec, 0.0)._difference(q_sin._scaled(e, 0.0), 0.0),
-            q_cos._scaled(e, 0.0)._difference(p_sin._scaled(ec, 0.0), 0.0),
-        )
+        """``PairBox._peel`` on the terms."""
+        keys, *parts = self._front(j)
+        return PQPair(*_as_terms(self.variables, keys, *_peeled(*parts, e)))
 
     def _front(self, j: int) -> tuple:
-        """``PairBox._front`` on the terms, by the general products with a
-        drop scale of 0: P's cosine part, Q's, P's sine part, Q's."""
-        parts = half_sum(j, self.variables), half_diff(j, self.variables)
-        return tuple(x._product(part, 0.0) for part in parts for x in (self.p, self.q))
+        """``PairBox._front`` on the terms: the product's keys, and the four
+        parts aligned on them.  As in ``_halves``, each term's 0j + c / 2 is
+        copied to k + e_j and k - e_j, and each key adds (cosine) or
+        subtracts (sine) its two copies, an absent one being 0j."""
+        i = self.p._index(j)
+        copies = []  # P's terms moved up and down, then Q's
+        for terms in (self.p.terms, self.q.terms):
+            halves = list(map(add, repeat(_ZERO), map(mul, terms.values(), repeat(_HALF))))
+            for e in (1, -1):
+                copies.append(dict(zip([k[:i] + (k[i] + e,) + k[i + 1 :] for k in terms], halves)))
+        keys = list(dict.fromkeys(chain(*copies)))
+        p_low, p_high, q_low, q_high = (list(map(c.get, keys, repeat(_ZERO))) for c in copies)
+        cos = list(map(add, p_low, p_high)), list(map(add, q_low, q_high))
+        sin = list(map(sub, p_low, p_high)), list(map(sub, q_low, q_high))
+        return keys, *cos, *sin
 
     def _truncated(self, j: int, top: int, cutoff: float) -> PQPair:
         """``PairBox._truncated`` on the terms."""
@@ -349,8 +348,8 @@ class PQPair(_BoxSlot):
 
 #: A pair or sequence is stepped on a ``PairBox`` while the box has at most
 #: this many slots per stored term (of the larger of P and Q).  A sparser
-#: one keeps its ``LaurentPoly`` terms and the general products, so a few
-#: terms spread over a wide or many-variable box stay cheap.
+#: one keeps its ``LaurentPoly`` terms and steps them, so a few terms
+#: spread over a wide or many-variable box stay cheap.
 _BOX_PER_TERM = 4
 
 
@@ -388,10 +387,9 @@ class PairBox:
     ``_truncated`` and ``to_pair``.  Evaluation's ``_step`` and the
     decision's ``_peel`` share one front (``_front``): the input prefix the
     new half depends on, and one ``_halves`` pass over P and Q together,
-    the one place where the two sit in one list.  It hands back P's and
-    Q's parts apart, and each direction combines them its own way, as the
-    general products do after ``PQPair._front`` (``_extend`` and
-    ``_peel``), so both layouts give bitwise the same values.
+    the one place where the two sit in one list.  Each direction then runs
+    its combine (``_stepped``, ``_peeled``) on P's and Q's parts, as
+    ``PQPair`` does on its terms, so both layouts give the same values.
     """
 
     __slots__ = ("variables", "rows", "p_half", "q_half", "_tops", "_sizes")
@@ -428,11 +426,7 @@ class PairBox:
     def _terms(self) -> tuple[LaurentPoly, LaurentPoly]:
         """P and Q as ``LaurentPoly`` terms: the whole box, without its zeros."""
         keys = list(product(*(range(1 - n, n, 2) for n in self.rows)))
-        m = self.variables
-        return tuple(
-            LaurentPoly._from_arithmetic(m, dict(compress(zip(keys, values), values)), 0.0)
-            for values in self._prefixes(math.prod(self.rows))
-        )
+        return _as_terms(self.variables, keys, *self._prefixes(math.prod(self.rows)))
 
     # -- storage primitives ---------------------------------------------------
 
@@ -490,12 +484,8 @@ class PairBox:
         return _ZERO, max(sizes, default=0.0)
 
     def _peel(self, j: int, e: complex) -> PairBox:
-        # P and Q turned, then subtracted, with no cut, as the general
-        # products with a drop scale of 0
-        grown, p_cos, q_cos, p_sin, q_sin = self._front(j - 1)
-        ec = e.conjugate()
-        p = list(map(sub, _turned(p_cos, ec), _turned(q_sin, e)))
-        q = list(map(sub, _turned(q_cos, e), _turned(p_sin, ec)))
+        grown, *parts = self._front(j - 1)
+        p, q = _peeled(*parts, e)
         sizes = list(map(abs, p)), list(map(abs, q))
         _require_finite(p, sizes[0])
         _require_finite(q, sizes[1])
@@ -531,22 +521,9 @@ class PairBox:
     # -- the step front -------------------------------------------------------
 
     def _step(self, j: int, phase: complex) -> PairBox:
-        """One evaluation step along variable ``j``: P and Q times the cosine
-        and sine parts, each component's cosine part plus the other's sine
-        part, turned by e^{i phi} and e^{-i phi} as 0j + x e^{+-i phi}, the
-        product with a constant.  Then each component is cut once, at
-        ``DROP_EPS`` times max(1, its own largest modulus): its values at or
-        below that become 0j."""
-        grown, p_cos, q_cos, p_sin, q_sin = self._front(j - 1)
-        halves = []
-        for cos, sin, turn in (p_cos, q_sin, phase), (q_cos, p_sin, phase.conjugate()):
-            part = list(map(add, repeat(_ZERO), map(mul, map(add, cos, sin), repeat(turn))))
-            sizes = list(map(abs, part))
-            cutoff = DROP_EPS * max(1.0, max(sizes))
-            if not min(filter(None, sizes), default=math.inf) > cutoff:
-                part = [value if size > cutoff else _ZERO for value, size in zip(part, sizes)]
-            halves.append(part)
-        return PairBox(grown, *halves)
+        """One evaluation step along variable ``j`` (see ``_stepped``)."""
+        grown, *parts = self._front(j - 1)
+        return PairBox(grown, *_stepped(*parts, phase))
 
     def _front(self, i: int) -> tuple:
         """The rows of the box grown by one row along axis ``i``, and the
@@ -655,10 +632,45 @@ def _halves(values: list, chunk: int, pad: int) -> tuple[list, list]:
     return list(map(add, below, above)), list(map(sub, below, above))
 
 
+def _stepped(p_cos: list, q_cos: list, p_sin: list, q_sin: list, phase: complex) -> list:
+    """Evaluation's combine in both layouts: P's cosine part plus Q's sine
+    part turned as 0j + x e^{i phi}, the product with a constant, and Q's
+    cosine part plus P's sine part as 0j + x e^{-i phi}.  Then each is cut
+    once: its values at or below ``DROP_EPS`` times max(1, its own largest
+    modulus) become 0j."""
+    out = []
+    for cos, sin, turn in (p_cos, q_sin, phase), (q_cos, p_sin, phase.conjugate()):
+        part = list(map(add, repeat(_ZERO), map(mul, map(add, cos, sin), repeat(turn))))
+        sizes = list(map(abs, part))
+        cutoff = DROP_EPS * max(1.0, max(sizes))
+        if not min(filter(None, sizes), default=math.inf) > cutoff:
+            part = [value if size > cutoff else _ZERO for value, size in zip(part, sizes)]
+        out.append(part)
+    return out
+
+
+def _peeled(p_cos: list, q_cos: list, p_sin: list, q_sin: list, e: complex) -> tuple:
+    """The peel's combine in both layouts, with no cut: P's cosine part
+    turned by e^{-i phi} less Q's sine part turned by e^{i phi}, and Q's
+    cosine part turned by e^{i phi} less P's sine part turned by e^{-i phi}."""
+    ec = e.conjugate()
+    return (list(map(sub, _turned(p_cos, ec), _turned(q_sin, e))),
+            list(map(sub, _turned(q_cos, e), _turned(p_sin, ec))))
+
+
+def _as_terms(variables: int, keys: list, *parts: list) -> tuple[LaurentPoly, ...]:
+    """Each of ``parts``, a list aligned on ``keys``, as terms without its
+    exact zeros; ValueError on a non-finite value."""
+    return tuple(
+        LaurentPoly._from_arithmetic(variables, dict(compress(zip(keys, values), values)), 0.0)
+        for values in parts
+    )
+
+
 def _turned(values: list, c: complex) -> list:
     """``values`` times the unimodular ``c``, with every zero slot left as
-    ``0j``.  The general product holds no term there, and 0j * c can have a
-    -0.0 part that would leak into a later difference.  A nonzero value
+    ``0j``.  A product of polynomials holds no term there, and 0j * c can
+    have a -0.0 part that would leak into a later difference.  A nonzero value
     times a unimodular factor is never zero, even below the normal range."""
     return [v * c if v else _ZERO for v in values]
 
@@ -717,8 +729,8 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     sine parts of A(s_k).  The pair lives on a ``PairBox`` that starts as
     one slot and grows by one row per step (``PairBox._step``).  Its zero
     end rows are trimmed.  As soon as it gets too sparse it is converted to
-    ``LaurentPoly`` terms, and the general products take the remaining
-    steps (``PQPair._extend``).  A box that stays dense to the end is the
+    ``LaurentPoly`` terms, which take the remaining steps with the same
+    step algebra (``PQPair._extend``).  A box that stays dense to the end is the
     result's storage, and the terms are built when first read (see
     ``PQPair``).  Only the stepped axis is trimmed, so such a box may keep
     an empty end row on another axis; it then has more rows than the

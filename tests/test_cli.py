@@ -255,6 +255,26 @@ def test_deeply_nested_document_is_an_input_error(command, identity_path, tmp_pa
     assert run.stderr == f"error: {path}: JSON nested too deeply to parse\n"
 
 
+# a document whose "variables" is a list of 100000 numbers used to print all
+# of it, 688957 bytes on one error line
+def test_a_huge_bad_value_is_an_input_error_of_one_short_line(tmp_path):
+    path = tmp_path / "huge-variables.json"
+    path.write_text(json.dumps({"variables": list(range(100000)), "P": [], "Q": []}))
+    run = subprocess.run(
+        [sys.executable, "-m", "mqsp.cli", "decide", str(path), "--steps", "1"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    message = f"error: {path}: 'variables' must be a positive integer, got [0, 1, 2"
+    assert run.stderr.startswith(message)
+    assert run.stderr.endswith("...\n") and run.stderr.count("\n") == 1
+    assert len(run.stderr) < 200 + len(str(path))
+
+
 # -- synthesize --------------------------------------------------------------
 
 

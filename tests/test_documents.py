@@ -82,6 +82,55 @@ def test_bad_variables_rejected():
             pair_from_document({"variables": bad, "P": [], "Q": []})
 
 
+SHORT_ECHOES = [
+    ({"variables": "2", "P": [], "Q": []}, "'variables' must be a positive integer, got '2'"),
+    (
+        {"variables": 2, "P": [{"exponents": [1], "re": 1.0, "im": 0.0}], "Q": []},
+        "P: 'exponents' must be a list of 2 integers, got [1]",
+    ),
+    (
+        {"variables": 1, "P": [], "Q": [{"exponents": [0], "re": 1.0, "im": {"x": [None]}}]},
+        "Q: 'im' must be a number, got {'x': [None]}",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc,message", SHORT_ECHOES, ids=["variables", "exponents", "im"])
+def test_short_bad_values_are_echoed_whole(doc, message):
+    with pytest.raises(DocumentError) as caught:
+        pair_from_document(doc)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("field", ["variables", "exponents", "re"])
+def test_long_bad_values_are_echoed_short(field):
+    huge = list(range(100000))
+    term = {"exponents": [0], "re": 1.0, "im": 0.0}
+    doc = {"variables": 1, "P": [term], "Q": []}
+    if field == "variables":
+        doc["variables"] = huge
+    else:
+        term[field] = huge
+    with pytest.raises(DocumentError) as caught:
+        pair_from_document(doc)
+    message = str(caught.value)
+    assert message.endswith(", got " + repr(huge)[:100] + "...")
+    assert len(message) < 200
+
+
+def test_echoes_are_cut_past_100_characters():
+    for value, shown in ("x" * 98, repr("x" * 98)), ("x" * 99, repr("x" * 99)[:100] + "..."):
+        with pytest.raises(DocumentError) as caught:
+            pair_from_document({"variables": value, "P": [], "Q": []})
+        assert str(caught.value) == f"'variables' must be a positive integer, got {shown}"
+    # a valid but huge variable count, repeated in the exponents message
+    doc = {"variables": 10**150, "P": [{"exponents": [0], "re": 1.0, "im": 0.0}], "Q": []}
+    with pytest.raises(DocumentError) as caught:
+        pair_from_document(doc)
+    count = "1" + "0" * 99 + "..."
+    assert str(caught.value) == f"P: 'exponents' must be a list of {count} integers, got [0]"
+
+
 def test_missing_components_rejected():
     with pytest.raises(DocumentError):
         pair_from_document({"variables": 1, "Q": []})

@@ -584,6 +584,34 @@ def test_sparse_inputs_stay_on_their_terms(no_box):
     assert trace.rejection.reason == REASON_PHASE
     trace = run_decision(SPAN_100001, 1, TOL)
     assert trace.rejection.reason == REASON_DEGREE
+    # their peel is the product form's, value by value
+    for pair in (SPAN_100001, M20_CORNERS):
+        for j in range(1, pair.variables + 1):
+            for phi in (0.0, math.pi / 2, -0.7, 2.0):
+                peeled = reduce_step(pair, j, phi)
+                product = product_form_reduction(pair, j, phi)
+                assert fingerprint(peeled.p) == fingerprint(product.p)
+                assert fingerprint(peeled.q) == fingerprint(product.q)
+
+
+def test_terms_steps_use_no_polynomial_arithmetic(monkeypatch):
+    # the terms layout runs the box's step algebra on its keys: evaluation
+    # past the sparse hand-off and the peel of an asymmetric pair finish
+    # with the operators of LaurentPoly refused
+    seq = MqspSequence(6, (0.0,) * 5 + (0.4, -1.1, 2.5), (1, 2, 3, 4, 5, 6, 1))
+    pair, _ = oracle_pair(2, 8, 17)
+    bumped = perturb_pair(PQPair(pair.p, pair.q), 17, 1e-12)
+    assert PairBox.from_pair(bumped) is None
+
+    def refuse(*args):
+        raise AssertionError("stepped with the polynomial operators")
+
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(LaurentPoly, name, refuse)
+    assert evaluate_sequence(seq)._box is None
+    trace = run_decision(bumped, 8, TOL)
+    assert trace.accepted
+    assert sum(isinstance(step, PhaseReduction) for step in trace.steps) == 8
 
 
 # -- decide -----------------------------------------------------------------------

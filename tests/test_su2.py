@@ -154,14 +154,20 @@ def matrix_oracle_top_row(seq: MqspSequence) -> PQPair:
     each step A(s_k) z(phi_k) multiplied without cuts (a drop cutoff of 0
     keeps every nonzero coefficient) and then cut once, each entry at its
     own scale as LaurentPoly construction cuts."""
-    m = seq.variables
-    mat = z_rotation(seq.phases[0], m)
+    mat = z_rotation(seq.phases[0], seq.variables)
     for phi, s in zip(seq.phases[1:], seq.indices):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(laurent, "DROP_EPS", 0.0)
-            mat = mat @ signal_operator(s, m) @ z_rotation(phi, m)
-        mat = Mat2(*(LaurentPoly(m, entry.terms) for entry in (mat.a, mat.b, mat.c, mat.d)))
+        mat = matrix_oracle_step(mat, s, phi)
     return PQPair(mat.a, mat.b)
+
+
+def matrix_oracle_step(mat: Mat2, s: int, phi: float) -> Mat2:
+    """``mat`` times A(s) z(phi), multiplied without cuts and then cut
+    once, each entry at its own scale."""
+    m = mat.variables
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laurent, "DROP_EPS", 0.0)
+        mat = mat @ signal_operator(s, m) @ z_rotation(phi, m)
+    return Mat2(*(LaurentPoly(m, entry.terms) for entry in (mat.a, mat.b, mat.c, mat.d)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -306,6 +312,7 @@ def test_phase_factor_cuts_like_the_matrix_product(monkeypatch):
     # cuts: P's, about 2, drops the tiny term and Q's, 1, keeps it, where one
     # scale for both would drop both or keep both
     monkeypatch.setattr(laurent, "DROP_EPS", 0.0)
+    monkeypatch.setattr(su2, "DROP_EPS", 0.0)
     uncut = pair._extend(1, phase)
     monkeypatch.undo()
     assert (4,) in uncut.p.terms and (4,) in uncut.q.terms
@@ -711,19 +718,31 @@ def test_unit_norm_filter_edge_cases(layout, pair, defect):
     assert pair.is_normalized(TOL) == (defect == 0.0)
 
 
-@pytest.mark.parametrize(
-    "pair",
-    [
-        # a span of 100001 at stride 1: twiddle tables of about 2e10 entries
-        pytest.param(SPAN_100001, id="span-100001"),
-        # two opposite corners of a 20-variable box: a grid of 3^20 points
-        pytest.param(M20_CORNERS, id="m20-corners"),
-    ],
-)
+SPARSE_WIDE = [
+    # a span of 100001 at stride 1: twiddle tables of about 2e10 entries
+    pytest.param(SPAN_100001, id="span-100001"),
+    # two opposite corners of a 20-variable box: a grid of 3^20 points
+    pytest.param(M20_CORNERS, id="m20-corners"),
+]
+
+
+@pytest.mark.parametrize("pair", SPARSE_WIDE)
 @pytest.mark.usefixtures("no_box")
 def test_sparse_wide_pair_is_multiplied_out(pair):
     assert_filter_matches_product(pair)
     assert not pair.is_normalized(TOL)
+
+
+@pytest.mark.parametrize("pair", SPARSE_WIDE)
+@pytest.mark.usefixtures("no_box")
+def test_sparse_wide_pair_steps_as_the_matrix_product(pair):
+    # evaluation's step on the terms, value by value
+    for j in range(1, pair.variables + 1):
+        for phi in (0.0, math.pi / 2, -0.7, 2.0):
+            stepped = pair._extend(j, cmath.exp(1j * phi))
+            product = matrix_oracle_step(pair_to_matrix(pair), j, phi)
+            assert fingerprint(stepped.p) == fingerprint(product.a)
+            assert fingerprint(stepped.q) == fingerprint(product.b)
 
 
 # |P|^2 + |Q|^2 overflows a double.  The first two have a constant
