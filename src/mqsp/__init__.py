@@ -14,42 +14,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANGLE_MODES",
-    "BaseAccept",
-    "DecisionTrace",
-    "EPS",
-    "GENERATOR",
-    "IdentityPad",
-    "LaurentPoly",
-    "Mat2",
-    "MqspSequence",
-    "NecessaryReport",
-    "OracleConfig",
-    "PhaseReduction",
-    "PQPair",
-    "Reject",
-    "RoundtripReport",
-    "SynthesisResult",
-    "check_necessary",
-    "decide",
-    "evaluate_sequence",
-    "find_phase",
-    "half_diff",
-    "half_sum",
-    "identity_matrix",
-    "pair_to_matrix",
-    "qsp1_characterize",
-    "random_sequence",
-    "reduce_step",
-    "roundtrip_check",
-    "run_decision",
-    "signal_operator",
-    "synthesize",
-    "term_bound",
-    "z_rotation",
-]
-
 # The submodule that defines each public name.  ``__getattr__`` runs only
 # for a name not yet in the module globals, and caches what it imports there.
 _SOURCES = {
@@ -87,6 +51,8 @@ _SOURCES = {
     "term_bound": "engine",
     "z_rotation": "su2",
 }
+
+__all__ = list(_SOURCES)
 
 
 def __getattr__(name: str):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 
-from .laurent import LaurentPoly
+from .laurent import MAX_VARIABLES, LaurentPoly, _variables
 from .su2 import MqspSequence, PQPair
 
 
@@ -107,7 +107,12 @@ def _parse_variables(doc: object) -> int:
     variables = doc.get("variables")
     if not (_is_int(variables) and variables >= 1):
         raise DocumentError(f"'variables' must be a positive integer, got {_shown(variables)}")
-    return variables
+    try:
+        return _variables(variables)
+    except ValueError:
+        raise DocumentError(
+            f"'variables' must be at most {MAX_VARIABLES}, got {_shown(variables)}"
+        ) from None
 
 
 def poly_from_terms(records: object, variables: int, label: str) -> LaurentPoly:

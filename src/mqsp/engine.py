@@ -217,7 +217,7 @@ def effective_degrees(pair: PQPair | PairBox, tol: float = EPS) -> tuple[int, ..
     comparisons: the rounding residue that a peeled factor leaves inside
     the rows it keeps sits far below the tolerance and must not masquerade
     as surviving degree.  (The rows above the new degree are truncated by
-    ``run_decision``.)
+    ``_walk``.)
 
     On the input pair these degrees bound the step count: for a pair within
     ``tol`` of an n-step product, every term counted here is a term of the

@@ -22,7 +22,7 @@ import cmath
 import math
 import operator
 from collections.abc import Iterator, Mapping
-from operator import add
+from operator import add, sub
 
 #: Default relative tolerance for zero tests and coefficient comparisons.
 EPS = 1e-9
@@ -45,6 +45,8 @@ Exponents = tuple[int, ...]
 class LaurentPoly:
     """A Laurent polynomial in a fixed number of variables.
 
+    The variable count passes ``_variables``, the check that ``MqspSequence``
+    and ``OracleConfig`` share: an integer from 1 to ``MAX_VARIABLES``.
     The zero polynomial is the empty mapping.  Construction normalizes the
     term mapping: coefficients whose modulus is at most ``DROP_EPS`` times
     the input's own maximum modulus (floored at 1) are dropped.  Operations
@@ -57,8 +59,7 @@ class LaurentPoly:
     __slots__ = ("variables", "terms", "_max_modulus")
 
     def __init__(self, variables: int, terms: Mapping[Exponents, complex] | None = None):
-        if variables < 1:
-            raise ValueError(f"need at least one variable, got {variables}")
+        variables = _variables(variables)
         validated: dict[Exponents, complex] = {}
         for exps, coeff in (terms or {}).items():
             key = tuple(exps)
@@ -156,22 +157,10 @@ class LaurentPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._require_same_shape(other)
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            merged[k] = merged.get(k, 0j) + c
-        return LaurentPoly._from_arithmetic(self.variables, merged, self._pair_scale(other))
+        return self._merged(other, add)
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._require_same_shape(other)
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            merged[k] = merged.get(k, 0j) - c
-        return LaurentPoly._from_arithmetic(self.variables, merged, self._pair_scale(other))
+        return self._merged(other, sub)
 
     def __neg__(self) -> LaurentPoly:
         return self._same_support(lambda k, c: -c)
@@ -248,6 +237,16 @@ class LaurentPoly:
     def _pair_scale(self, other: LaurentPoly) -> float:
         return max(1.0, self.max_modulus(), other.max_modulus())
 
+    def _merged(self, other: LaurentPoly, op) -> LaurentPoly:
+        """``self`` op ``other`` term by term, an absent term being 0j."""
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        self._require_same_shape(other)
+        merged = dict(self.terms)
+        for k, c in other.terms.items():
+            merged[k] = op(merged.get(k, 0j), c)
+        return LaurentPoly._from_arithmetic(self.variables, merged, self._pair_scale(other))
+
     def _same_support(self, fn) -> LaurentPoly:
         """Apply a modulus-preserving map (conjugation, sign flips) to every term."""
         out = LaurentPoly(self.variables)
@@ -300,8 +299,27 @@ def _require_finite(values: list, sizes: list, keys=None) -> None:
                 raise ValueError(f"non-finite coefficient {value!r} at {key}")
 
 
-# The decision's argument checks live here, not in ``engine``, so that the
-# command line and ``oracle`` run them without loading the decision.
+# The argument checks live here, not in ``engine``, so that every module,
+# the command line and ``oracle`` included, runs them without loading the
+# decision.
+
+
+#: The largest variable count.  A larger one is an input error rather than a
+#: request for exponent tuples of that length: an empty pair on 10**6
+#: variables is still decided in about a second, while a count past
+#: ``sys.maxsize`` cannot even size a tuple.
+MAX_VARIABLES = 10**6
+
+
+def _variables(count) -> int:
+    """``count`` by ``operator.index`` (TypeError for a float), ValueError
+    unless 1 <= count <= ``MAX_VARIABLES``."""
+    count = operator.index(count)
+    if count < 1:
+        raise ValueError(f"need at least one variable, got {count}")
+    if count > MAX_VARIABLES:
+        raise ValueError(f"need at most {MAX_VARIABLES} variables, got {count}")
+    return count
 
 
 def _budget(n) -> int:

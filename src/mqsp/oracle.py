@@ -9,10 +9,9 @@ reproducible from the synthesized parameters.
 from __future__ import annotations
 
 import math
-import operator
 import random
 
-from .laurent import EPS, _budget
+from .laurent import EPS, _budget, _variables
 from .su2 import MqspSequence, _Record, evaluate_sequence
 
 ANGLE_MODES = ("continuous", "discrete")
@@ -29,16 +28,15 @@ class OracleConfig(_Record):
     ``continuous`` draws angles uniformly from (-pi, pi]; ``discrete`` draws
     multiples of pi/12, whose exact pi/2 cancellation patterns keep the degree
     sum below the step count and so exercise the padding branch.
-    ``variables`` and ``steps`` go through ``operator.index``, as a budget
-    does for ``engine.run_decision``: a float raises TypeError.
+    ``variables`` passes the variable count check of ``LaurentPoly``
+    (``laurent._variables``), and ``steps`` goes through ``operator.index``
+    as a budget does for ``engine.run_decision``: a float raises TypeError.
     """
 
     __slots__ = ("variables", "steps", "seed", "angle_mode")
 
     def __init__(self, variables: int, steps: int, seed: int, angle_mode: str = "continuous"):
-        variables = operator.index(variables)
-        if variables < 1:
-            raise ValueError(f"need at least one variable, got {variables}")
+        variables = _variables(variables)
         steps = _budget(steps)
         if angle_mode not in ANGLE_MODES:
             raise ValueError(f"angle_mode must be one of {ANGLE_MODES}, got {angle_mode!r}")

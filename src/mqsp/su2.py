@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import sys
 from itertools import chain, compress, product, repeat
 from operator import add, mul, neg, sub
 
-from .laurent import DROP_EPS, EPS, LaurentPoly, _require_finite
+from .laurent import DROP_EPS, EPS, LaurentPoly, _require_finite, _variables
 
 
 #: Stores a field of a record from its constructor, past ``_Record.__setattr__``.
@@ -251,27 +250,22 @@ class PQPair(_BoxSlot):
         return deviation <= tol * scale
 
     def max_deviation(self, other: PQPair) -> float:
-        deviations = self._box_deviations(other)
-        if deviations is None:
-            return max(self.p.max_deviation(other.p), self.q.max_deviation(other.q))
-        return max(deviations)
+        return max(self._deviations(other))
 
     def approx_eq(self, other: PQPair, tol: float = EPS) -> bool:
-        deviations = self._box_deviations(other)
-        if deviations is None:
-            return self.p.approx_eq(other.p, tol) and self.q.approx_eq(other.q, tol)
-        (dp, dq), (sp, sq), (op, oq) = deviations, self._box._moduli, other._box._moduli
+        """``LaurentPoly.approx_eq`` of P and of Q against ``other``'s."""
+        (dp, dq), (sp, sq), (op, oq) = self._deviations(other), self._moduli, other._moduli
         return dp <= tol * max(1.0, sp, op) and dq <= tol * max(1.0, sq, oq)
 
-    def _box_deviations(self, other: PQPair) -> tuple[float, float] | None:
+    def _deviations(self, other: PQPair) -> tuple[float, float]:
         """``LaurentPoly.max_deviation`` of P and of Q against ``other``'s,
         read from ``p_half`` and ``q_half`` when both pairs are stored on
-        boxes with equal rows, else None.  A slot and its mirror image
-        differ by one modulus, as Q's 0j - v is exact, so the half gives the
-        same float."""
+        boxes with equal rows, else from the terms.  A slot and its mirror
+        image differ by one modulus, as Q's 0j - v is exact, so the half
+        gives the same float."""
         box, other_box = self._box, other._box
         if box is None or other_box is None or box.rows != other_box.rows:
-            return None
+            return self.p.max_deviation(other.p), self.q.max_deviation(other.q)
         halves = (box.p_half, other_box.p_half), (box.q_half, other_box.q_half)
         return tuple(max(map(abs, map(sub, a, b)), default=0.0) for a, b in halves)
 
@@ -282,7 +276,8 @@ class PQPair(_BoxSlot):
 
     @property
     def _moduli(self) -> tuple[float, float]:
-        return self.p.max_modulus(), self.q.max_modulus()
+        box = self._box
+        return (self.p.max_modulus(), self.q.max_modulus()) if box is None else box._moduli
 
     def _visible_degrees(self, cutoff: float) -> tuple[int, ...] | None:
         terms = self.p.terms
@@ -679,19 +674,18 @@ class MqspSequence(_Record):
     """Angle parameters phi_0..phi_n and index parameters s_1..s_n.
 
     ``indices`` are 1-based variable choices; there is always exactly one
-    more phase than there are indices.  ``variables`` goes through
-    ``operator.index``, so a float count raises TypeError; ``phases`` and
-    ``indices`` are stored as tuples of float and of int.
+    more phase than there are indices.  ``variables`` passes the variable
+    count check of ``LaurentPoly`` (``laurent._variables``), so a float
+    count raises TypeError; ``phases`` and ``indices`` are stored as tuples
+    of float and of int.
     """
 
     __slots__ = ("variables", "phases", "indices")
 
     def __init__(self, variables: int, phases, indices):
-        variables = operator.index(variables)
+        variables = _variables(variables)
         phases = tuple(map(float, phases))
         indices = tuple(map(int, indices))
-        if variables < 1:
-            raise ValueError(f"need at least one variable, got {variables}")
         if not all(map(math.isfinite, phases)):
             phi = next(phi for phi in phases if not math.isfinite(phi))
             raise ValueError(f"phase {phi!r} is not finite")

@@ -275,6 +275,34 @@ def test_a_huge_bad_value_is_an_input_error_of_one_short_line(tmp_path):
     assert len(run.stderr) < 200 + len(str(path))
 
 
+# a variable count past the largest index used to end in an OverflowError
+# traceback and exit 1, the code of a negative verdict
+@pytest.mark.parametrize("command", ["check", "decide", "synthesize", "verify", "gen"])
+def test_a_huge_variable_count_is_an_input_error(command, tmp_path):
+    count = 10**30
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"variables": count, "P": [], "Q": []}))
+    if command == "verify":
+        args = [str(path), write_sequence(tmp_path, "seq.json", count, [0.0], [])]
+    elif command == "gen":
+        args = ["-m", str(count), "--steps", "0", "--seed", "1", "--pair-out",
+                str(tmp_path / "p.json"), "--sequence-out", str(tmp_path / "s.json")]
+    else:
+        args = [str(path), "--steps", "2"]
+    run = subprocess.run(
+        [sys.executable, "-m", "mqsp.cli", command, *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert "at most 1000000" in run.stderr and run.stderr.endswith(f", got {count}\n")
+    assert not (tmp_path / "p.json").exists()
+
+
 # -- synthesize --------------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from mqsp.documents import (
     sequence_to_document,
 )
 from mqsp.fixtures import counterexample_pair
+from mqsp.laurent import MAX_VARIABLES
 from helpers import oracle_pair
 
 
@@ -80,6 +81,14 @@ def test_bad_variables_rejected():
     for bad in (0, -1, "2", None, True):
         with pytest.raises(DocumentError):
             pair_from_document({"variables": bad, "P": [], "Q": []})
+    # the count is bounded, and the bound is reported against 'variables'
+    pair, sequence = {"P": [], "Q": []}, {"phases": [0.0], "indices": []}
+    message = f"^'variables' must be at most {MAX_VARIABLES}, got "
+    for bad in (MAX_VARIABLES + 1, 10**30):
+        for parse, rest in (pair_from_document, pair), (sequence_from_document, sequence):
+            with pytest.raises(DocumentError, match=message + str(bad)):
+                parse({"variables": bad, **rest})
+    assert pair_from_document({"variables": MAX_VARIABLES, **pair}).variables == MAX_VARIABLES
 
 
 SHORT_ECHOES = [
@@ -123,12 +132,12 @@ def test_echoes_are_cut_past_100_characters():
         with pytest.raises(DocumentError) as caught:
             pair_from_document({"variables": value, "P": [], "Q": []})
         assert str(caught.value) == f"'variables' must be a positive integer, got {shown}"
-    # a valid but huge variable count, repeated in the exponents message
+    # a huge variable count is refused against 'variables', before P is read
     doc = {"variables": 10**150, "P": [{"exponents": [0], "re": 1.0, "im": 0.0}], "Q": []}
     with pytest.raises(DocumentError) as caught:
         pair_from_document(doc)
     count = "1" + "0" * 99 + "..."
-    assert str(caught.value) == f"P: 'exponents' must be a list of {count} integers, got [0]"
+    assert str(caught.value) == f"'variables' must be at most 1000000, got {count}"
 
 
 def test_missing_components_rejected():

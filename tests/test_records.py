@@ -31,6 +31,7 @@ from mqsp import (
     run_decision,
     synthesize,
 )
+from mqsp.laurent import MAX_VARIABLES
 from helpers import oracle_pair
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -183,6 +184,16 @@ TWO_VARS = LaurentPoly.zero(2)
         (
             lambda: OracleConfig(1, 1, 1, "grid"),
             r"^angle_mode must be one of \('continuous', 'discrete'\), got 'grid'$",
+        ),
+        # the one variable-count check that all three constructors share
+        (lambda: LaurentPoly(0), r"^need at least one variable, got 0$"),
+        *(
+            (build, rf"^need at most {MAX_VARIABLES} variables, got {MAX_VARIABLES + 1}$")
+            for build in (
+                lambda: LaurentPoly(MAX_VARIABLES + 1),
+                lambda: MqspSequence(MAX_VARIABLES + 1, [0.0], []),
+                lambda: OracleConfig(MAX_VARIABLES + 1, 1, 1),
+            )
         ),
     ],
 )

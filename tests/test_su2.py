@@ -331,9 +331,12 @@ def test_sequence_validation():
 
 
 def test_sequence_variable_count_goes_through_index():
-    # a float count raises at construction, not in evaluate_sequence
+    # a float count raises at construction, not in evaluate_sequence; a
+    # polynomial runs the same check
     with pytest.raises(TypeError):
         MqspSequence(2.0, (0.0, 0.1), (1,))
+    with pytest.raises(TypeError):
+        LaurentPoly(2.0)
 
     class Two:
         def __index__(self):
@@ -341,6 +344,8 @@ def test_sequence_variable_count_goes_through_index():
 
     seq = MqspSequence(Two(), (0.0, 0.1), (2,))
     assert type(seq.variables) is int and seq.variables == 2
+    poly = LaurentPoly(Two(), {(1, -1): 1.0})
+    assert type(poly.variables) is int and poly == LaurentPoly(2, {(1, -1): 1.0})
 
 
 @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
@@ -397,32 +402,53 @@ def test_evaluated_pair_behaves_as_its_term_twin(m, n):
         assert again == twin and repr(again) == repr(twin)
 
 
-def comparisons(a: PQPair, b: PQPair) -> list:
-    """``max_deviation`` by repr and ``approx_eq`` at several tolerances."""
-    return [repr(a.max_deviation(b))] + [a.approx_eq(b, tol) for tol in (0.0, 1e-15, 1e-12, TOL)]
+def comparisons(a: PQPair, b: PQPair, tols: list) -> list:
+    """``max_deviation`` by repr and ``approx_eq`` at each of ``tols``."""
+    return [repr(a.max_deviation(b))] + [a.approx_eq(b, tol) for tol in tols]
+
+
+def component_comparisons(a: PQPair, b: PQPair, tols: list) -> list:
+    """``comparisons`` made by ``LaurentPoly`` on P and on Q."""
+    deviation = max(a.p.max_deviation(b.p), a.q.max_deviation(b.q))
+    return [repr(deviation)] + [a.p.approx_eq(b.p, tol) and a.q.approx_eq(b.q, tol) for tol in tols]
+
+
+def near_tolerances(a: PQPair, b: PQPair) -> list:
+    """Tolerances a hair below and above the deviation over the scale of P
+    and of Q, where ``approx_eq`` turns."""
+    tols = []
+    for x, y in (a.p, b.p), (a.q, b.q):
+        ratio = x.max_deviation(y) / max(1.0, x.max_modulus(), y.max_modulus())
+        tols += [ratio * (1.0 - 1e-12), ratio * (1.0 + 1e-12)]
+    return tols
 
 
 @pytest.mark.parametrize("m,n", [(1, 12), (2, 8), (3, 6), (4, 5)])
 @pytest.mark.parametrize("mode", ["continuous", "discrete"])
 def test_box_comparisons_are_bitwise_the_term_comparisons(m, n, mode):
     # two boxes with equal rows compare on their halves; any other
-    # combination, or boxes with different rows, on the terms
+    # combination, or boxes with different rows, on the terms; every one
+    # gives LaurentPoly's comparisons of P and of Q, also at the tolerances
+    # where they turn and on a box of coefficients above 1
     pair, seq = oracle_pair(m, n, 5200 + 10 * m + n, mode)
     others = [
         evaluate_sequence(MqspSequence(m, [phi + shift for phi in seq.phases], seq.indices))
         for shift in (0.0, 1e-13, 1e-10, 1e-3)
     ]
+    tripled = ([3.0 * v for v in half] for half in (pair._box.p_half, pair._box.q_half))
+    others.append(PQPair._on_box(su2.PairBox(pair._box.rows, *tripled)))
     others.append(evaluate_sequence(MqspSequence(m, seq.phases[:-1], seq.indices[:-1])))
     assert all(other._box is not None for other in others)
     assert others[-1]._box.rows != pair._box.rows
     assert others[2]._box.rows == pair._box.rows and others[2].max_deviation(pair) > 0.0
     for other in others:
-        forwards = comparisons(term_twin(pair), term_twin(other))
-        backwards = comparisons(term_twin(other), term_twin(pair))
+        tols = [0.0, 1e-15, 1e-12, TOL, *near_tolerances(term_twin(pair), term_twin(other))]
+        forwards = component_comparisons(term_twin(pair), term_twin(other), tols)
+        backwards = component_comparisons(term_twin(other), term_twin(pair), tols)
         for a in (pair, term_twin(pair)):
             for b in (other, term_twin(other)):
-                assert comparisons(a, b) == forwards
-                assert comparisons(b, a) == backwards
+                assert comparisons(a, b, tols) == forwards
+                assert comparisons(b, a, tols) == backwards
 
 
 def test_sparse_evaluations_come_back_as_terms():
