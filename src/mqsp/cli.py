@@ -158,8 +158,12 @@ def _tolerance(text: str) -> float:
 
 
 def _check_steps(steps: int) -> None:
-    if steps < 0:
-        raise InputError(f"--steps must be non-negative, got {steps}")
+    """``--steps``: the library's budget rule (``laurent._budget``), checked
+    before the input is read."""
+    try:
+        laurent._budget(steps)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -14,7 +14,7 @@ zero Q).
 Every branch taken is recorded in a trace, from which one valid choice of
 angle and index parameters can be read off when the pair is accepted.  The
 level logic (degree scan, top-slice phase match, reduction, base case) is
-written once over the storage primitives of ``su2.PairBox`` and ``PQPair``.
+written once over the storage primitives of ``box.PairBox`` and ``PQPair``.
 The pair is laid out once: on the half box that evaluation steps, or as
 terms when the pair lacks the inversion symmetries or its box would be
 mostly empty; both peel with evaluation's front and one combine.
@@ -28,7 +28,8 @@ from itertools import repeat
 from operator import mul, sub
 
 from .laurent import DROP_EPS, EPS, _budget, _tolerance
-from .su2 import MqspSequence, PairBox, PQPair, _lattice, _Record
+from .box import PairBox, _lattice
+from .su2 import MqspSequence, PQPair, _Record
 
 REASON_BASE = "final pair is not a pure phase rotation"
 REASON_DEGREE = "degree sum neither equals the step count nor leaves room for padding"
@@ -484,7 +485,7 @@ def term_bound(pair: PQPair) -> int:
     spread of the j-exponents of P and Q and stride_j 2 when they share one
     parity, else 1.  The unit-norm filter samples on this lattice.  On a
     realizable pair it is the centred box the decision runs on (see
-    ``su2.PairBox``), of prod_j (d_j + 1) slots, the largest number of terms
+    ``box.PairBox``), of prod_j (d_j + 1) slots, the largest number of terms
     either component can carry at its degrees.  The decision runs in
     O(steps * variables * term_bound)."""
     return math.prod(_lattice(pair)[2])

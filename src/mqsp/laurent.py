@@ -4,7 +4,7 @@ Polynomials are stored as mappings from exponent tuples (one signed integer
 per variable) to complex coefficients.  This is the form of the public API,
 the JSON documents and the test oracles.  Sequence evaluation and the
 decision's peel do not use these products: they step a pair with the step
-algebra of ``su2``, on the dense half box ``su2.PairBox`` or, for a pair
+algebra of ``su2``, on the dense half box ``box.PairBox`` or, for a pair
 whose box would be mostly empty or that lacks the inversion symmetries the
 half box relies on, on its terms.  All values are immutable after
 construction and every operation returns a new polynomial, so instances
@@ -322,11 +322,24 @@ def _variables(count) -> int:
     return count
 
 
+#: The largest step budget.  The decision keeps one record per identity pad
+#: it takes, so a budget of n steps can cost memory in proportion to n: a
+#: budget of 10**9 would ask for tens of gigabytes before it answered.
+MAX_STEPS = 10**6
+
+
 def _budget(n) -> int:
-    """``n`` by ``operator.index`` (TypeError for a float), ValueError if negative."""
+    """``n`` by ``operator.index`` (TypeError for a float), ValueError
+    unless 0 <= n <= ``MAX_STEPS``; the message shows at most 100 digits of
+    a larger ``n``, as ``documents`` cuts a bad value."""
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
+    if n > MAX_STEPS:
+        shown = repr(n)
+        if len(shown) > 100:
+            shown = shown[:100] + "..."
+        raise ValueError(f"need at most {MAX_STEPS} steps, got {shown}")
     return n
 
 

@@ -9,7 +9,6 @@ reproducible from the synthesized parameters.
 from __future__ import annotations
 
 import math
-import random
 
 from .laurent import EPS, _budget, _variables
 from .su2 import MqspSequence, _Record, evaluate_sequence
@@ -45,6 +44,8 @@ class OracleConfig(_Record):
 
 def random_sequence(cfg: OracleConfig) -> MqspSequence:
     """Deterministic sequence for the seed: all phases drawn first, then indices."""
+    import random  # loaded here: only gen and the test oracles draw
+
     rng = random.Random(cfg.seed)
     count = cfg.steps + 1
     if cfg.angle_mode == "continuous":

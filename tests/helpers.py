@@ -18,6 +18,7 @@ from mqsp import (
     random_sequence,
     su2,
 )
+from mqsp import box as half_box
 
 
 # Seed base for the acceptance corpus.  Roughly 0.2% of random instances are
@@ -129,5 +130,5 @@ def no_box(monkeypatch):
     def refuse(*args):
         raise AssertionError("laid out on a dense box")
 
-    monkeypatch.setattr(su2, "_placed", refuse)
+    monkeypatch.setattr(half_box, "_placed", refuse)
     monkeypatch.setattr(su2.PQPair, "_on_box", refuse)

@@ -303,6 +303,29 @@ def test_a_huge_variable_count_is_an_input_error(command, tmp_path):
     assert not (tmp_path / "p.json").exists()
 
 
+# a budget is paid in identity pads, one record each: --steps 10**9 asked for
+# tens of gigabytes before it answered, and decide --steps 1000001 printed
+# 500001 trace lines; each call runs in a child with a time limit, as gen
+# used to evaluate a million-step sequence
+@pytest.mark.parametrize("command", ["check", "decide", "synthesize", "gen"])
+def test_a_step_budget_past_the_bound_is_an_input_error(command, identity_path, tmp_path):
+    if command == "gen":
+        args = ["-m", "1", "--seed", "1", "--pair-out", str(tmp_path / "p.json"),
+                "--sequence-out", str(tmp_path / "s.json")]
+    else:
+        args = [identity_path]
+    run = subprocess.run(
+        [sys.executable, "-m", "mqsp.cli", command, *args, "--steps", "1000001"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 2
+    assert run.stdout == "" and run.stderr == "error: need at most 1000000 steps, got 1000001\n"
+    assert not (tmp_path / "p.json").exists()
+
+
 # -- synthesize --------------------------------------------------------------
 
 

@@ -41,9 +41,9 @@ from mqsp import (
     z_rotation,
 )
 from mqsp import documents, engine, laurent, su2
+from mqsp.box import PairBox
 from mqsp.engine import REASON_BASE, REASON_DEGREE, REASON_OVERFLOW, REASON_PHASE
 from mqsp.fixtures import counterexample_pair, identity_pair, signal_pair
-from mqsp.su2 import PairBox
 from helpers import (
     M20_CORNERS,
     OVERFLOWING_MISMATCH,
@@ -689,6 +689,20 @@ def test_budget_must_be_an_integer():
     cfg = OracleConfig(Index(2), Index(3), 1)
     assert cfg == OracleConfig(2, 3, 1)
     assert type(cfg.variables) is int and type(cfg.steps) is int
+
+
+def test_budget_past_the_bound_is_refused():
+    # a budget is paid in identity pads, one record each: 10**9 steps would
+    # have asked for tens of gigabytes before the decision answered
+    bound = laurent.MAX_STEPS
+    calls = [run_decision, decide, synthesize, check_necessary, qsp1_characterize]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^need at most {bound} steps, got {bound + 1}$"):
+            call(identity_pair(), bound + 1, TOL)
+    with pytest.raises(ValueError, match=rf"^need at most {bound} steps, got {'9' * 100}\.\.\.$"):
+        OracleConfig(1, 10**150 - 1, 1)
+    # the bound itself is a budget: pads down to 0, then the base case
+    assert decide(identity_pair(), bound, TOL)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])

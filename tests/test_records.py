@@ -31,7 +31,7 @@ from mqsp import (
     run_decision,
     synthesize,
 )
-from mqsp.laurent import MAX_VARIABLES
+from mqsp.laurent import MAX_STEPS, MAX_VARIABLES
 from helpers import oracle_pair
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -195,6 +195,7 @@ TWO_VARS = LaurentPoly.zero(2)
                 lambda: OracleConfig(MAX_VARIABLES + 1, 1, 1),
             )
         ),
+        (lambda: OracleConfig(1, MAX_STEPS + 1, 1), r"^need at most 1000000 steps, got 1000001$"),
     ],
 )
 def test_construction_checks_raise_as_before(build, message):
@@ -253,11 +254,24 @@ def test_package_import_loads_no_submodule():
     assert loaded_by("import mqsp") == ["mqsp"]
 
 
-def test_document_set_up_loads_no_decision():
-    # what the command-line benchmark prepares before it starts its calls
-    loaded = loaded_by("from mqsp import documents, fixtures")
+def test_document_set_up_loads_no_decision(tmp_path):
+    # what the command-line benchmark prepares before it starts its calls:
+    # building and saving the witness pair loads neither the decision nor
+    # the half box and its step kernel
+    set_up = (
+        "from mqsp import documents, fixtures; "
+        "documents.save_pair(fixtures.counterexample_pair(), 'w.json')"
+    )
+    loaded = loaded_by(set_up, tmp_path)
     assert "mqsp.documents" in loaded and "mqsp.fixtures" in loaded
-    assert "mqsp.engine" not in loaded and "mqsp.oracle" not in loaded
+    assert not {"mqsp.box", "mqsp.engine", "mqsp.oracle"} & set(loaded)
+    # evaluating a sequence steps it on the half box
+    evaluated = loaded_by(
+        f"{set_up}; import mqsp; "
+        "mqsp.evaluate_sequence(mqsp.MqspSequence(2, [0.1, 0.2, 0.3], [1, 2]))",
+        tmp_path,
+    )
+    assert "mqsp.box" in evaluated and "mqsp.engine" not in evaluated
 
 
 def test_only_the_deciding_commands_load_the_engine(tmp_path):
@@ -268,18 +282,22 @@ def test_only_the_deciding_commands_load_the_engine(tmp_path):
         ["fixture", "identity", "-o", "i.json"],
         ["decide", "p.json", "--steps", "6"],
     ]
-    code = (
-        "import sys, contextlib, io; from mqsp.cli import main\n"
-        f"for argv in {calls!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        code = main(argv)\n"
-        "    print(argv[0], code, 'mqsp.engine' in sys.modules)"
-    )
-    assert run_bare(code, tmp_path).splitlines() == [
-        "gen 0 False",
-        "verify 0 False",
-        "fixture 0 False",
-        "decide 0 True",
+    # each command in a fresh interpreter, as the console script runs it;
+    # only gen draws, so only gen loads random
+    lines = []
+    for argv in calls:
+        code = (
+            "import sys, contextlib, io; from mqsp.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, 'mqsp.engine' in sys.modules, 'random' in sys.modules)"
+        )
+        lines.append(f"{argv[0]} {run_bare(code, tmp_path).strip()}")
+    assert lines == [
+        "gen 0 False True",
+        "verify 0 False False",
+        "fixture 0 False False",
+        "decide 0 True False",
     ]
 
 

@@ -25,7 +25,7 @@ from mqsp import (
     signal_operator,
     z_rotation,
 )
-from mqsp import documents, laurent, roundtrip_check, su2
+from mqsp import box as half_box, documents, laurent, roundtrip_check, su2
 from helpers import (
     M20_CORNERS,
     SPAN_100001,
@@ -206,8 +206,8 @@ def recorded_box_sizes(monkeypatch) -> list:
         built.append(math.prod(rows))
         original(box, rows, *args)
 
-    original = su2.PairBox.__init__
-    monkeypatch.setattr(su2.PairBox, "__init__", record)
+    original = half_box.PairBox.__init__
+    monkeypatch.setattr(half_box.PairBox, "__init__", record)
     return built
 
 
@@ -303,7 +303,7 @@ def test_phase_factor_cuts_like_the_matrix_product(monkeypatch):
     # +-tiny e^{-i phi} at a^+-4 and at most 1 elsewhere
     phase = complex(0.8707277809370632, -0.49176532157566544)
     tiny = complex(1.5e-15, 0.0)
-    box = su2.PairBox((4,), [2 * tiny, 2.0], [0j, 0j])
+    box = half_box.PairBox((4,), [2 * tiny, 2.0], [0j, 0j])
     pair, stepped = box.to_pair(), box._step(1, phase).to_pair()
     assert fingerprint(stepped.p) == fingerprint(pair._extend(1, phase).p)
     assert fingerprint(stepped.q) == fingerprint(pair._extend(1, phase).q)
@@ -372,11 +372,11 @@ def test_evaluated_pair_keeps_the_box_its_terms_lay_out_on(m, n, mode):
     assert box is not None and pair.variables == m
     twin = term_twin(pair)
     assert twin._box is None
-    assert su2.PairBox.from_pair(pair) is box
+    assert half_box.PairBox.from_pair(pair) is box
     trimmed = box
     for j in range(1, m + 1):
         trimmed = trimmed._truncated(j, -1, 0.0)
-    relaid = su2.PairBox.from_pair(twin)
+    relaid = half_box.PairBox.from_pair(twin)
     assert relaid.rows == trimmed.rows
     assert list(map(repr, relaid.p_half)) == list(map(repr, trimmed.p_half))
     assert list(map(repr, relaid.q_half)) == list(map(repr, trimmed.q_half))
@@ -436,7 +436,7 @@ def test_box_comparisons_are_bitwise_the_term_comparisons(m, n, mode):
         for shift in (0.0, 1e-13, 1e-10, 1e-3)
     ]
     tripled = ([3.0 * v for v in half] for half in (pair._box.p_half, pair._box.q_half))
-    others.append(PQPair._on_box(su2.PairBox(pair._box.rows, *tripled)))
+    others.append(PQPair._on_box(half_box.PairBox(pair._box.rows, *tripled)))
     others.append(evaluate_sequence(MqspSequence(m, seq.phases[:-1], seq.indices[:-1])))
     assert all(other._box is not None for other in others)
     assert others[-1]._box.rows != pair._box.rows
@@ -460,7 +460,7 @@ def test_sparse_evaluations_come_back_as_terms():
         pair = evaluate_sequence(MqspSequence(m, (0.0,) * (m + 1), tuple(range(1, m + 1))))
         assert len(pair.p) == len(pair.q) == 2
         assert (pair._box is not None) == (m == 3)
-        assert su2.PairBox.from_pair(pair) is pair._box
+        assert half_box.PairBox.from_pair(pair) is pair._box
     # documents and perturbed pairs hold terms
     pair, _ = oracle_pair(2, 6, 5300)
     assert perturb_pair(pair, 1)._box is None
@@ -473,7 +473,7 @@ def test_a_roundtrip_never_builds_the_terms(monkeypatch):
     def refuse(box):
         raise AssertionError("terms built")
 
-    monkeypatch.setattr(su2.PairBox, "_terms", refuse)
+    monkeypatch.setattr(half_box.PairBox, "_terms", refuse)
     for m, n, seed in ((1, 12, 1), (2, 8, 2), (3, 6, 3), (4, 5, 4)):
         seq = random_sequence(OracleConfig(m, n, 5400 + seed))
         report = roundtrip_check(seq)
@@ -576,14 +576,14 @@ def test_evaluated_pair_symmetries(seed, m, n, mode):
 def verdict_by_the_inverse(pair: PQPair, tol: float) -> bool:
     """``is_normalized`` with the Parseval bounds switched off, so that a
     sampled pair is always transformed back."""
-    with mock.patch.object(su2, "_parseval_bounds", return_value=None):
+    with mock.patch.object(half_box, "_parseval_bounds", return_value=None):
         return pair.is_normalized(tol)
 
 
 def tolerances_around(pair: PQPair) -> list[float]:
     """0, the default, and tolerances a hair above and below the pair's exact
     relative deviation, where a verdict from loose bounds would go wrong."""
-    deviation, scale = su2._unit_norm_deviation(pair)
+    deviation, scale = half_box._unit_norm_deviation(pair)
     exact = deviation / scale
     return [0.0, TOL, 1e-3, exact * (1 + 1e-9), exact * (1 - 1e-9)]
 
@@ -594,7 +594,7 @@ def assert_filter_matches_product(pair: PQPair) -> None:
     assert abs(pair.normalization_defect() - product.max_deviation(one)) <= 1e-13
     assert pair.is_normalized(TOL) == product.approx_eq(one, TOL)
     # sampled, by bounds or the inverse, unless too sparse for its lattice
-    rows = su2._lattice(pair)[2]
+    rows = half_box._lattice(pair)[2]
     if not su2._too_sparse(math.prod(rows), max(len(pair.p), len(pair.q))):
         for tol in tolerances_around(pair):
             assert pair.is_normalized(tol) == verdict_by_the_inverse(pair, tol)
@@ -652,7 +652,7 @@ def test_parseval_verdict_is_the_inverse_verdict(m, mode):
         cases = [pair, PQPair(pair.p * 3.7, pair.q * 3.7)]
         cases += [perturb_pair(pair, seed, 10.0**-k) for k in range(3, 10)]
         for case in cases:
-            deviation, scale = su2._unit_norm_deviation(case)
+            deviation, scale = half_box._unit_norm_deviation(case)
             for tol in tolerances_around(case) + [1e-12, 1e-6]:
                 verdict = case.is_normalized(tol)
                 assert verdict == verdict_by_the_inverse(case, tol)
@@ -668,13 +668,13 @@ def test_parseval_bounds_settle_clear_verdicts(m, n, monkeypatch):
     # transform back; at tolerance 0 no pass is ever settled
     pair, _ = oracle_pair(m, n, 3 * m + n)
     seen = []
-    bounds = su2._parseval_bounds
+    bounds = half_box._parseval_bounds
 
     def recorded(*args):
         seen.append(bounds(*args))
         return seen[-1]
 
-    monkeypatch.setattr(su2, "_parseval_bounds", recorded)
+    monkeypatch.setattr(half_box, "_parseval_bounds", recorded)
     assert pair.is_normalized(TOL)
     assert seen[-1] is not None and seen[-1][1] == 1.0
     assert not perturb_pair(pair, 1, 1e-3).is_normalized(TOL)
@@ -685,11 +685,11 @@ def test_parseval_bounds_settle_clear_verdicts(m, n, monkeypatch):
 
 
 def test_parseval_bounds_leave_overflow_to_the_inverse():
-    assert su2._parseval_bounds([1.0, math.inf, 1.0], [3], 1e-9) is None
-    assert su2._parseval_bounds([1.0, 1e200, 1.0], [3], math.inf) is None
+    assert half_box._parseval_bounds([1.0, math.inf, 1.0], [3], 1e-9) is None
+    assert half_box._parseval_bounds([1.0, 1e200, 1.0], [3], math.inf) is None
     # exact samples: only the rounding allowance is left, (3 + 28) eps
-    assert su2._parseval_bounds([1.0, 1.0, 1.0], [3], 1e-9) == (31 * 2.0**-52, 1.0)
-    assert su2._parseval_bounds([1.0, 1.0, 1.0], [3], 0.0) is None
+    assert half_box._parseval_bounds([1.0, 1.0, 1.0], [3], 1e-9) == (31 * 2.0**-52, 1.0)
+    assert half_box._parseval_bounds([1.0, 1.0, 1.0], [3], 0.0) is None
 
 
 ZERO2 = LaurentPoly.zero(2)
@@ -795,7 +795,7 @@ def test_overflowing_pair_fails_the_identity(pair, monkeypatch):
         raise AssertionError("multiplied out or transformed back")
 
     monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
-    monkeypatch.setattr(su2, "_parseval_bounds", refuse)
+    monkeypatch.setattr(half_box, "_parseval_bounds", refuse)
     for tol in (0.0, TOL, 0.5):
         assert pair.is_normalized(tol) is False
     assert pair.normalization_defect() == math.inf
