@@ -90,47 +90,41 @@ def build_parser() -> argparse.ArgumentParser:
 # -- report rendering ---------------------------------------------------------
 
 
-def _format_trace(trace: DecisionTrace) -> str:
-    from .engine import BaseAccept, IdentityPad, PhaseReduction, Reject
+#: One line per trace step, by the step's type name: keyed by name, so that
+#: rendering a trace needs no import of the engine.
+_TRACE_LINES = {
+    "IdentityPad": (
+        "  [n={0.steps_left}] degree sum leaves room for an identity padding; two steps absorbed"
+    ),
+    "PhaseReduction": "  [n={0.steps_left}] peeled variable a{0.index} at phase {0.phase:.12g}",
+    "BaseAccept": "  [n=0] pure phase rotation reached, phi0 = {0.phase0:.12g}",
+    "Reject": "  [n={0.steps_left}] reject: {0.reason}",
+}
 
+#: The label of each flag of ``NecessaryReport._FLAGS``, in its order.
+_NECESSARY_LABELS = (
+    "inversion symmetry of P",
+    "inversion antisymmetry of Q",
+    "per-variable degree equality",
+    "P nonzero",
+    "degree-sum parity",
+    "unit-norm identity",
+)
+
+
+def _format_trace(trace: DecisionTrace) -> str:
     lines = ["trace:"]
-    for step in trace.steps:
-        if isinstance(step, IdentityPad):
-            lines.append(
-                f"  [n={step.steps_left}] degree sum leaves room for an "
-                "identity padding; two steps absorbed"
-            )
-        elif isinstance(step, PhaseReduction):
-            lines.append(
-                f"  [n={step.steps_left}] peeled variable a{step.index} "
-                f"at phase {step.phase:.12g}"
-            )
-        elif isinstance(step, BaseAccept):
-            lines.append(
-                f"  [n=0] pure phase rotation reached, phi0 = {step.phase0:.12g}"
-            )
-        elif isinstance(step, Reject):
-            lines.append(f"  [n={step.steps_left}] reject: {step.reason}")
+    lines += (_TRACE_LINES[type(step).__name__].format(step) for step in trace.steps)
     return "\n".join(lines)
 
 
 def _format_necessary(report: NecessaryReport) -> str:
-    def mark(flag: bool) -> str:
-        return "ok" if flag else "FAIL"
-
     degs = " ".join(f"a{j + 1}={d}" for j, d in enumerate(report.degrees))
-    return "\n".join(
-        [
-            f"necessary conditions (steps={report.steps}):",
-            f"  inversion symmetry of P        {mark(report.symmetry_p)}",
-            f"  inversion antisymmetry of Q    {mark(report.symmetry_q)}",
-            f"  per-variable degree equality   {mark(report.degree_equality)}",
-            f"  P nonzero                      {mark(report.p_nonzero)}",
-            f"  degree-sum parity              {mark(report.parity_ok)}",
-            f"  unit-norm identity             {mark(report.normalization_ok)}",
-            f"  degrees: {degs} (sum={report.degree_sum})",
-        ]
-    )
+    lines = [f"necessary conditions (steps={report.steps}):"]
+    for label, name in zip(_NECESSARY_LABELS, report._FLAGS):
+        lines.append(f"  {label:<31}{'ok' if getattr(report, name) else 'FAIL'}")
+    lines.append(f"  degrees: {degs} (sum={report.degree_sum})")
+    return "\n".join(lines)
 
 
 # -- input helpers ------------------------------------------------------------

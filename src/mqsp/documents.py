@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 
-from .laurent import MAX_VARIABLES, LaurentPoly, _variables
+from .laurent import MAX_VARIABLES, LaurentPoly, _shown, _variables
 from .su2 import MqspSequence, PQPair
 
 
@@ -59,38 +59,7 @@ def sequence_to_document(seq: MqspSequence) -> dict[str, object]:
 
 # -- decoding ---------------------------------------------------------------
 # Each check formats its message only when it fails: a pair document can hold
-# thousands of terms.  A message shows a bad value by ``_shown``.
-
-#: The longest repr of a bad value that a message shows whole.
-_SHOWN = 100
-
-
-def _shown(value: object) -> str:
-    """``repr(value)``, or its first ``_SHOWN`` characters and "..." when it
-    is longer, built from ``_pieces`` only as far as it is shown."""
-    text = ""
-    for piece in _pieces(value):
-        text += piece
-        if len(text) > _SHOWN:
-            return text[:_SHOWN] + "..."
-    return text
-
-
-def _pieces(value: object):
-    """``repr`` of a JSON value in pieces: a list or an object item by item,
-    a string by its first ``_SHOWN + 1`` characters."""
-    if isinstance(value, (list, dict)):
-        yield "{" if isinstance(value, dict) else "["
-        for n, item in enumerate(value):
-            yield ", " if n else ""
-            if isinstance(value, dict):
-                yield from _pieces(item)
-                yield ": "
-                item = value[item]
-            yield from _pieces(item)
-        yield "}" if isinstance(value, dict) else "]"
-    else:
-        yield repr(value[: _SHOWN + 1] if isinstance(value, str) else value)
+# thousands of terms.  A message shows a bad value by ``laurent._shown``.
 
 
 def _is_int(value: object) -> bool:
@@ -142,7 +111,8 @@ def poly_from_terms(records: object, variables: int, label: str) -> LaurentPoly:
                 f"{label}: the coefficient at {_shown(exps)} is too large for a double"
             ) from None
     try:
-        return LaurentPoly(variables, terms)
+        # keys and values are checked above: only the cut is left to run
+        return LaurentPoly._from_arithmetic(variables, terms, None)
     except ValueError as exc:
         raise DocumentError(f"{label}: {exc}") from exc
 
@@ -178,8 +148,8 @@ def dumps(doc: dict[str, object]) -> str:
 
 
 def _load_json(path: str) -> object:
-    """The parsed file; a parse failure is a DocumentError that, like every
-    other, leaves naming the file to the caller."""
+    """The parsed file; a parse or decoding failure is a DocumentError that,
+    like every other, leaves naming the file to the caller."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -187,6 +157,8 @@ def _load_json(path: str) -> object:
         raise DocumentError(f"invalid JSON ({exc})") from exc
     except RecursionError:
         raise DocumentError("JSON nested too deeply to parse") from None
+    except ValueError as exc:  # not UTF-8, or an integer past the digit limit
+        raise DocumentError(str(exc)) from exc
 
 
 def load_pair(path: str) -> PQPair:

@@ -9,7 +9,9 @@ lowers the degree in that variable by one.  If the degree sum falls short of
 the remaining step count by two or more, two steps are absorbed into an
 identity padding instead.  A pair is accepted once the step budget is
 exhausted and what remains is a pure phase rotation (unimodular constant P,
-zero Q).
+zero Q).  That pad rule, with the degree reject when the pads cannot land on
+the degree sum, is written once, in ``_padded``, for the opening budget and
+for every level of the walk.
 
 Every branch taken is recorded in a trace, from which one valid choice of
 angle and index parameters can be read off when the pair is accepted.  The
@@ -128,16 +130,12 @@ class NecessaryReport(_Record):
         "steps",
     )
 
+    #: The six filter flags, in the order ``mqsp check`` prints them.
+    _FLAGS = __slots__[:6]
+
     @property
     def all_ok(self) -> bool:
-        return (
-            self.symmetry_p
-            and self.symmetry_q
-            and self.degree_equality
-            and self.p_nonzero
-            and self.parity_ok
-            and self.normalization_ok
-        )
+        return all(getattr(self, name) for name in self._FLAGS)
 
 
 def find_phase(pair: PQPair | PairBox, j: int, degree: int, tol: float = EPS) -> float | None:
@@ -292,15 +290,25 @@ def run_decision(pair: PQPair, n: int, tol: float = EPS) -> DecisionTrace:
         current = PairBox.from_pair(pair) or pair
         degs = effective_degrees(current, tol)
         s, walk = sum(degs), None
-    if n < s:
-        return DecisionTrace((Reject(n, REASON_DEGREE if n else REASON_BASE),))
-    pads = tuple(map(IdentityPad, range(n, s + 1, -2)))
-    if (n - s) % 2:
-        return DecisionTrace(pads + (Reject(s + 1, REASON_DEGREE),))
+    pads = _padded(n, s)
+    if pads and isinstance(pads[-1], Reject):
+        return DecisionTrace(pads)
     if walk is None:
         walk = _walk(current, degs, tol)
         _last_walk = (pair, tol, s, walk)
     return DecisionTrace(pads + walk)
+
+
+def _padded(remaining: int, total: int) -> tuple[TraceStep, ...]:
+    """The pad rule at the budget ``remaining`` over the degree sum
+    ``total``: identity pads two steps at a time, down to ``total`` or
+    ``total + 1``, then, unless they land on ``total``, a reject at the
+    budget left, on degree (at 0 as the base case would reject)."""
+    pads = tuple(map(IdentityPad, range(remaining, total + 1, -2)))
+    left = remaining - 2 * len(pads)
+    if left == total:
+        return pads
+    return (*pads, Reject(left, REASON_DEGREE if left else REASON_BASE))
 
 
 def _walk(current: PQPair | PairBox, degs: tuple[int, ...], tol: float) -> tuple[TraceStep, ...]:
@@ -334,15 +342,14 @@ def _walk(current: PQPair | PairBox, degs: tuple[int, ...], tol: float) -> tuple
     remaining = sum(degs)
     while remaining:
         total = sum(degs)
-        if total <= remaining - 2:
-            # the pair is unchanged, so pad down to total or total + 1 at once
-            pads = range(remaining, total + 1, -2)
-            steps += map(IdentityPad, pads)
-            remaining -= 2 * len(pads)
+        if total != remaining:
+            # the pair is unchanged, so pad down to total at once, or reject
+            steps += _padded(remaining, total)
+            if isinstance(steps[-1], Reject):
+                return tuple(steps)
+            remaining = total
             if remaining == 0:
                 break
-        if total != remaining:
-            return (*steps, Reject(remaining, REASON_DEGREE))
         for j in range(1, current.variables + 1):
             phi = find_phase(current, j, degs[j - 1], tol)
             if phi is not None:
@@ -387,35 +394,29 @@ def decide(pair: PQPair, n: int, tol: float = EPS) -> bool:
 def synthesize(pair: PQPair, n: int, tol: float = EPS) -> SynthesisResult:
     """Decide, and on acceptance assemble angle and index parameters.
 
-    Parameters are filled from the tail of the sequence inward, mirroring
-    the trace: an identity padding occupies the two trailing positions of
-    the current window (phases +pi/2 then -pi/2 on variable 1), a peeled
-    factor occupies the trailing position with its matched phase, and the
-    base case fixes phi_0.  The realized sequence always has exactly ``n``
-    steps and reproduces the pair; it is one valid choice, not a canonical
-    one.  The trace is ``run_decision``'s, so after ``decide`` on the same
-    pair object and ``tol`` only the assembly is new work.
+    Parameters are assembled in one pass over the trace from its end, from
+    phi_0 outward: the base case gives phi_0, a peeled factor appends its
+    matched phase and its index, and an identity padding appends the phases
+    +pi/2 then -pi/2 and the index 1 twice.  The realized sequence always
+    has exactly ``n`` steps and reproduces the pair; it is one valid choice,
+    not a canonical one.  The trace is ``run_decision``'s, so after
+    ``decide`` on the same pair object and ``tol`` only the assembly is new
+    work.
     """
     trace = run_decision(pair, n, tol)
     if not trace.accepted:
         return SynthesisResult(False, None, trace)
-    phases = [0.0] * (n + 1)
-    indices = [0] * n
-    t = n
-    for step in trace.steps:
-        if isinstance(step, IdentityPad):
-            phases[t - 1] = math.pi / 2.0
-            phases[t] = -math.pi / 2.0
-            indices[t - 2] = 1
-            indices[t - 1] = 1
-            t -= 2
-        elif isinstance(step, PhaseReduction):
-            phases[t] = step.phase
-            indices[t - 1] = step.index
-            t -= 1
+    phases, indices = [], []
+    for step in reversed(trace.steps):
+        if isinstance(step, PhaseReduction):
+            phases.append(step.phase)
+            indices.append(step.index)
+        elif isinstance(step, IdentityPad):
+            phases += (math.pi / 2.0, -math.pi / 2.0)
+            indices += (1, 1)
         else:
-            phases[0] = step.phase0
-    sequence = MqspSequence(pair.variables, tuple(phases), tuple(indices))
+            phases.append(step.phase0)
+    sequence = MqspSequence(pair.variables, phases, indices)
     return SynthesisResult(True, sequence, trace)
 
 
@@ -432,9 +433,10 @@ def check_necessary(pair: PQPair, n: int, tol: float = EPS) -> NecessaryReport:
     p, q = pair.p, pair.q
     degrees = p.degrees()
     total = sum(degrees)
+    symmetry_p, symmetry_q = _symmetries(p, q, tol)
     return NecessaryReport(
-        symmetry_p=p.invert_vars().approx_eq(p, tol),
-        symmetry_q=q.invert_vars().approx_eq(-q, tol),
+        symmetry_p=symmetry_p,
+        symmetry_q=symmetry_q,
         degree_equality=degrees == q.degrees(),
         p_nonzero=not p.is_zero(tol),
         parity_ok=(total - n) % 2 == 0,
@@ -443,6 +445,13 @@ def check_necessary(pair: PQPair, n: int, tol: float = EPS) -> NecessaryReport:
         degree_sum=total,
         steps=n,
     )
+
+
+def _symmetries(p: LaurentPoly, q: LaurentPoly, tol: float):
+    """Whether P(a^{-1}) = P(a), then whether Q(a^{-1}) = -Q(a), within
+    ``tol``; the second is tested only when it is read."""
+    yield p.invert_vars().approx_eq(p, tol)
+    yield q.invert_vars().approx_eq(-q, tol)
 
 
 def qsp1_characterize(pair: PQPair, n: int, tol: float = EPS) -> bool:
@@ -467,9 +476,7 @@ def qsp1_characterize(pair: PQPair, n: int, tol: float = EPS) -> bool:
     p, q = pair.p, pair.q
     if p.degree(1) > n or q.degree(1) > n:
         return False
-    if not p.invert_vars().approx_eq(p, tol):
-        return False
-    if not q.invert_vars().approx_eq(-q, tol):
+    if not all(_symmetries(p, q, tol)):
         return False
     sign = -1.0 if n % 2 else 1.0
     if not p.negate_var(1).approx_eq(p * sign, tol):

@@ -60,18 +60,14 @@ def counterexample_pair() -> PQPair:
     return PQPair(p, q)
 
 
+#: Each built-in pair by name: its builder and the source its document names.
 FIXTURES = {
-    "identity": identity_pair,
-    "signal-operator": signal_pair,
-    "counterexample-2-2": counterexample_pair,
-}
-
-FIXTURE_SOURCES = {
-    "identity": "P = 1, Q = 0",
-    "signal-operator": "P = (a + a^-1)/2, Q = (a - a^-1)/2",
+    "identity": (identity_pair, "P = 1, Q = 0"),
+    "signal-operator": (signal_pair, "P = (a + a^-1)/2, Q = (a - a^-1)/2"),
     "counterexample-2-2": (
+        counterexample_pair,
         "(6/25) sqrt(37/493) times exact Gaussian-rational coefficients; "
-        "see mqsp.fixtures.counterexample_pair for the symbolic values"
+        "see mqsp.fixtures.counterexample_pair for the symbolic values",
     ),
 }
 
@@ -82,7 +78,7 @@ def fixture_names() -> tuple[str, ...]:
 
 def fixture_pair(name: str) -> PQPair:
     try:
-        builder = FIXTURES[name]
+        builder, _ = FIXTURES[name]
     except KeyError:
         raise KeyError(
             f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
@@ -91,4 +87,4 @@ def fixture_pair(name: str) -> PQPair:
 
 
 def fixture_metadata(name: str) -> dict[str, str]:
-    return {"name": name, "source": FIXTURE_SOURCES[name]}
+    return {"name": name, "source": FIXTURES[name][1]}

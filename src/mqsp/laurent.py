@@ -87,13 +87,15 @@ class LaurentPoly:
 
     @classmethod
     def _from_arithmetic(
-        cls, variables: int, terms: dict[Exponents, complex], drop_scale: float
+        cls, variables: int, terms: dict[Exponents, complex], drop_scale: float | None
     ) -> LaurentPoly:
-        """Wrap the result of internal arithmetic on valid polynomials.
+        """Wrap the result of internal arithmetic on valid polynomials, or
+        terms a caller has checked as ``__init__`` would.
 
         Keys are already exponent tuples of the right length and values are
-        complex, so only the ``DROP_EPS`` cut at ``drop_scale`` and the
-        finiteness check are applied.  Takes ownership of ``terms``.
+        complex, so only the ``DROP_EPS`` cut at ``drop_scale`` (None: the
+        construction's, at the terms' own scale) and the finiteness check
+        are applied.  Takes ownership of ``terms``.
         """
         out = cls.__new__(cls)
         out.variables = variables
@@ -301,7 +303,45 @@ def _require_finite(values: list, sizes: list, keys=None) -> None:
 
 # The argument checks live here, not in ``engine``, so that every module,
 # the command line and ``oracle`` included, runs them without loading the
-# decision.
+# decision.  Their messages, and those of ``documents``, show a bad value by
+# ``_shown``.
+
+#: The longest repr of a bad value that a message shows whole.
+_SHOWN = 100
+
+
+def _shown(value: object) -> str:
+    """``repr(value)``, or its first ``_SHOWN`` characters and "..." when it
+    is longer, built from ``_pieces`` only as far as it is shown."""
+    text = ""
+    for piece in _pieces(value):
+        text += piece
+        if len(text) > _SHOWN:
+            return text[:_SHOWN] + "..."
+    return text
+
+
+def _pieces(value: object):
+    """``repr`` of a value in pieces: a list or a dict item by item, a
+    string by its first ``_SHOWN + 1`` characters, and an integer of more
+    than 4 bits a shown digit by its leading digits, which stay within
+    Python's 4300-digit limit on converting an integer to text."""
+    if isinstance(value, (list, dict)):
+        yield "{" if isinstance(value, dict) else "["
+        for n, item in enumerate(value):
+            yield ", " if n else ""
+            if isinstance(value, dict):
+                yield from _pieces(item)
+                yield ": "
+                item = value[item]
+            yield from _pieces(item)
+        yield "}" if isinstance(value, dict) else "]"
+    elif isinstance(value, int) and value.bit_length() > 4 * _SHOWN:
+        # at least _SHOWN + 1 leading digits, whatever the rounding of the log
+        drop = int((value.bit_length() - 1) * math.log10(2)) - _SHOWN - 1
+        yield ("-" if value < 0 else "") + repr(abs(value) // 10**drop)
+    else:
+        yield repr(value[: _SHOWN + 1] if isinstance(value, str) else value)
 
 
 #: The largest variable count.  A larger one is an input error rather than a
@@ -316,9 +356,9 @@ def _variables(count) -> int:
     unless 1 <= count <= ``MAX_VARIABLES``."""
     count = operator.index(count)
     if count < 1:
-        raise ValueError(f"need at least one variable, got {count}")
+        raise ValueError(f"need at least one variable, got {_shown(count)}")
     if count > MAX_VARIABLES:
-        raise ValueError(f"need at most {MAX_VARIABLES} variables, got {count}")
+        raise ValueError(f"need at most {MAX_VARIABLES} variables, got {_shown(count)}")
     return count
 
 
@@ -330,16 +370,12 @@ MAX_STEPS = 10**6
 
 def _budget(n) -> int:
     """``n`` by ``operator.index`` (TypeError for a float), ValueError
-    unless 0 <= n <= ``MAX_STEPS``; the message shows at most 100 digits of
-    a larger ``n``, as ``documents`` cuts a bad value."""
+    unless 0 <= n <= ``MAX_STEPS``."""
     n = operator.index(n)
     if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
+        raise ValueError(f"step count must be non-negative, got {_shown(n)}")
     if n > MAX_STEPS:
-        shown = repr(n)
-        if len(shown) > 100:
-            shown = shown[:100] + "..."
-        raise ValueError(f"need at most {MAX_STEPS} steps, got {shown}")
+        raise ValueError(f"need at most {MAX_STEPS} steps, got {_shown(n)}")
     return n
 
 

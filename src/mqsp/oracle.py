@@ -72,14 +72,12 @@ class RoundtripReport(_Record):
         "max_deviation",
     )
 
+    #: The four outcomes that must all hold for the check to pass.
+    _FLAGS = __slots__[2:6]
+
     @property
     def passed(self) -> bool:
-        return (
-            self.constructible
-            and self.resynthesized
-            and self.parity_rejected
-            and self.pad_accepted
-        )
+        return all(getattr(self, name) for name in self._FLAGS)
 
 
 def roundtrip_check(seq: MqspSequence, tol: float = EPS) -> RoundtripReport:

@@ -501,6 +501,41 @@ def test_check_flags_parity(identity_path):
     assert main(["check", identity_path, "--steps", "1"]) == 1
 
 
+CHECK_OUTPUTS = [
+    ("counterexample-2-2", 4, 0, [
+        "necessary conditions (steps=4):",
+        "  inversion symmetry of P        ok",
+        "  inversion antisymmetry of Q    ok",
+        "  per-variable degree equality   ok",
+        "  P nonzero                      ok",
+        "  degree-sum parity              ok",
+        "  unit-norm identity             ok",
+        "  degrees: a1=2 a2=2 (sum=4)",
+        "result: all filters pass",
+    ]),
+    ("identity", 1, 1, [
+        "necessary conditions (steps=1):",
+        "  inversion symmetry of P        ok",
+        "  inversion antisymmetry of Q    ok",
+        "  per-variable degree equality   ok",
+        "  P nonzero                      ok",
+        "  degree-sum parity              FAIL",
+        "  unit-norm identity             ok",
+        "  degrees: a1=0 (sum=0)",
+        "result: rejected by a filter",
+    ]),
+]
+
+
+@pytest.mark.parametrize("name,steps,code,lines", CHECK_OUTPUTS)
+def test_check_prints_the_report_byte_for_byte(name, steps, code, lines, tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    assert main(["fixture", name, "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["check", str(path), "--steps", str(steps)]) == code
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
 # |P|^2 + |Q|^2 overflows a double: a constant sampled on its box, and a
 # pair too sparse for its box, which is multiplied out
 OVERFLOWING = [

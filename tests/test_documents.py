@@ -210,6 +210,32 @@ def test_invalid_json_file(tmp_path):
 
 
 @pytest.mark.parametrize("load", [load_pair, load_sequence])
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        pytest.param(
+            b'{"variables": 1, "P": [], "Q": [], "metadata": {"name": "caf\xe9"}}',
+            "^'utf-8' codec can't decode byte 0xe9",
+            id="not-utf-8",
+        ),
+        # past the parser's digit limit where it has one, past MAX_VARIABLES
+        # where it has none: a DocumentError either way
+        pytest.param(
+            b'{"variables": ' + b"1" * 5000 + b', "P": [], "Q": []}',
+            "digits|'variables' must be at most",
+            id="5000-digits",
+        ),
+    ],
+)
+def test_undecodable_json_file(load, content, message, tmp_path):
+    # the decoding errors are ValueErrors; the loader reports them as its own
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    with pytest.raises(DocumentError, match=message):
+        load(str(path))
+
+
+@pytest.mark.parametrize("load", [load_pair, load_sequence])
 def test_deeply_nested_json_file(load, tmp_path):
     # past the parser's recursion limit: a DocumentError, not a RecursionError
     path = tmp_path / "deep.json"

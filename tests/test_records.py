@@ -168,6 +168,10 @@ def test_keyword_construction_and_defaults(record):
 
 ONE_VAR = LaurentPoly.constant(1, 1.0)
 TWO_VARS = LaurentPoly.zero(2)
+# how a message shows 10**k and -10**k for k >= 100: by their first 100
+# characters and "..."
+TENS = "1" + "0" * 99 + r"\.\.\."
+MINUS_TENS = "-1" + "0" * 98 + r"\.\.\."
 
 
 @pytest.mark.parametrize(
@@ -196,6 +200,19 @@ TWO_VARS = LaurentPoly.zero(2)
             )
         ),
         (lambda: OracleConfig(1, MAX_STEPS + 1, 1), r"^need at most 1000000 steps, got 1000001$"),
+        # a bad value shows its first 100 characters, also when it is an
+        # integer past Python's 4300-digit limit on conversion to text
+        (lambda: OracleConfig(1, 10**200, 1), rf"^need at most 1000000 steps, got {TENS}$"),
+        (lambda: OracleConfig(1, 10**5000, 1), rf"^need at most 1000000 steps, got {TENS}$"),
+        (
+            lambda: OracleConfig(10**5000, 1, 1),
+            rf"^need at most {MAX_VARIABLES} variables, got {TENS}$",
+        ),
+        (
+            lambda: OracleConfig(1, -(10**5000), 1),
+            rf"^step count must be non-negative, got {MINUS_TENS}$",
+        ),
+        (lambda: LaurentPoly(-(10**5000)), rf"^need at least one variable, got {MINUS_TENS}$"),
     ],
 )
 def test_construction_checks_raise_as_before(build, message):
