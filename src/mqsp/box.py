@@ -3,8 +3,10 @@
 ``PairBox`` holds P and Q as flat coefficient lists on one centred stride-2
 box, of which only the half that the inversion symmetries do not fix is
 stored.  ``su2.evaluate_sequence`` steps a pair on it, multiplying by
-(a_j +- a_j^{-1})/2 in one shift-add pass (``_halves``), and the decision in
-``engine`` peels factors off it with the same step front.  The module also
+(a_j +- a_j^{-1})/2 in one shift-add pass (``_halves``); the step
+(``PairBox._step``) also trims the zero end rows it leaves and hands a pair
+that gets too sparse over as terms.  The decision in ``engine`` peels
+factors off the box with the same step front.  The module also
 holds the general lattice of a pair (``_lattice``, ``_placed``) and the
 unit-norm test on a torus grid (``_unit_norm_deviation``) that
 ``PQPair.is_normalized`` and ``PQPair.normalization_defect`` run.  ``su2``
@@ -17,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Iterator
 from itertools import product, repeat
 from operator import add, mul, neg, sub
 
@@ -182,10 +185,25 @@ class PairBox:
 
     # -- the step front -------------------------------------------------------
 
-    def _step(self, j: int, phase: complex) -> PairBox:
-        """One evaluation step along variable ``j`` (see ``_stepped``)."""
+    def _step(self, j: int, phase: complex) -> PairBox | PQPair:
+        """One evaluation step along variable ``j`` (see ``_stepped``), with
+        the zero end rows of ``j`` trimmed; the pair as terms, to take the
+        remaining steps (``PQPair._step``), once the box is too sparse for
+        the terms it holds (``_too_sparse``)."""
         grown, *parts = self._front(j - 1)
-        return PairBox(grown, *_stepped(*parts, phase))
+        box = PairBox(grown, *_stepped(*parts, phase))
+        slots = terms = math.prod(box.rows)
+        # only Q's middle slot, of an odd box, is always zero; any other
+        # zero may belong to an end row that cancelled
+        if box.p_half.count(_ZERO) + box.q_half.count(_ZERO) > slots % 2:
+            box = box._truncated(j, -1, 0.0)
+            slots = math.prod(box.rows)
+            # a half's zeros stand for two slots each, save the middle slot
+            halves = box.p_half, box.q_half
+            terms = slots - min(2 * h.count(_ZERO) - (slots % 2 and not h[-1]) for h in halves)
+        if _too_sparse(slots, terms):
+            return PQPair(*box._terms())
+        return box
 
     def _front(self, i: int) -> tuple:
         """The rows of the box grown by one row along axis ``i``, and the
@@ -331,15 +349,16 @@ def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float,
     On the unit torus p*p~ + q*q~ equals |p|^2 + |q|^2.  On the general
     lattice that holds the pair (``_lattice``), which need not be centred or
     have the inversion symmetries, variable j has r_j rows at stride 1 or 2,
-    so in
-    b_j = a_j^stride_j, with P and Q shifted to b-exponents 0..r_j - 1 (a
-    unimodular factor on the torus), every lag of |p|^2 + |q|^2 lies in
-    [-(r_j - 1), r_j - 1].  So P and Q are evaluated on N_j = 2 r_j - 1
-    roots of unity per axis, a grid that holds each lag exactly once, and
-    the sum of squared moduli is transformed back: the coefficients come
-    out exact up to rounding, for any input.  The samples are real, so the
-    coefficients are Hermitian and only the lags with a non-negative last
-    component are computed.
+    so in b_j = a_j^stride_j, with P and Q shifted to b-exponents
+    0..r_j - 1 (a unimodular factor on the torus), every lag of
+    |p|^2 + |q|^2 lies in [-(r_j - 1), r_j - 1].  So P and Q are evaluated
+    on N_j = 2 r_j - 1 roots of unity per axis, a grid that holds each lag
+    exactly once, and the sum of squared moduli is transformed back: the
+    coefficients come out exact up to rounding, for any input.  The samples
+    are real, so the coefficients are Hermitian and only the lags with a
+    non-negative last component are computed.  P and Q go through one
+    transform, and each matrix row is made when its pass reaches it
+    (``_dft_rows``), so no matrix is kept and the memory is the grid's.
 
     With ``tol`` given, only the verdict deviation <= tol * scale is asked
     for.  When the samples' Parseval bounds settle it (``_parseval_bounds``),
@@ -364,7 +383,7 @@ def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float,
     box = pair._box
     if box is not None:
         counts = box.rows
-        placed = box._prefixes(math.prod(counts))
+        p, q = box._prefixes(math.prod(counts))
     else:
         lows, strides, counts = _lattice(pair)
         if _too_sparse(math.prod(counts), max(len(pair.p), len(pair.q))):
@@ -375,33 +394,25 @@ def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float,
             combo = p * p.torus_conjugate() + q * q.torus_conjugate()
             one = LaurentPoly.constant(pair.variables, 1.0)
             return combo.max_deviation(one), max(1.0, combo.max_modulus())
-        placed = _placed(pair, lows, strides, counts)
-    roots = [
-        [cmath.exp(2j * math.pi * k / (2 * rows - 1)) for k in range(2 * rows - 1)]
-        for rows in counts
+        p, q = _placed(pair, lows, strides, counts)
+    # P and Q as one grid with a leading axis of two, which no pass touches:
+    # after the passes each grid point's values of P and Q sit side by side
+    at = iter(_separable_transform([*p, *q], list(map(_dft_rows, counts))))
+    samples = [
+        u.real * u.real + u.imag * u.imag + v.real * v.real + v.imag * v.imag
+        for u, v in zip(at, at)
     ]
-    forward = [
-        [[row[t * u % len(row)] for u in range(rows)] for t in range(len(row))]
-        for row, rows in zip(roots, counts)
-    ]
-    samples = repeat(0.0)
-    for values in placed:
-        values = _separable_transform(values, forward)
-        samples = [f + v.real * v.real + v.imag * v.imag for f, v in zip(samples, values)]
     if not all(map(math.isfinite, samples)):
         return math.inf, 1.0
 
+    points = [2 * rows - 1 for rows in counts]
     if tol is not None:
-        bounds = _parseval_bounds(samples, list(map(len, roots)), tol)
+        bounds = _parseval_bounds(samples, points, tol)
         if bounds is not None:
             return bounds
-    inverse = []
-    for i, (row, rows) in enumerate(zip(roots, counts)):
-        n = len(row)
-        # Hermitian: lags 0..rows - 1 suffice on the last axis
-        lags = range(rows if i == len(roots) - 1 else n)
-        inverse.append([[row[-lag * t % n] / n for t in range(n)] for lag in lags])
-    coeffs = _separable_transform(samples, inverse)
+    # Hermitian: lags 0..rows - 1 suffice on the last axis
+    lags = points[:-1] + [counts[-1]]
+    coeffs = _separable_transform(samples, list(map(_dft_rows, counts, lags)))
     sizes = list(map(abs, coeffs))
     scale = max(1.0, max(sizes))
     sizes[0] = abs(coeffs[0] - 1.0)
@@ -447,14 +458,29 @@ def _parseval_bounds(
     return None
 
 
-def _separable_transform(values: list, matrices: list[list[list[complex]]]) -> list:
+def _dft_rows(rows: int, lags: int | None = None) -> tuple[int, Iterator[list]]:
+    """One axis of the unit-norm transform, for ``_separable_transform``:
+    its input width and its matrix rows, each made when it is reached.
+    Forward, with ``lags`` None, the ``rows`` coefficients go to the
+    N = 2 rows - 1 roots of unity; back, the N samples go to the first
+    ``lags`` lags, divided by N."""
+    n = 2 * rows - 1
+    root = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+    if lags is None:
+        return rows, ([root[t * u % n] for u in range(rows)] for t in range(n))
+    return n, ([root[-lag * t % n] / n for t in range(n)] for lag in range(lags))
+
+
+def _separable_transform(values: list, axes: list[tuple[int, Iterator[list]]]) -> list:
     """Apply one matrix per axis to a row-major grid, the last axis first.
 
-    Each pass contracts the trailing axis with the rows of its matrix and
+    ``axes`` gives, per axis, its input width and the rows of its matrix,
+    read once.  Each pass contracts the trailing axis with the rows and
     moves the result to the front, so after all passes the axes are back in
-    their original order, each of length ``len(matrices[i])``.
+    their original order, each as long as its matrix, and any leading axes
+    that ``axes`` does not cover come last.
     """
-    for matrix in reversed(matrices):
-        rows = list(zip(*[iter(values)] * len(matrix[0])))
+    for width, matrix in reversed(axes):
+        rows = list(zip(*[iter(values)] * width))
         values = [sum(map(mul, w, row)) for w in matrix for row in rows]
     return values

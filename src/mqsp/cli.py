@@ -151,13 +151,14 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
 
 
-def _check_steps(steps: int) -> None:
-    """``--steps``: the library's budget rule (``laurent._budget``), checked
-    before the input is read."""
+def _pair(args) -> PQPair:
+    """The pair document ``args.input``, read once ``--steps`` passes the
+    library's budget rule (``laurent._budget``)."""
     try:
-        laurent._budget(steps)
+        laurent._budget(args.steps)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    return _load(documents.load_pair, args.input)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -166,8 +167,7 @@ def _check_steps(steps: int) -> None:
 def cmd_decide(args) -> int:
     from .engine import run_decision
 
-    _check_steps(args.steps)
-    pair = _load(documents.load_pair, args.input)
+    pair = _pair(args)
     trace = run_decision(pair, args.steps, args.tolerance)
     verdict = "constructible" if trace.accepted else "not constructible"
     print(f"result: {verdict} in {args.steps} steps (tolerance {args.tolerance:g})")
@@ -178,8 +178,7 @@ def cmd_decide(args) -> int:
 def cmd_synthesize(args) -> int:
     from .engine import synthesize
 
-    _check_steps(args.steps)
-    pair = _load(documents.load_pair, args.input)
+    pair = _pair(args)
     result = synthesize(pair, args.steps, args.tolerance)
     if not result.constructible:
         print(f"result: not constructible in {args.steps} steps")
@@ -231,8 +230,7 @@ def cmd_gen(args) -> int:
 def cmd_check(args) -> int:
     from .engine import check_necessary
 
-    _check_steps(args.steps)
-    pair = _load(documents.load_pair, args.input)
+    pair = _pair(args)
     report = check_necessary(pair, args.steps, args.tolerance)
     print(_format_necessary(report))
     print(f"result: {'all filters pass' if report.all_ok else 'rejected by a filter'}")

@@ -201,11 +201,23 @@ def reduce_step(pair: PQPair | PairBox, j: int, phi: float) -> PQPair | PairBox:
     rows at +-(d + 1) cancel, so for a pair whose top slices match to
     rounding (a freshly evaluated one, say) the degree in that variable
     drops by exactly one and the other degrees are unchanged.  The result
-    has the input's layout.  The decision does not call this: it peels and
-    trims once per level, keeping the rows within +-(d - 1) (see ``_walk``).
+    has the input's layout.  This is the decision's level step
+    (``_reduced``) with any row free to go and the cutoff at ``DROP_EPS``;
+    the decision's own walk keeps the rows within +-(d - 1) and cuts at
+    max(tol, ``DROP_EPS``) (see ``_walk``).
     """
+    return _reduced(pair, j, phi, -1, DROP_EPS)
+
+
+def _reduced(
+    pair: PQPair | PairBox, j: int, phi: float, top: int, floor: float
+) -> PQPair | PairBox:
+    """The level step: the pair with the factor of variable ``j`` at angle
+    ``phi`` peeled off, then the rows of ``j`` beyond +-``top`` that hold
+    nothing above ``floor`` times the peeled pair's coefficient scale
+    (floored at 1) truncated from the ends of the axis (``_truncated``)."""
     peeled = pair._peel(j, cmath.exp(1j * phi))
-    return peeled._truncated(j, -1, DROP_EPS * max(1.0, *peeled._moduli))
+    return peeled._truncated(j, top, floor * max(1.0, *peeled._moduli))
 
 
 def effective_degrees(pair: PQPair | PairBox, tol: float = EPS) -> tuple[int, ...]:
@@ -319,17 +331,17 @@ def _walk(current: PQPair | PairBox, degs: tuple[int, ...], tol: float) -> tuple
     realized as a loop.  Variables are scanned in ascending order and the
     first phase match wins, which makes the walk deterministic.  A peel at
     the matched degree d of variable j lowers that degree to d - 1, so each
-    level peels the factor off (``_peel``, ``reduce_step`` without its trim)
-    and trims once: the rows of j beyond +-(d - 1) are truncated from the
-    ends of the axis, as long as every entry of P and Q in them is at or
-    below max(tol, ``DROP_EPS``) times the peeled pair's coefficient scale:
-    the cutoff ``effective_degrees`` uses, raised to the rounding floor.  A
-    row with a visible entry stops the truncation and is kept, so the next
-    degree scan or the base case rejects the pair.  The rows within
-    +-(d - 1) are kept whatever they hold.  Row d - 1 of P + Q after the
-    peel is row d of P e^{-i phi} + Q e^{i phi} before it, so only a
-    tolerance below about 2 ``DROP_EPS`` lets a match leave them under the
-    floor.  A peel that lowers the degree sum by two or more leaves room for
+    level peels the factor off and trims once (``_reduced``, the step
+    ``reduce_step`` takes with its own trim): the rows of j beyond
+    +-(d - 1) are truncated from the ends of the axis, as long as every
+    entry of P and Q in them is at or below max(tol, ``DROP_EPS``) times the
+    peeled pair's coefficient scale: the cutoff ``effective_degrees`` uses,
+    raised to the rounding floor.  A row with a visible entry stops the
+    truncation and is kept, so the next degree scan or the base case
+    rejects the pair.  The rows within +-(d - 1) are kept whatever they
+    hold.  Row d - 1 of P + Q after the peel is row d of
+    P e^{-i phi} + Q e^{i phi} before it, so only a tolerance below about
+    2 ``DROP_EPS`` lets a match leave them under the floor.  A peel that lowers the degree sum by two or more leaves room for
     identity pads inside the walk.  A peel whose coefficients overflow a
     double ends the walk with ``REASON_OVERFLOW``.  A peeled coefficient is
     at most twice as large as the largest one it is peeled from, and the
@@ -354,12 +366,10 @@ def _walk(current: PQPair | PairBox, degs: tuple[int, ...], tol: float) -> tuple
             phi = find_phase(current, j, degs[j - 1], tol)
             if phi is not None:
                 try:
-                    current = current._peel(j, cmath.exp(1j * phi))
-                    cutoff = max(tol, DROP_EPS) * max(1.0, *current._moduli)
+                    current = _reduced(current, j, phi, degs[j - 1] - 1, max(tol, DROP_EPS))
                 except (OverflowError, ValueError):
                     # a peeled value, or its modulus, is not a finite double
                     return (*steps, Reject(remaining, REASON_OVERFLOW))
-                current = current._truncated(j, degs[j - 1] - 1, cutoff)
                 steps.append(PhaseReduction(remaining, j, phi, current.to_pair()))
                 remaining -= 1
                 break

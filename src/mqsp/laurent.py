@@ -354,12 +354,7 @@ MAX_VARIABLES = 10**6
 def _variables(count) -> int:
     """``count`` by ``operator.index`` (TypeError for a float), ValueError
     unless 1 <= count <= ``MAX_VARIABLES``."""
-    count = operator.index(count)
-    if count < 1:
-        raise ValueError(f"need at least one variable, got {_shown(count)}")
-    if count > MAX_VARIABLES:
-        raise ValueError(f"need at most {MAX_VARIABLES} variables, got {_shown(count)}")
-    return count
+    return _counted(count, 1, MAX_VARIABLES, "variables", "need at least one variable")
 
 
 #: The largest step budget.  The decision keeps one record per identity pad
@@ -371,12 +366,19 @@ MAX_STEPS = 10**6
 def _budget(n) -> int:
     """``n`` by ``operator.index`` (TypeError for a float), ValueError
     unless 0 <= n <= ``MAX_STEPS``."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {_shown(n)}")
-    if n > MAX_STEPS:
-        raise ValueError(f"need at most {MAX_STEPS} steps, got {_shown(n)}")
-    return n
+    return _counted(n, 0, MAX_STEPS, "steps", "step count must be non-negative")
+
+
+def _counted(value, low: int, high: int, unit: str, below: str) -> int:
+    """``value`` by ``operator.index``, then ValueError below ``low`` with
+    the message ``below``, then above ``high`` as "need at most ``high``
+    ``unit``"; each message ends with the value as ``_shown``."""
+    value = operator.index(value)
+    if value < low:
+        raise ValueError(f"{below}, got {_shown(value)}")
+    if value > high:
+        raise ValueError(f"need at most {high} {unit}, got {_shown(value)}")
+    return value
 
 
 def _tolerance(tol: float) -> float:

@@ -9,6 +9,9 @@ operator per variable, constant z-rotations, their matrix products, and the
 ``box.PairBox``: P and Q as flat coefficient lists on one centred stride-2
 box, of which only the half that the inversion symmetries do not fix is
 stored, and where multiplying by (a_j +- a_j^{-1})/2 is one shift-add pass.
+Its one loop calls the state's ``_step``: ``PairBox._step`` trims the
+box's zero end rows and hands the pair over as terms once the box gets too
+sparse, and ``PQPair._step`` steps the terms.
 ``evaluate_sequence``, ``PQPair.is_normalized`` and
 ``PQPair.normalization_defect`` load ``box`` when they run, so building
 and saving pairs does not compile it.  The evaluated pair keeps its box
@@ -304,8 +307,8 @@ class PQPair(_BoxSlot):
         c0 = rest.pop((0,) * self.variables, 0j)
         return c0, max(map(abs, rest.values()), default=0.0)
 
-    def _extend(self, j: int, phase: complex) -> PQPair:
-        """``PairBox._step`` on the terms."""
+    def _step(self, j: int, phase: complex) -> PQPair:
+        """``PairBox._step`` on the terms, which hold no zero rows to trim."""
         keys, *parts = self._front(j)
         return PQPair(*_as_terms(self.variables, keys, *_stepped(*parts, phase)))
 
@@ -456,15 +459,16 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
 
     Only the top row is carried: each step maps (p, q) to
     ((p c + q s) e^{i phi}, (p s + q c) e^{-i phi}) with c, s the cosine and
-    sine parts of A(s_k).  The pair lives on a ``PairBox`` that starts as
-    one slot and grows by one row per step (``PairBox._step``).  Its zero
-    end rows are trimmed.  As soon as it gets too sparse it is converted to
-    ``LaurentPoly`` terms, which take the remaining steps with the same
-    step algebra (``PQPair._extend``).  A box that stays dense to the end is the
-    result's storage, and the terms are built when first read (see
-    ``PQPair``).  Only the stepped axis is trimmed, so such a box may keep
-    an empty end row on another axis; it then has more rows than the
-    lattice of its terms, and every slot of those rows is 0j.  A step
+    sine parts of A(s_k).  The pair starts as a one-slot ``PairBox`` and
+    takes each step by its ``_step``, on either layout: the box grows by
+    one row, loses the zero end rows of the stepped axis and, as soon as it
+    gets too sparse, hands the pair over as ``LaurentPoly`` terms, which
+    take the remaining steps with the same step algebra
+    (``PQPair._step``).  A box that stays dense to the end is the result's
+    storage, and the terms are built when first read (see ``PQPair``).
+    Only the stepped axis is trimmed, so such a box may keep an empty end
+    row on another axis; it then has more rows than the lattice of its
+    terms, and every slot of those rows is 0j.  A step
     multiplies without cuts and then makes one ``DROP_EPS`` cut, on each
     component at max(1, its own largest modulus), as ``LaurentPoly``
     construction cuts.  That cut turns the rounding residue of exact
@@ -487,30 +491,13 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     zero part is -0.0, and Q's coefficient at -k is 0j - v for v the one at
     k, which the cut keeps: a slot and its mirror have one modulus.  So the
     state is the half box, the first ceil(N / 2) slots of P and of Q in two
-    lists.  The terms left by a trim are counted on it, each zero of a half
-    standing for a slot and its mirror, and the whole box is unfolded from
-    it only to convert it.
+    lists.  ``PairBox._step`` counts the terms left by a trim on it, each
+    zero of a half standing for a slot and its mirror, and unfolds the whole
+    box only to hand it over.
     """
     from .box import PairBox
 
-    box = PairBox((1,) * seq.variables, [cmath.exp(1j * seq.phases[0])], [_ZERO])
-    steps = zip(seq.phases[1:], seq.indices)
-    for phi, s in steps:
-        box = box._step(s, cmath.exp(1j * phi))
-        slots = terms = math.prod(box.rows)
-        # only Q's middle slot, of an odd box, is always zero; any other
-        # zero may belong to an end row that cancelled
-        if box.p_half.count(_ZERO) + box.q_half.count(_ZERO) > slots % 2:
-            box = box._truncated(s, -1, 0.0)
-            slots = math.prod(box.rows)
-            # a half's zeros stand for two slots each, save the middle slot
-            halves = box.p_half, box.q_half
-            terms = slots - min(2 * h.count(_ZERO) - (slots % 2 and not h[-1]) for h in halves)
-        if _too_sparse(slots, terms):
-            break
-    else:
-        return PQPair._on_box(box)
-    pair = PQPair(*box._terms())
-    for phi, s in steps:
-        pair = pair._extend(s, cmath.exp(1j * phi))
-    return pair
+    state = PairBox((1,) * seq.variables, [cmath.exp(1j * seq.phases[0])], [_ZERO])
+    for phi, s in zip(seq.phases[1:], seq.indices):
+        state = state._step(s, cmath.exp(1j * phi))
+    return state.to_pair()

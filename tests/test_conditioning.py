@@ -22,7 +22,7 @@ single-variable characterization, which does not peel, accepts such chains.
 
 from __future__ import annotations
 
-from mqsp import check_necessary, decide, find_phase, qsp1_characterize, reduce_step
+from mqsp import PhaseReduction, check_necessary, decide, qsp1_characterize, run_decision
 from mqsp.engine import effective_degrees
 from helpers import oracle_pair
 
@@ -34,15 +34,16 @@ ILL_CONDITIONED = (1, 9, 149)
 
 
 def walk_mismatches(pair, steps):
-    """Follow the reduction chain, recording each level's top-slice
-    proportionality mismatch (via the best unimodular ratio)."""
+    """Each level's top-slice proportionality mismatch (via the best
+    unimodular ratio), on the level inputs of the decision's own walk: the
+    pair, then each reduced pair its trace records."""
+    trace = run_decision(pair, steps, TOL)
+    levels = [pair] + [step.state for step in trace.steps if isinstance(step, PhaseReduction)]
+    if trace.accepted:
+        levels.pop()  # the base case's input, not a level's
     mismatches = []
-    current = pair
-    remaining = steps
-    while remaining > 0:
+    for current in levels:
         degs = effective_degrees(current, TOL)
-        if sum(degs) != remaining:
-            break
         j = max(range(1, current.variables + 1), key=lambda i: degs[i - 1])
         cp = current.p.coeff_slice(j, degs[j - 1])
         cq = current.q.coeff_slice(j, degs[j - 1])
@@ -50,11 +51,6 @@ def walk_mismatches(pair, steps):
         ratio = cp.terms.get(ref, 0j) / cq.terms[ref]
         ratio /= abs(ratio)
         mismatches.append(cp.max_deviation(cq * ratio))
-        phi = find_phase(current, j, degs[j - 1], TOL)
-        if phi is None:
-            break
-        current = reduce_step(current, j, phi)
-        remaining -= 1
     return mismatches
 
 

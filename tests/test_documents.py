@@ -145,6 +145,8 @@ def test_missing_components_rejected():
         pair_from_document({"variables": 1, "Q": []})
     with pytest.raises(DocumentError):
         pair_from_document("not an object")
+    with pytest.raises(DocumentError, match="^Q: term record must be an object$"):
+        pair_from_document({"variables": 1, "P": [], "Q": [[0, 1.0, 0.0]]})
     with pytest.raises(DocumentError):
         sequence_from_document({"variables": 1, "phases": [0.0]})
 

@@ -338,7 +338,7 @@ def test_box_steps_keep_signed_zeros_and_holes():
     for j in (1, 2):
         for phi in phis:
             phase = cmath.exp(1j * phi)
-            extended, product = box._step(j, phase).to_pair(), pair._extend(j, phase)
+            extended, product = box._step(j, phase).to_pair(), pair._step(j, phase)
             assert fingerprint(extended.p) == fingerprint(product.p)
             assert fingerprint(extended.q) == fingerprint(product.q)
 

@@ -111,6 +111,8 @@ def test_invert_vars_negates_exponents():
 def test_invert_vars_fixes_constants():
     c = LaurentPoly.constant(3, 2.0 - 1.0j)
     assert c.invert_vars() == c
+    assert c.invert_vars().constant_coeff() == 2.0 - 1.0j
+    assert lp(3, {(1, 0, -1): 1.0}).invert_vars().constant_coeff() == 0j
 
 
 def test_invert_vars_odd_half_difference():

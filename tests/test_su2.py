@@ -6,6 +6,7 @@ import cmath
 import copy
 import math
 import pickle
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -241,13 +242,13 @@ def test_evaluation_cuts_residue_so_the_box_gets_sparse(monkeypatch):
 def test_evaluation_hands_off_mid_sequence_bitwise(monkeypatch):
     # zero phases keep the first four steps at two terms each, so the box of
     # 16 slots is left for the terms, whose general products take the rest
-    extend, stepped = su2.PQPair._extend, []
+    extend, stepped = su2.PQPair._step, []
 
     def record(pair, j, phase):
         stepped.append(j)
         return extend(pair, j, phase)
 
-    monkeypatch.setattr(su2.PQPair, "_extend", record)
+    monkeypatch.setattr(su2.PQPair, "_step", record)
     seq = MqspSequence(6, (0.0,) * 5 + (0.4, -1.1, 2.5), (1, 2, 3, 4, 5, 6, 1))
     kernel = evaluate_sequence(seq)
     assert stepped == [5, 6, 1]
@@ -305,15 +306,15 @@ def test_phase_factor_cuts_like_the_matrix_product(monkeypatch):
     tiny = complex(1.5e-15, 0.0)
     box = half_box.PairBox((4,), [2 * tiny, 2.0], [0j, 0j])
     pair, stepped = box.to_pair(), box._step(1, phase).to_pair()
-    assert fingerprint(stepped.p) == fingerprint(pair._extend(1, phase).p)
-    assert fingerprint(stepped.q) == fingerprint(pair._extend(1, phase).q)
+    assert fingerprint(stepped.p) == fingerprint(pair._step(1, phase).p)
+    assert fingerprint(stepped.q) == fingerprint(pair._step(1, phase).q)
     # the tiny terms survive the multiply in both components; the step's one
     # cut is made at each component's own scale, as LaurentPoly construction
     # cuts: P's, about 2, drops the tiny term and Q's, 1, keeps it, where one
     # scale for both would drop both or keep both
     monkeypatch.setattr(laurent, "DROP_EPS", 0.0)
     monkeypatch.setattr(su2, "DROP_EPS", 0.0)
-    uncut = pair._extend(1, phase)
+    uncut = pair._step(1, phase)
     monkeypatch.undo()
     assert (4,) in uncut.p.terms and (4,) in uncut.q.terms
     assert (4,) not in stepped.p.terms and (4,) in stepped.q.terms
@@ -765,7 +766,7 @@ def test_sparse_wide_pair_steps_as_the_matrix_product(pair):
     # evaluation's step on the terms, value by value
     for j in range(1, pair.variables + 1):
         for phi in (0.0, math.pi / 2, -0.7, 2.0):
-            stepped = pair._extend(j, cmath.exp(1j * phi))
+            stepped = pair._step(j, cmath.exp(1j * phi))
             product = matrix_oracle_step(pair_to_matrix(pair), j, phi)
             assert fingerprint(stepped.p) == fingerprint(product.a)
             assert fingerprint(stepped.q) == fingerprint(product.b)
@@ -811,3 +812,21 @@ def test_realizable_pair_is_sampled(m, n, monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", no_product)
     assert pair.is_normalized(TOL)
     assert pair.normalization_defect() <= TOL
+
+
+def test_unit_norm_filter_keeps_no_transform_matrix():
+    # one transform takes P and Q, and each matrix row is made when its pass
+    # reaches it, so on a dense 300-row pair the filter holds about its grid
+    # of 599 points, not 599 x 300 matrices (8.6 MiB for both directions)
+    keys = range(-299, 300, 2)
+    p = LaurentPoly(1, {(k,): cmath.exp(0.1j * k * k) / 300 for k in keys})
+    q = LaurentPoly(1, {(k,): cmath.exp(0.3j * k) / 300 for k in keys})
+    pair = PQPair(p, q)
+    tracemalloc.start()
+    try:
+        defect = pair.normalization_defect()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 < defect < 1.0
+    assert peak < 2**20
