@@ -368,11 +368,9 @@ def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float,
 
     A pair too sparse for its lattice, by the slots-per-term rule that
     evaluation and the decision use (``_too_sparse``), is multiplied out
-    instead; both ways are exact up to rounding.  A pair stored as its box
-    is sampled from the box: its lattice with P and Q placed, or a larger
-    one when the box keeps empty end rows (see ``PQPair``).  The larger
-    grid still holds each lag once, so the coefficients are still exact up
-    to rounding, though not bitwise those of the lattice's grid.
+    instead; both ways are exact up to rounding.  Either way the report
+    reads only P and Q, so a pair stored as its box gives the report of
+    its terms.
 
     When |p|^2 + |q|^2 overflows a double, the pair fails the identity:
     the deviation is inf and the scale 1.  That is so when any sample is
@@ -380,21 +378,16 @@ def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float,
     p*p~ + q*q~, the sum of |c|^2, which by Cauchy-Schwarz bounds every
     other; then neither the transform back nor the product is made.
     """
-    box = pair._box
-    if box is not None:
-        counts = box.rows
-        p, q = box._prefixes(math.prod(counts))
-    else:
-        lows, strides, counts = _lattice(pair)
-        if _too_sparse(math.prod(counts), max(len(pair.p), len(pair.q))):
-            p, q = pair.p, pair.q
-            squares = (c.real * c.real + c.imag * c.imag for x in (p, q) for c in x.terms.values())
-            if not sum(squares) < math.inf:
-                return math.inf, 1.0
-            combo = p * p.torus_conjugate() + q * q.torus_conjugate()
-            one = LaurentPoly.constant(pair.variables, 1.0)
-            return combo.max_deviation(one), max(1.0, combo.max_modulus())
-        p, q = _placed(pair, lows, strides, counts)
+    lows, strides, counts = _lattice(pair)
+    if _too_sparse(math.prod(counts), max(len(pair.p), len(pair.q))):
+        p, q = pair.p, pair.q
+        squares = (c.real * c.real + c.imag * c.imag for x in (p, q) for c in x.terms.values())
+        if not sum(squares) < math.inf:
+            return math.inf, 1.0
+        combo = p * p.torus_conjugate() + q * q.torus_conjugate()
+        one = LaurentPoly.constant(pair.variables, 1.0)
+        return combo.max_deviation(one), max(1.0, combo.max_modulus())
+    p, q = _placed(pair, lows, strides, counts)
     # P and Q as one grid with a leading axis of two, which no pass touches:
     # after the passes each grid point's values of P and Q sit side by side
     at = iter(_separable_transform([*p, *q], list(map(_dft_rows, counts))))

@@ -185,15 +185,14 @@ class PQPair(_BoxSlot):
     ``is_normalized`` to test for it.  The identity is usually not
     multiplied out: |p|^2 + |q|^2 is sampled on a torus grid of
     N_j = 2 r_j - 1 points per variable, for the r_j rows of the general
-    lattice that holds the pair (its exponents at stride 1 or 2), or of its
-    box when it is stored as one, which holds each of its lags once.
-    ``is_normalized`` decides from Parseval bounds on those samples and
-    transforms back only when the bounds leave the verdict open;
-    ``normalization_defect`` always transforms back (see
-    ``box._unit_norm_deviation``).  That costs O(G * sum_j N_j) for a grid of
-    G = prod_j N_j points instead of the product's O(L^2) in the term count
-    L.  A pair too sparse for its lattice, by the slots-per-term rule that
-    evaluation and the decision use, is multiplied out instead.
+    lattice that holds the pair (its exponents at stride 1 or 2), which
+    holds each of its lags once.  ``is_normalized`` decides from Parseval
+    bounds on those samples and transforms back only when the bounds leave
+    the verdict open; ``normalization_defect`` always transforms back (see
+    ``box._unit_norm_deviation``).  That costs O(G * sum_j N_j) for a grid
+    of G = prod_j N_j points instead of the product's O(L^2) in the term
+    count L.  A pair too sparse for its lattice, by the slots-per-term rule
+    that evaluation and the decision use, is multiplied out instead.
 
     A pair has one of two storages.  Most hold their ``LaurentPoly`` terms
     ``p`` and ``q``.  A pair that ``evaluate_sequence`` finishes on its
@@ -201,11 +200,11 @@ class PQPair(_BoxSlot):
     (``PhaseReduction.state``), keeps that box instead (``PairBox.to_pair``):
     ``p`` and ``q`` are built from it on first read and then kept.  Such a
     box may have more rows than the lattice of the terms, when an axis ends
-    in rows whose slots are all 0j.  The decision and the unit-norm filter
-    read the box, and two such pairs on boxes of equal rows compare the
-    stored half of P with P's and that of Q with Q's, so their terms are
-    built only when asked for; boxes of different rows are compared on the
-    terms.  The box is not a field: equality, hash, repr,
+    in rows whose slots are all 0j.  The decision reads the box, and two
+    such pairs on boxes of equal rows compare the stored half of P with P's
+    and that of Q with Q's, so their terms are built only when asked for;
+    boxes of different rows are compared on the terms.  The unit-norm
+    filter reads the terms.  The box is not a field: equality, hash, repr,
     pickling and copying see only ``p`` and ``q``, and a copy or unpickled
     pair holds terms.
     """

@@ -82,6 +82,15 @@ def test_find_phase_unmatched_zero_slice():
 def test_find_phase_vacuous_when_both_slices_vanish():
     pair = PQPair(LaurentPoly(1, {(1,): 1.0, (-1,): 1.0}), LaurentPoly.zero(1))
     assert find_phase(pair, 1, 2, TOL) == 0.0
+    # on the box too: a degree of the other parity, or above the top row,
+    # has no row, so both slices are empty
+    pair, _ = oracle_pair(2, 6, 3)
+    box, twin = pair._box, PQPair(pair.p, pair.q)
+    assert box.rows == (3, 5)
+    for j, degrees in ((1, (1, 3, 4, 5, 7)), (2, (1, 3, 5, 6, 7))):
+        for degree in degrees:
+            assert box._top_slices(j, degree) == ([], [])
+            assert find_phase(box, j, degree, TOL) == find_phase(twin, j, degree, TOL) == 0.0
 
 
 def test_find_phase_rejects_non_unimodular_ratio():
@@ -515,8 +524,8 @@ def with_empty_end_rows(box: PairBox, i: int) -> PairBox:
 
 def test_a_box_with_empty_end_rows_acts_as_its_term_twin():
     # no evaluation was seen to leave such a box, so it is built by hand:
-    # the decision steps it, comparisons fall back to the terms unless the
-    # rows agree, and the unit-norm filter samples a larger grid
+    # the decision steps it, and comparisons fall back to the terms unless
+    # the rows agree
     for m, n in ((1, 9), (2, 6), (3, 5)):
         pair, seq = oracle_pair(m, n, 6700 + m)
         shifts = [phi + 1e-10 for phi in seq.phases]
@@ -547,6 +556,7 @@ def test_a_box_with_empty_end_rows_acts_as_its_term_twin():
                     verdict = stored.is_normalized(tol)
                     assert verdict == stored_twin.is_normalized(tol) == (factor == 1.0)
             assert padded.normalization_defect() <= 1e-13
+            assert repr(padded.normalization_defect()) == repr(twin.normalization_defect())
 
 
 def test_only_centred_mirror_images_go_on_the_box():
