@@ -6,7 +6,9 @@ stored.  ``su2.evaluate_sequence`` steps a pair on it, multiplying by
 (a_j +- a_j^{-1})/2 in one shift-add pass (``_halves``); the step
 (``PairBox._step``) also trims the zero end rows it leaves and hands a pair
 that gets too sparse over as terms.  The decision in ``engine`` peels
-factors off the box with the same step front.  The module also
+factors off the box with the same step front.  The density rule that says
+when a pair is too sparse for its box, ``_BOX_PER_TERM``, lives here, for
+evaluation, the decision's layout and the unit-norm filter.  The module also
 holds the general lattice of a pair (``_lattice``, ``_placed``) and the
 unit-norm test on a torus grid (``_unit_norm_deviation``) that
 ``PQPair.is_normalized`` and ``PQPair.normalization_defect`` run.  ``su2``
@@ -24,7 +26,14 @@ from itertools import product, repeat
 from operator import add, mul, neg, sub
 
 from .laurent import LaurentPoly, _require_finite
-from .su2 import _HALF, _ZERO, PQPair, _as_terms, _peeled, _stepped, _too_sparse
+from .su2 import _HALF, _ZERO, PQPair, _as_terms, _peeled, _stepped
+
+#: A pair or sequence is stepped on a ``PairBox`` while the box has at most
+#: this many slots per stored term (of the larger of P and Q).  A sparser
+#: one keeps its ``LaurentPoly`` terms and steps them, so a few terms
+#: spread over a wide or many-variable box stay cheap.  The same rule sends
+#: a pair too sparse for its lattice to the unit-norm filter's product.
+_BOX_PER_TERM = 4
 
 
 class PairBox:
@@ -39,10 +48,11 @@ class PairBox:
     ``su2.evaluate_sequence``).  So ``p_half`` and ``q_half`` hold only the
     first ceil(N / 2) slots of P and of Q, and the rest is their mirror
     image (``_prefixes``).  Absent terms are exact zeros ``0j``.
-    ``_moduli`` is the largest |coefficient| of P and of Q, read from the
-    moduli of the stored slots of each, which the peel or the trim that
-    built the box gives and which are otherwise measured once, when first
-    read.  The peel keeps the symmetries as evaluation's step does: its
+    ``_sizes`` holds the moduli of the stored slots of P and of Q, which
+    the step's cut, the peel or the trim that built the box hands over, and
+    which are otherwise measured when the box is built; ``_moduli``, the
+    largest |coefficient| of P and of Q, is read from them when first
+    asked for.  The peel keeps the symmetries as evaluation's step does: its
     value at -k is the same sum as at k with its terms swapped, or negated
     for Q, and ``_turned`` keeps an empty slot from gaining a -0.0 part.
 
@@ -57,12 +67,17 @@ class PairBox:
     ``PQPair`` does on its terms, so both layouts give the same values.
     """
 
-    __slots__ = ("variables", "rows", "p_half", "q_half", "_tops", "_sizes")
+    __slots__ = ("variables", "rows", "p_half", "q_half", "_sizes", "_tops")
+
+    #: Not a pair stored as a box: the level functions of ``engine`` read
+    #: ``pair._box or pair``, for a box or a ``PQPair`` of either storage.
+    _box = None
 
     def __init__(self, rows, p_half, q_half, sizes=None):
         self.variables, self.rows = len(rows), tuple(rows)
         self.p_half, self.q_half = p_half, q_half
-        self._tops, self._sizes = None, sizes
+        self._sizes = sizes or (list(map(abs, p_half)), list(map(abs, q_half)))
+        self._tops = None
 
     @classmethod
     def from_pair(cls, pair: PQPair) -> PairBox | None:
@@ -76,7 +91,7 @@ class PairBox:
             return pair._box
         lows, strides, rows = _lattice(pair)
         centred = strides == [2] * pair.variables and lows == [1 - r for r in rows]
-        if not centred or _too_sparse(math.prod(rows), max(len(pair.p), len(pair.q))):
+        if not centred or math.prod(rows) > _BOX_PER_TERM * max(len(pair.p), len(pair.q)):
             return None
         p, q = _placed(pair, lows, strides, rows)
         if p != p[::-1] or q != list(map(neg, reversed(q))):
@@ -95,16 +110,10 @@ class PairBox:
 
     # -- storage primitives ---------------------------------------------------
 
-    def _half_sizes(self) -> tuple[list[float], list[float]]:
-        """|coefficient| of every slot of ``p_half`` and of ``q_half``."""
-        if self._sizes is None:
-            self._sizes = list(map(abs, self.p_half)), list(map(abs, self.q_half))
-        return self._sizes
-
     @property
     def _moduli(self) -> tuple[float, float]:
         if self._tops is None:
-            p, q = self._half_sizes()
+            p, q = self._sizes
             self._tops = max(p, default=0.0), max(q, default=0.0)
         return self._tops
 
@@ -113,7 +122,7 @@ class PairBox:
             return None
         # rows k and -k hold the same moduli, so the first visible row of
         # an axis gives its degree
-        sizes = self._half_sizes()[0]
+        sizes = self._sizes[0]
         degrees = []
         for i, n in enumerate(self.rows):
             first = 0
@@ -143,18 +152,17 @@ class PairBox:
     def _origin(self) -> tuple[complex, float]:
         # the constant, when every axis has an odd row count, is the middle
         # slot: the last of P's half
-        sizes = self._half_sizes()[0]
+        sizes = self._sizes[0]
         if math.prod(self.rows) % 2:
             return self.p_half[-1], max(sizes[:-1], default=0.0)
         return _ZERO, max(sizes, default=0.0)
 
     def _peel(self, j: int, e: complex) -> PairBox:
         grown, *parts = self._front(j - 1)
-        p, q = _peeled(*parts, e)
-        sizes = list(map(abs, p)), list(map(abs, q))
-        _require_finite(p, sizes[0])
-        _require_finite(q, sizes[1])
-        return PairBox(grown, p, q, sizes)
+        box = PairBox(grown, *_peeled(*parts, e))
+        _require_finite(box.p_half, box._sizes[0])
+        _require_finite(box.q_half, box._sizes[1])
+        return box
 
     def _truncated(self, j: int, top: int, cutoff: float) -> PairBox:
         """The box without the rows of variable ``j`` beyond +-``top`` whose
@@ -164,7 +172,7 @@ class PairBox:
         any row can go.  Rows r and -r hold the same moduli, so they go in
         mirrored pairs."""
         i, n = j - 1, self.rows[j - 1]
-        parts = self._half_sizes()
+        parts = self._sizes
         trim = 0
         while 2 * trim < n and n - 1 - 2 * trim > top and not any(
             self._row_top(part, i, trim) > cutoff for part in parts
@@ -189,7 +197,8 @@ class PairBox:
         """One evaluation step along variable ``j`` (see ``_stepped``), with
         the zero end rows of ``j`` trimmed; the pair as terms, to take the
         remaining steps (``PQPair._step``), once the box is too sparse for
-        the terms it holds (``_too_sparse``)."""
+        the terms it holds (``_BOX_PER_TERM``).  The box takes the moduli
+        that ``_stepped`` measures for its cut."""
         grown, *parts = self._front(j - 1)
         box = PairBox(grown, *_stepped(*parts, phase))
         slots = terms = math.prod(box.rows)
@@ -201,7 +210,7 @@ class PairBox:
             # a half's zeros stand for two slots each, save the middle slot
             halves = box.p_half, box.q_half
             terms = slots - min(2 * h.count(_ZERO) - (slots % 2 and not h[-1]) for h in halves)
-        if _too_sparse(slots, terms):
+        if slots > _BOX_PER_TERM * terms:
             return PQPair(*box._terms())
         return box
 
@@ -367,7 +376,7 @@ def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float,
     bounds leave it open.
 
     A pair too sparse for its lattice, by the slots-per-term rule that
-    evaluation and the decision use (``_too_sparse``), is multiplied out
+    evaluation and the decision use (``_BOX_PER_TERM``), is multiplied out
     instead; both ways are exact up to rounding.  Either way the report
     reads only P and Q, so a pair stored as its box gives the report of
     its terms.
@@ -379,7 +388,7 @@ def _unit_norm_deviation(pair: PQPair, tol: float | None = None) -> tuple[float,
     other; then neither the transform back nor the product is made.
     """
     lows, strides, counts = _lattice(pair)
-    if _too_sparse(math.prod(counts), max(len(pair.p), len(pair.q))):
+    if math.prod(counts) > _BOX_PER_TERM * max(len(pair.p), len(pair.q)):
         p, q = pair.p, pair.q
         squares = (c.real * c.real + c.imag * c.imag for x in (p, q) for c in x.terms.values())
         if not sum(squares) < math.inf:

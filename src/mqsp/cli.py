@@ -137,7 +137,7 @@ def _load(loader, path: str):
     ``main``."""
     try:
         return loader(path)
-    except (documents.DocumentError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 

@@ -16,7 +16,8 @@ for every level of the walk.
 Every branch taken is recorded in a trace, from which one valid choice of
 angle and index parameters can be read off when the pair is accepted.  The
 level logic (degree scan, top-slice phase match, reduction, base case) is
-written once over the storage primitives of ``box.PairBox`` and ``PQPair``.
+written once over the storage primitives of ``box.PairBox`` and ``PQPair``;
+the public level functions read a ``PQPair`` stored as its box on the box.
 The pair is laid out once: on the half box that evaluation steps, or as
 terms when the pair lacks the inversion symmetries or its box would be
 mostly empty; both peel with evaluation's front and one combine.
@@ -155,11 +156,12 @@ def find_phase(pair: PQPair | PairBox, j: int, degree: int, tol: float = EPS) ->
     carried by small slices.  A mismatch, or a turned Q slice, whose modulus
     passes the largest double is no match.  The returned angle is the
     principal representative in (-pi/2, pi/2]; any representative mod pi
-    reproduces the pair.  ``tol`` must be a finite number >= 0, or
-    ValueError is raised.
+    reproduces the pair.  A ``PQPair`` stored as its box is read on the
+    box, as ``effective_degrees`` and ``reduce_step`` read it.  ``tol``
+    must be a finite number >= 0, or ValueError is raised.
     """
     tol = _tolerance(tol)
-    cp, cq = pair._top_slices(j, degree)
+    cp, cq = (pair._box or pair)._top_slices(j, degree)
     top_p = max(map(abs, cp), default=0.0)
     sizes = list(map(abs, cq))
     top_q = max(sizes, default=0.0)
@@ -200,13 +202,16 @@ def reduce_step(pair: PQPair | PairBox, j: int, phi: float) -> PQPair | PairBox:
     returned by ``find_phase`` at the top degree d of variable ``j``, the
     rows at +-(d + 1) cancel, so for a pair whose top slices match to
     rounding (a freshly evaluated one, say) the degree in that variable
-    drops by exactly one and the other degrees are unchanged.  The result
-    has the input's layout.  This is the decision's level step
-    (``_reduced``) with any row free to go and the cutoff at ``DROP_EPS``;
-    the decision's own walk keeps the rows within +-(d - 1) and cuts at
-    max(tol, ``DROP_EPS``) (see ``_walk``).
+    drops by exactly one and the other degrees are unchanged.  A ``PQPair``
+    stored as its box (see ``PQPair``) is peeled on that box and gives a
+    ``PQPair`` stored as the reduced box; a pair that holds its terms gives
+    terms, and a ``PairBox`` a ``PairBox``.  This is the decision's level
+    step (``_reduced``) with any row free to go and the cutoff at
+    ``DROP_EPS``; the decision's own walk keeps the rows within +-(d - 1)
+    and cuts at max(tol, ``DROP_EPS``) (see ``_walk``).
     """
-    return _reduced(pair, j, phi, -1, DROP_EPS)
+    reduced = _reduced(pair._box or pair, j, phi, -1, DROP_EPS)
+    return reduced.to_pair() if isinstance(pair, PQPair) else reduced
 
 
 def _reduced(
@@ -234,11 +239,12 @@ def effective_degrees(pair: PQPair | PairBox, tol: float = EPS) -> tuple[int, ..
     ``tol`` of an n-step product, every term counted here is a term of the
     product, so the degrees sum to at most n and to n's parity (see
     ``run_decision``).  On a reduced pair, read again at ``tol`` in the
-    middle of the walk, they certify nothing.  ``tol`` must be a finite
-    number >= 0, or ValueError is raised.
+    middle of the walk, they certify nothing.  A ``PQPair`` stored as its
+    box is read on the box.  ``tol`` must be a finite number >= 0, or
+    ValueError is raised.
     """
     tol = _tolerance(tol)
-    degrees = pair._visible_degrees(tol * max(1.0, *pair._moduli))
+    degrees = (pair._box or pair)._visible_degrees(tol * max(1.0, *pair._moduli))
     return degrees or (0,) * pair.variables
 
 

@@ -109,8 +109,10 @@ class LaurentPoly:
         return self._max_modulus
 
     def is_zero(self, tol: float = EPS) -> bool:
+        """All coefficients within ``tol`` of zero relative to the scale,
+        floored at 1; ``tol`` as for ``approx_eq``."""
         mod = self.max_modulus()
-        return mod <= tol * max(1.0, mod)
+        return mod <= _tolerance(tol) * max(1.0, mod)
 
     def constant_coeff(self) -> complex:
         return self.terms.get((0,) * self.variables, 0j)
@@ -196,8 +198,9 @@ class LaurentPoly:
         )
 
     def approx_eq(self, other: LaurentPoly, tol: float = EPS) -> bool:
-        """Coefficient-wise equality within ``tol`` relative to the operand scale."""
-        return self.max_deviation(other) <= tol * self._pair_scale(other)
+        """Coefficient-wise equality within ``tol`` relative to the operand
+        scale.  ``tol`` must be a finite number >= 0, or ValueError is raised."""
+        return self.max_deviation(other) <= _tolerance(tol) * self._pair_scale(other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):

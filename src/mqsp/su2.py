@@ -11,7 +11,8 @@ box, of which only the half that the inversion symmetries do not fix is
 stored, and where multiplying by (a_j +- a_j^{-1})/2 is one shift-add pass.
 Its one loop calls the state's ``_step``: ``PairBox._step`` trims the
 box's zero end rows and hands the pair over as terms once the box gets too
-sparse, and ``PQPair._step`` steps the terms.
+sparse (the density rule, ``box._BOX_PER_TERM``), and ``PQPair._step``
+steps the terms.
 ``evaluate_sequence``, ``PQPair.is_normalized`` and
 ``PQPair.normalization_defect`` load ``box`` when they run, so building
 and saving pairs does not compile it.  The evaluated pair keeps its box
@@ -35,7 +36,7 @@ import math
 from itertools import chain, compress, repeat
 from operator import add, mul, neg, sub
 
-from .laurent import DROP_EPS, EPS, LaurentPoly, _variables
+from .laurent import DROP_EPS, EPS, LaurentPoly, _tolerance, _variables
 
 
 #: Stores a field of a record from its constructor, past ``_Record.__setattr__``.
@@ -183,16 +184,8 @@ class PQPair(_BoxSlot):
     unit-norm identity p*p~ + q*q~ = 1 (with x~ = star(invert_vars(x))),
     which is |p|^2 + |q|^2 = 1 for variables on the unit circle; use
     ``is_normalized`` to test for it.  The identity is usually not
-    multiplied out: |p|^2 + |q|^2 is sampled on a torus grid of
-    N_j = 2 r_j - 1 points per variable, for the r_j rows of the general
-    lattice that holds the pair (its exponents at stride 1 or 2), which
-    holds each of its lags once.  ``is_normalized`` decides from Parseval
-    bounds on those samples and transforms back only when the bounds leave
-    the verdict open; ``normalization_defect`` always transforms back (see
-    ``box._unit_norm_deviation``).  That costs O(G * sum_j N_j) for a grid
-    of G = prod_j N_j points instead of the product's O(L^2) in the term
-    count L.  A pair too sparse for its lattice, by the slots-per-term rule
-    that evaluation and the decision use, is multiplied out instead.
+    multiplied out but sampled on a torus grid (see
+    ``box._unit_norm_deviation``).
 
     A pair has one of two storages.  Most hold their ``LaurentPoly`` terms
     ``p`` and ``q``.  A pair that ``evaluate_sequence`` finishes on its
@@ -203,10 +196,11 @@ class PQPair(_BoxSlot):
     in rows whose slots are all 0j.  The decision reads the box, and two
     such pairs on boxes of equal rows compare the stored half of P with P's
     and that of Q with Q's, so their terms are built only when asked for;
-    boxes of different rows are compared on the terms.  The unit-norm
-    filter reads the terms.  The box is not a field: equality, hash, repr,
-    pickling and copying see only ``p`` and ``q``, and a copy or unpickled
-    pair holds terms.
+    boxes of different rows are compared on the terms.  The level functions
+    of ``engine`` (``effective_degrees``, ``find_phase``, ``reduce_step``)
+    read the box too; the unit-norm filter reads the terms.  The box is not
+    a field: equality, hash, repr, pickling and copying see only ``p`` and
+    ``q``, and a copy or unpickled pair holds terms.
     """
 
     __slots__ = ("p", "q")
@@ -251,19 +245,21 @@ class PQPair(_BoxSlot):
         scale, the test ``LaurentPoly.approx_eq`` makes.  The verdict is that
         of ``normalization_defect`` against the scale, usually settled from
         Parseval bounds on the samples without transforming back.  A pair
-        whose |p|^2 + |q|^2 overflows a double fails: its defect is inf."""
+        whose |p|^2 + |q|^2 overflows a double fails: its defect is inf.
+        ``tol`` must be a finite number >= 0, or ValueError is raised."""
         from .box import _unit_norm_deviation
 
-        deviation, scale = _unit_norm_deviation(self, tol)
+        deviation, scale = _unit_norm_deviation(self, _tolerance(tol))
         return deviation <= tol * scale
 
     def max_deviation(self, other: PQPair) -> float:
         return max(self._deviations(other))
 
     def approx_eq(self, other: PQPair, tol: float = EPS) -> bool:
-        """``LaurentPoly.approx_eq`` of P and of Q against ``other``'s."""
+        """``LaurentPoly.approx_eq`` of P and of Q against ``other``'s, with
+        its check of ``tol``."""
         (dp, dq), (sp, sq), (op, oq) = self._deviations(other), self._moduli, other._moduli
-        return dp <= tol * max(1.0, sp, op) and dq <= tol * max(1.0, sq, oq)
+        return dp <= _tolerance(tol) * max(1.0, sp, op) and dq <= tol * max(1.0, sq, oq)
 
     def _deviations(self, other: PQPair) -> tuple[float, float]:
         """``LaurentPoly.max_deviation`` of P and of Q against ``other``'s,
@@ -309,7 +305,7 @@ class PQPair(_BoxSlot):
     def _step(self, j: int, phase: complex) -> PQPair:
         """``PairBox._step`` on the terms, which hold no zero rows to trim."""
         keys, *parts = self._front(j)
-        return PQPair(*_as_terms(self.variables, keys, *_stepped(*parts, phase)))
+        return PQPair(*_as_terms(self.variables, keys, *_stepped(*parts, phase)[:2]))
 
     def _peel(self, j: int, e: complex) -> PQPair:
         """``PairBox._peel`` on the terms."""
@@ -349,28 +345,17 @@ class PQPair(_BoxSlot):
         ))
 
 
-#: A pair or sequence is stepped on a ``PairBox`` while the box has at most
-#: this many slots per stored term (of the larger of P and Q).  A sparser
-#: one keeps its ``LaurentPoly`` terms and steps them, so a few terms
-#: spread over a wide or many-variable box stay cheap.
-_BOX_PER_TERM = 4
-
-
-def _too_sparse(slots: int, terms: int) -> bool:
-    """A box of ``slots`` slots is too sparse for ``terms`` stored terms."""
-    return slots > _BOX_PER_TERM * terms
-
-
 _ZERO = 0j
 _HALF = complex(0.5)
 
 
-def _stepped(p_cos: list, q_cos: list, p_sin: list, q_sin: list, phase: complex) -> list:
+def _stepped(p_cos: list, q_cos: list, p_sin: list, q_sin: list, phase: complex) -> tuple:
     """Evaluation's combine in both layouts: P's cosine part plus Q's sine
     part turned as 0j + x e^{i phi}, the product with a constant, and Q's
     cosine part plus P's sine part as 0j + x e^{-i phi}.  Then each is cut
     once: its values at or below ``DROP_EPS`` times max(1, its own largest
-    modulus) become 0j."""
+    modulus) become 0j.  Returns P, Q and their moduli, which the cut
+    measures and which are 0.0 where it cuts."""
     out = []
     for cos, sin, turn in (p_cos, q_sin, phase), (q_cos, p_sin, phase.conjugate()):
         part = list(map(add, repeat(_ZERO), map(mul, map(add, cos, sin), repeat(turn))))
@@ -378,8 +363,10 @@ def _stepped(p_cos: list, q_cos: list, p_sin: list, q_sin: list, phase: complex)
         cutoff = DROP_EPS * max(1.0, max(sizes))
         if not min(filter(None, sizes), default=math.inf) > cutoff:
             part = [value if size > cutoff else _ZERO for value, size in zip(part, sizes)]
-        out.append(part)
-    return out
+            sizes = [size if size > cutoff else 0.0 for size in sizes]
+        out += part, sizes
+    p, p_sizes, q, q_sizes = out
+    return p, q, (p_sizes, q_sizes)
 
 
 def _peeled(p_cos: list, q_cos: list, p_sin: list, q_sin: list, e: complex) -> tuple:

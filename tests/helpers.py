@@ -118,8 +118,8 @@ def layout(request, monkeypatch):
     """Run a test with every pair and sequence laid out on its dense box
     (no fill limit), or kept as LaurentPoly terms (a limit of 0); a test
     that parametrizes it with "chosen" keeps the layout rule."""
-    limit = {"box": math.inf, "terms": 0, "chosen": su2._BOX_PER_TERM}[request.param]
-    monkeypatch.setattr(su2, "_BOX_PER_TERM", limit)
+    limit = {"box": math.inf, "terms": 0, "chosen": half_box._BOX_PER_TERM}[request.param]
+    monkeypatch.setattr(half_box, "_BOX_PER_TERM", limit)
     return request.param
 
 

@@ -40,7 +40,7 @@ from mqsp import (
     term_bound,
     z_rotation,
 )
-from mqsp import documents, engine, laurent, su2
+from mqsp import box as half_box, documents, engine, laurent, su2
 from mqsp.box import PairBox
 from mqsp.engine import REASON_BASE, REASON_DEGREE, REASON_OVERFLOW, REASON_PHASE
 from mqsp.fixtures import counterexample_pair, identity_pair, signal_pair
@@ -425,7 +425,7 @@ def corpus_outcomes() -> list:
 @pytest.fixture(scope="module")
 def product_outcomes():
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(su2, "_BOX_PER_TERM", 0)
+        patch.setattr(half_box, "_BOX_PER_TERM", 0)
         return corpus_outcomes()
 
 
@@ -446,7 +446,7 @@ def test_layouts_agree_on_deep_pairs(m, n, mode, monkeypatch):
         pair = evaluate_sequence(seq)
         assert PairBox.from_pair(pair) is not None
         on_box = layout_signature(pair, n)
-        monkeypatch.setattr(su2, "_BOX_PER_TERM", 0)
+        monkeypatch.setattr(half_box, "_BOX_PER_TERM", 0)
         assert layout_signature(evaluate_sequence(seq), n) == on_box, seed
         monkeypatch.undo()
 
@@ -474,6 +474,53 @@ def test_stored_box_decides_as_its_term_twin(m, n, mode, tol):
             stored, relaid = run_decision(pair, budget, tol), run_decision(twin, budget, tol)
             assert stored == relaid and repr(stored) == repr(relaid), (seed, budget)
             assert reduced_fingerprints(stored) == reduced_fingerprints(relaid), (seed, budget)
+
+
+def level_calls(pair: PQPair, levels: int) -> list[tuple]:
+    """Per level, from ``pair`` on: ``effective_degrees``, then
+    ``find_phase`` at each variable's degree and ``reduce_step`` at its
+    angle (0.3 when none matches); the next level reads the first matched
+    variable's reduced pair."""
+    out = []
+    for _ in range(levels):
+        degrees = engine.effective_degrees(pair, TOL)
+        phases = [find_phase(pair, j, d, TOL) for j, d in enumerate(degrees, 1)]
+        reduced = [
+            reduce_step(pair, j, 0.3 if phi is None else phi) for j, phi in enumerate(phases, 1)
+        ]
+        out.append((degrees, phases, reduced))
+        matched = [r for r, phi in zip(reduced, phases) if phi is not None]
+        if not matched:
+            break
+        pair = matched[0]
+    return out
+
+
+@pytest.mark.parametrize("m,n", [(1, 12), (2, 8), (3, 6), (4, 5)])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_level_functions_read_a_stored_pair_on_its_box(m, n, mode, monkeypatch):
+    # on an evaluated pair, and on the pairs reduce_step returns for it,
+    # the three level functions read the box and never build the terms;
+    # they give bitwise what they give on the pair's term copy
+    def refuse(box):
+        raise AssertionError("terms built")
+
+    seq = random_sequence(OracleConfig(m, n, 6700 + 10 * m + n, mode))
+    twin = evaluate_sequence(seq)
+    twin = PQPair(twin.p, twin.q)
+    monkeypatch.setattr(PairBox, "_terms", refuse)
+    stored = level_calls(evaluate_sequence(seq), n)
+    monkeypatch.undo()
+    for _, _, reduced in stored:
+        assert all(type(pair) is PQPair and pair._box is not None for pair in reduced)
+
+    def signature(levels):
+        return [
+            (degrees, list(map(repr, phases)), [(fingerprint(r.p), fingerprint(r.q)) for r in ps])
+            for degrees, phases, ps in levels
+        ]
+
+    assert signature(stored) == signature(level_calls(twin, n))
 
 
 def test_trace_states_are_pairs(layout):
@@ -720,7 +767,10 @@ def test_tolerance_must_be_finite_and_non_negative(tol):
     # a NaN tolerance synthesized the witness pair, with a sequence that
     # rebuilds it to 0.54, and a negative one rejected the identity; the
     # witness's top a_1 slices matched at a NaN tolerance, both variables at
-    # an infinite one, and a NaN one gave the degrees (0, 0)
+    # an infinite one, and a NaN one gave the degrees (0, 0); the comparisons
+    # of polynomials and pairs returned False at a NaN or negative tolerance
+    # and True at an infinite one, so approx_eq matched any two pairs
+    stored = evaluate_sequence(MqspSequence(2, (0.3, -0.2, 0.7), (1, 2)))
     calls = [
         lambda: decide(identity_pair(), 0, tol),
         lambda: synthesize(counterexample_pair(), 4, tol),
@@ -730,6 +780,12 @@ def test_tolerance_must_be_finite_and_non_negative(tol):
         lambda: find_phase(counterexample_pair(), 1, 2, tol),
         lambda: find_phase(PairBox.from_pair(signal_pair()), 1, 1, tol),
         lambda: engine.effective_degrees(counterexample_pair(), tol),
+        lambda: identity_pair().p.is_zero(tol),
+        lambda: identity_pair().p.approx_eq(signal_pair().p, tol),
+        lambda: identity_pair().is_normalized(tol),
+        lambda: stored.is_normalized(tol),
+        lambda: identity_pair().approx_eq(signal_pair(), tol),
+        lambda: stored.approx_eq(stored, tol),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):

@@ -6,6 +6,7 @@ import cmath
 import copy
 import math
 import pickle
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -17,6 +18,7 @@ from mqsp import (
     MqspSequence,
     OracleConfig,
     PQPair,
+    decide,
     evaluate_sequence,
     half_diff,
     half_sum,
@@ -237,6 +239,37 @@ def test_evaluation_cuts_residue_so_the_box_gets_sparse(monkeypatch):
     corners = {(1, -1) * 10, (-1, 1) * 10}
     assert pair.p.terms.keys() == pair.q.terms.keys() == corners
     assert max(built) == 16
+
+
+def test_every_box_holds_the_moduli_of_its_halves(monkeypatch):
+    # a box takes its slot moduli from the step's cut, the peel or the trim
+    # that builds it, or measures them when it is built from a pair: each is
+    # bitwise abs of its slot, so 0.0 where the cut zeroed a value
+    built = []
+
+    def record(box, *args):
+        original(box, *args)
+        caller, above = sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name
+        built.append((box, (caller, above) if caller == "_truncated" else caller))
+
+    original = half_box.PairBox.__init__
+    monkeypatch.setattr(half_box.PairBox, "__init__", record)
+    for m, n in ((1, 12), (2, 10), (3, 8), (4, 6)):
+        for mode in ("continuous", "discrete"):
+            for seed in range(3):
+                seq = random_sequence(OracleConfig(m, n, 5600 + 10 * m + seed, mode))
+                pair = evaluate_sequence(seq)
+                decide(pair, n, TOL)
+                decide(PQPair(pair.p, pair.q), n, TOL)
+    for box, _ in built:
+        for half, sizes in zip((box.p_half, box.q_half), box._sizes):
+            assert list(map(float.hex, sizes)) == [abs(value).hex() for value in half]
+    # evaluation's first box and its steps, its zero-row trims, the peels,
+    # the walk's truncations and the layout of a pair held as terms
+    assert {builder for _, builder in built} == {
+        "evaluate_sequence", "_step", ("_truncated", "_step"),
+        "_peel", ("_truncated", "_reduced"), "from_pair",
+    }
 
 
 def test_evaluation_hands_off_mid_sequence_bitwise(monkeypatch):
@@ -594,7 +627,7 @@ def assert_filter_matches_product(pair: PQPair) -> None:
     assert pair.is_normalized(TOL) == product.approx_eq(one, TOL)
     # sampled, by bounds or the inverse, unless too sparse for its lattice
     rows = half_box._lattice(pair)[2]
-    if not su2._too_sparse(math.prod(rows), max(len(pair.p), len(pair.q))):
+    if not math.prod(rows) > half_box._BOX_PER_TERM * max(len(pair.p), len(pair.q)):
         for tol in tolerances_around(pair):
             assert pair.is_normalized(tol) == verdict_by_the_inverse(pair, tol)
 
