@@ -35,6 +35,7 @@ _SOURCES = {
     "SynthesisResult": "engine",
     "check_necessary": "engine",
     "decide": "engine",
+    "effective_degrees": "engine",
     "evaluate_sequence": "su2",
     "find_phase": "engine",
     "half_diff": "su2",

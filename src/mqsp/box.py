@@ -59,10 +59,13 @@ class PairBox:
     The box and ``PQPair`` provide the same storage primitives, over which
     the peel in ``engine`` is written once: ``_moduli``,
     ``_visible_degrees``, ``_top_slices``, ``_origin``, ``_peel``,
-    ``_truncated`` and ``to_pair``.  Evaluation's ``_step`` and the
-    decision's ``_peel`` share one front (``_front``): the input prefix the
-    new half depends on, and one ``_halves`` pass over P and Q together,
-    the one place where the two sit in one list.  Each direction then runs
+    ``_truncated`` and ``to_pair``.  Those that take a variable index take
+    it checked: the level functions of ``engine`` check it by
+    ``laurent._axis``, and the walk and evaluation pass valid ones.
+    Evaluation's ``_step`` and the decision's ``_peel`` share one front
+    (``_front``): the input prefix the new half depends on, and one
+    ``_halves`` pass over P and Q together, the one place where the two
+    sit in one list.  Each direction then runs
     its combine (``_stepped``, ``_peeled``) on P's and Q's parts, as
     ``PQPair`` does on its terms, so both layouts give the same values.
     """
@@ -117,9 +120,11 @@ class PairBox:
             self._tops = max(p, default=0.0), max(q, default=0.0)
         return self._tops
 
-    def _visible_degrees(self, cutoff: float) -> tuple[int, ...] | None:
+    def _visible_degrees(self, cutoff: float) -> tuple[int, ...]:
+        """P's degrees over its slots above ``cutoff``; zeros when no slot
+        is visible."""
         if not self._moduli[0] > cutoff:
-            return None
+            return (0,) * self.variables
         # rows k and -k hold the same moduli, so the first visible row of
         # an axis gives its degree
         sizes = self._sizes[0]

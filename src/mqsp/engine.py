@@ -30,7 +30,7 @@ import math
 from itertools import repeat
 from operator import mul, sub
 
-from .laurent import DROP_EPS, EPS, _budget, _tolerance
+from .laurent import DROP_EPS, EPS, _axis, _budget, _tolerance
 from .box import PairBox, _lattice
 from .su2 import MqspSequence, PQPair, _Record
 
@@ -158,9 +158,12 @@ def find_phase(pair: PQPair | PairBox, j: int, degree: int, tol: float = EPS) ->
     principal representative in (-pi/2, pi/2]; any representative mod pi
     reproduces the pair.  A ``PQPair`` stored as its box is read on the
     box, as ``effective_degrees`` and ``reduce_step`` read it.  ``tol``
-    must be a finite number >= 0, or ValueError is raised.
+    must be a finite number >= 0, or ValueError is raised, and ``j`` a
+    variable index from 1 to m, or IndexError is raised, on either storage
+    and on a ``PairBox``.
     """
     tol = _tolerance(tol)
+    _axis(j, pair.variables)
     cp, cq = (pair._box or pair)._top_slices(j, degree)
     top_p = max(map(abs, cp), default=0.0)
     sizes = list(map(abs, cq))
@@ -208,8 +211,11 @@ def reduce_step(pair: PQPair | PairBox, j: int, phi: float) -> PQPair | PairBox:
     terms, and a ``PairBox`` a ``PairBox``.  This is the decision's level
     step (``_reduced``) with any row free to go and the cutoff at
     ``DROP_EPS``; the decision's own walk keeps the rows within +-(d - 1)
-    and cuts at max(tol, ``DROP_EPS``) (see ``_walk``).
+    and cuts at max(tol, ``DROP_EPS``) (see ``_walk``).  ``j`` must be a
+    variable index from 1 to m, or IndexError is raised, on either storage
+    and on a ``PairBox``.
     """
+    _axis(j, pair.variables)
     reduced = _reduced(pair._box or pair, j, phi, -1, DROP_EPS)
     return reduced.to_pair() if isinstance(pair, PQPair) else reduced
 
@@ -226,7 +232,8 @@ def _reduced(
 
 
 def effective_degrees(pair: PQPair | PairBox, tol: float = EPS) -> tuple[int, ...]:
-    """Per-variable degrees of P counting only coefficients visible at ``tol``.
+    """Per-variable degrees of P counting only coefficients visible at ``tol``;
+    all zeros when no coefficient is visible.
 
     Ignoring terms at or below tol times the (floored) coefficient scale
     keeps the recursion's degree bookkeeping consistent with its coefficient
@@ -244,8 +251,7 @@ def effective_degrees(pair: PQPair | PairBox, tol: float = EPS) -> tuple[int, ..
     ValueError is raised.
     """
     tol = _tolerance(tol)
-    degrees = (pair._box or pair)._visible_degrees(tol * max(1.0, *pair._moduli))
-    return degrees or (0,) * pair.variables
+    return (pair._box or pair)._visible_degrees(tol * max(1.0, *pair._moduli))
 
 
 # The most recent walk, (pair, tol, degree sum, steps), or None.  One entry,

@@ -119,7 +119,7 @@ class LaurentPoly:
 
     def degree(self, j: int) -> int:
         """Largest |exponent| of variable ``j`` (1-based); 0 for the zero polynomial."""
-        i = self._index(j)
+        i = _axis(j, self.variables)
         return max((abs(k[i]) for k in self.terms), default=0)
 
     def degrees(self) -> tuple[int, ...]:
@@ -131,7 +131,7 @@ class LaurentPoly:
         The result keeps the ambient arity with the j-th exponent zeroed, so
         every polynomial in one computation shares the same variable count.
         """
-        i = self._index(j)
+        i = _axis(j, self.variables)
         picked = {
             k[:i] + (0,) + k[i + 1 :]: c for k, c in self.terms.items() if k[i] == exponent
         }
@@ -150,7 +150,7 @@ class LaurentPoly:
 
     def negate_var(self, j: int) -> LaurentPoly:
         """Substitute a_j -> -a_j: flip the sign of terms with odd j-exponent."""
-        i = self._index(j)
+        i = _axis(j, self.variables)
         return self._same_support(lambda k, c: -c if k[i] % 2 else c)
 
     def torus_conjugate(self) -> LaurentPoly:
@@ -227,11 +227,6 @@ class LaurentPoly:
         return " + ".join(bits)
 
     # -- internals -------------------------------------------------------------
-
-    def _index(self, j: int) -> int:
-        if not 1 <= j <= self.variables:
-            raise IndexError(f"variable index {j} out of range 1..{self.variables}")
-        return j - 1
 
     def _require_same_shape(self, other: LaurentPoly) -> None:
         if self.variables != other.variables:
@@ -358,6 +353,15 @@ def _variables(count) -> int:
     """``count`` by ``operator.index`` (TypeError for a float), ValueError
     unless 1 <= count <= ``MAX_VARIABLES``."""
     return _counted(count, 1, MAX_VARIABLES, "variables", "need at least one variable")
+
+
+def _axis(j: int, variables: int) -> int:
+    """The axis, from 0, of variable ``j`` of ``variables``: IndexError
+    unless 1 <= j <= variables.  Run where an index comes in from outside;
+    the step primitives of ``su2`` and ``box`` take checked indices."""
+    if not 1 <= j <= variables:
+        raise IndexError(f"variable index {j} out of range 1..{variables}")
+    return j - 1
 
 
 #: The largest step budget.  The decision keeps one record per identity pad

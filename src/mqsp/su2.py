@@ -36,7 +36,7 @@ import math
 from itertools import chain, compress, repeat
 from operator import add, mul, neg, sub
 
-from .laurent import DROP_EPS, EPS, LaurentPoly, _tolerance, _variables
+from .laurent import DROP_EPS, EPS, LaurentPoly, _axis, _tolerance, _variables
 
 
 #: Stores a field of a record from its constructor, past ``_Record.__setattr__``.
@@ -110,7 +110,8 @@ def half_diff(j: int, variables: int) -> LaurentPoly:
 
 
 def _half_factor(j: int, variables: int, low: float) -> LaurentPoly:
-    i = LaurentPoly.zero(variables)._index(j)
+    variables = _variables(variables)
+    i = _axis(j, variables)
     up = (0,) * i + (1,) + (0,) * (variables - 1 - i)
     terms = {up: complex(0.5), tuple(map(neg, up)): complex(low)}
     return LaurentPoly._from_arithmetic(variables, terms, 1.0)
@@ -283,15 +284,15 @@ class PQPair(_BoxSlot):
         box = self._box
         return (self.p.max_modulus(), self.q.max_modulus()) if box is None else box._moduli
 
-    def _visible_degrees(self, cutoff: float) -> tuple[int, ...] | None:
+    def _visible_degrees(self, cutoff: float) -> tuple[int, ...]:
+        """P's degrees over its terms above ``cutoff``; zeros when no term
+        is visible, as the origin's key heads the columns."""
         terms = self.p.terms
-        visible = list(compress(terms, map(cutoff.__lt__, map(abs, terms.values()))))
-        if not visible:
-            return None
-        return tuple(max(map(abs, column)) for column in zip(*visible))
+        visible = compress(terms, map(cutoff.__lt__, map(abs, terms.values())))
+        return tuple(max(map(abs, column)) for column in zip((0,) * self.variables, *visible))
 
     def _top_slices(self, j: int, exponent: int) -> tuple[list, list]:
-        i = self.p._index(j)
+        i = j - 1
         cp = {k: c for k, c in self.p.terms.items() if k[i] == exponent}
         cq = {k: c for k, c in self.q.terms.items() if k[i] == exponent}
         keys = sorted(cp.keys() | cq.keys())
@@ -317,7 +318,7 @@ class PQPair(_BoxSlot):
         parts aligned on them.  As in ``_halves``, each term's 0j + c / 2 is
         copied to k + e_j and k - e_j, and each key adds (cosine) or
         subtracts (sine) its two copies, an absent one being 0j."""
-        i = self.p._index(j)
+        i = j - 1
         copies = []  # P's terms moved up and down, then Q's
         for terms in (self.p.terms, self.q.terms):
             halves = list(map(add, repeat(_ZERO), map(mul, terms.values(), repeat(_HALF))))
@@ -331,7 +332,7 @@ class PQPair(_BoxSlot):
 
     def _truncated(self, j: int, top: int, cutoff: float) -> PQPair:
         """``PairBox._truncated`` on the terms."""
-        i = self.p._index(j)
+        i = j - 1
         terms = [*self.p.terms.items(), *self.q.terms.items()]
         bounds = [k[i] for k, c in terms if not abs(c) <= cutoff]
         if top >= 0:

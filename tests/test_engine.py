@@ -523,6 +523,68 @@ def test_level_functions_read_a_stored_pair_on_its_box(m, n, mode, monkeypatch):
     assert signature(stored) == signature(level_calls(twin, n))
 
 
+def level_outcome(call, storage, exact=True):
+    """``call(storage)``'s value, a reduced pair by its terms, or the type
+    and, when ``exact``, the message of the exception it raises."""
+    try:
+        value = call(storage)
+    except Exception as exc:
+        return type(exc), str(exc) if exact else None
+    if isinstance(value, (PQPair, PairBox)):
+        value = value.to_pair()
+        return fingerprint(value.p), fingerprint(value.q)
+    return repr(value)
+
+
+@pytest.mark.parametrize("m,n", [(1, 8), (2, 6), (3, 5), (4, 4)])
+@pytest.mark.parametrize("mode", ANGLE_MODES)
+def test_level_functions_agree_on_every_storage(m, n, mode):
+    # an evaluated pair stored as its box, the box itself and the pair's
+    # term copy give one value, or one exception and message, for a
+    # variable index in or out of 1..m, a degree above the top row or of
+    # the other parity, and a tolerance that is not a finite number >= 0
+    pair = evaluate_sequence(random_sequence(OracleConfig(m, n, 6800 + m, mode)))
+    storages = (pair, pair._box, pickle.loads(pickle.dumps(pair)))
+    assert pair._box is not None and storages[2]._box is None
+    degrees = engine.effective_degrees(pair, TOL)
+    calls = []
+    for tol in (math.nan, math.inf, -1.0, 0.0, 1e-9):
+        calls.append(lambda s, tol=tol: engine.effective_degrees(s, tol))
+        for j in (0, -1, m + 1, *range(1, m + 1)):
+            top = degrees[j - 1] if 1 <= j <= m else max(degrees)
+            for degree in (top, top + 1, top + 2):
+                calls.append(lambda s, j=j, d=degree, tol=tol: find_phase(s, j, d, tol))
+    for j in (0, -1, m + 1, *range(1, m + 1)):
+        phi = find_phase(pair, j, degrees[j - 1], TOL) if 1 <= j <= m else None
+        calls.append(lambda s, j=j, phi=0.3 if phi is None else phi: reduce_step(s, j, phi))
+    for call in calls:
+        outcomes = [level_outcome(call, storage) for storage in storages]
+        assert outcomes[0] == outcomes[1] == outcomes[2], outcomes
+    # the message of a non-finite peel names a flat slot on the box and an
+    # exponent key on the terms
+    for phi in (math.nan, math.inf):
+        for j in (0, m + 1, *range(1, m + 1)):
+            outcomes = [
+                level_outcome(lambda s: reduce_step(s, j, phi), storage, exact=False)
+                for storage in storages
+            ]
+            assert outcomes[0] == outcomes[1] == outcomes[2], (phi, j, outcomes)
+
+
+@pytest.mark.parametrize("m,n", [(2, 6), (3, 5)])
+def test_level_functions_check_the_variable_index(m, n):
+    pair = evaluate_sequence(random_sequence(OracleConfig(m, n, 3)))
+    for storage in (pair, pair._box, pickle.loads(pickle.dumps(pair))):
+        for j in (0, -1, m + 1):
+            message = f"variable index {j} out of range 1..{m}"
+            with pytest.raises(IndexError) as raised:
+                find_phase(storage, j, 1)
+            assert str(raised.value) == message
+            with pytest.raises(IndexError) as raised:
+                reduce_step(storage, j, 0.3)
+            assert str(raised.value) == message
+
+
 def test_trace_states_are_pairs(layout):
     # on the box, each level's pair is stored as its box; on the terms it is
     # the peeled pair itself

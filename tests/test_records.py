@@ -331,6 +331,18 @@ def test_public_names_load_on_first_use():
     assert run_bare(code).strip() == "True"
 
 
+def test_the_level_functions_are_public():
+    # the degrees find_phase reads come from effective_degrees, so all
+    # three level functions import from the package
+    code = (
+        "import mqsp\n"
+        "from mqsp import effective_degrees, find_phase, reduce_step\n"
+        "from mqsp import engine\n"
+        "print(effective_degrees is engine.effective_degrees, 'effective_degrees' in mqsp.__all__)"
+    )
+    assert run_bare(code).strip() == "True True"
+
+
 def test_star_import_and_dir_cover_every_public_name():
     code = (
         "import mqsp\n"

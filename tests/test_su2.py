@@ -76,6 +76,26 @@ def test_half_factors_index_out_of_range(half, m):
             half(j, m)
 
 
+@pytest.mark.parametrize("build", [half_sum, half_diff, signal_operator])
+def test_half_factors_check_the_count_then_the_index(build):
+    # the count passes the check LaurentPoly runs before the index is
+    # checked against it
+    for variables, error, message in (
+        (0, ValueError, "need at least one variable, got 0"),
+        (1.5, TypeError, None),
+        (10**7, ValueError, "need at most 1000000 variables, got 10000000"),
+    ):
+        for j in (0, 1, 2):
+            with pytest.raises(error) as raised:
+                build(j, variables)
+            assert message is None or str(raised.value) == message
+    for m in (1, 3):
+        for j in (0, -1, m + 1):
+            with pytest.raises(IndexError) as raised:
+                build(j, m)
+            assert str(raised.value) == f"variable index {j} out of range 1..{m}"
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_half_factors_are_the_two_term_polynomials(m):
     for j in range(1, m + 1):
