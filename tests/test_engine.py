@@ -560,6 +560,11 @@ def test_level_functions_agree_on_every_storage(m, n, mode):
     for call in calls:
         outcomes = [level_outcome(call, storage) for storage in storages]
         assert outcomes[0] == outcomes[1] == outcomes[2], outcomes
+    for j in (0, -1, m + 1):
+        out_of_range = (IndexError, f"variable index {j} out of range 1..{m}")
+        for storage in storages:
+            assert level_outcome(lambda s: find_phase(s, j, 1), storage) == out_of_range
+            assert level_outcome(lambda s: reduce_step(s, j, 0.3), storage) == out_of_range
     # the message of a non-finite peel names a flat slot on the box and an
     # exponent key on the terms
     for phi in (math.nan, math.inf):
@@ -569,20 +574,6 @@ def test_level_functions_agree_on_every_storage(m, n, mode):
                 for storage in storages
             ]
             assert outcomes[0] == outcomes[1] == outcomes[2], (phi, j, outcomes)
-
-
-@pytest.mark.parametrize("m,n", [(2, 6), (3, 5)])
-def test_level_functions_check_the_variable_index(m, n):
-    pair = evaluate_sequence(random_sequence(OracleConfig(m, n, 3)))
-    for storage in (pair, pair._box, pickle.loads(pickle.dumps(pair))):
-        for j in (0, -1, m + 1):
-            message = f"variable index {j} out of range 1..{m}"
-            with pytest.raises(IndexError) as raised:
-                find_phase(storage, j, 1)
-            assert str(raised.value) == message
-            with pytest.raises(IndexError) as raised:
-                reduce_step(storage, j, 0.3)
-            assert str(raised.value) == message
 
 
 def test_trace_states_are_pairs(layout):
@@ -1223,7 +1214,7 @@ def test_opening_degree_rejects_are_sound(m, tol):
             near = within_half_tol(seq, tol, rng)
             assert near.approx_eq(evaluate_sequence(seq), tol)
             # tol <= 1 / (2 L + 1) for L <= 2^n terms of the product's P
-            assert near._visible_degrees(tol * max(1.0, *near._moduli)) is not None
+            assert near._moduli[0] > tol * max(1.0, *near._moduli)
             s = sum(engine.effective_degrees(near, tol))
             assert s <= n and (n - s) % 2 == 0, (mode, n, s)
             steps = run_decision(near, n, tol).steps
