@@ -3,10 +3,12 @@
 ``PairBox`` holds P and Q as flat coefficient lists on one centred stride-2
 box, of which only the half that the inversion symmetries do not fix is
 stored.  ``su2.evaluate_sequence`` steps a pair on it, multiplying by
-(a_j +- a_j^{-1})/2 in one shift-add pass (``_halves``); the step
-(``PairBox._step``) also trims the zero end rows it leaves and hands a pair
-that gets too sparse over as terms.  The decision in ``engine`` peels
-factors off the box with the same step front.  The density rule that says
+(a_j +- a_j^{-1})/2: one pass (``_halves``) places two shifted copies of
+the halved input, and the step's combine adds and subtracts them in its
+one pass per component.  The step (``PairBox._step``) also trims the zero
+end rows it leaves and hands a pair that gets too sparse over as terms.
+The decision in ``engine`` peels factors off the box with the same step
+front.  The density rule that says
 when a pair is too sparse for its box, ``_BOX_PER_TERM``, lives here, for
 evaluation, the decision's layout and the unit-norm filter.  The module also
 holds the general lattice of a pair (``_lattice``, ``_placed``) and the
@@ -54,7 +56,7 @@ class PairBox:
     largest |coefficient| of P and of Q, is read from them when first
     asked for.  The peel keeps the symmetries as evaluation's step does: its
     value at -k is the same sum as at k with its terms swapped, or negated
-    for Q, and ``_turned`` keeps an empty slot from gaining a -0.0 part.
+    for Q, and ``_peeled`` keeps an empty slot from gaining a -0.0 part.
 
     The box and ``PQPair`` provide the same storage primitives, over which
     the peel in ``engine`` is written once: ``_moduli``,
@@ -65,9 +67,11 @@ class PairBox:
     Evaluation's ``_step`` and the decision's ``_peel`` share one front
     (``_front``): the input prefix the new half depends on, and one
     ``_halves`` pass over P and Q together, the one place where the two
-    sit in one list.  Each direction then runs
-    its combine (``_stepped``, ``_peeled``) on P's and Q's parts, as
-    ``PQPair`` does on its terms, so both layouts give the same values.
+    sit in one list, which hands back two shifted copies of each, cut to
+    the new half.  Each direction's combine (``_stepped``, ``_peeled``)
+    then adds and subtracts P's and Q's copies in its one pass per output
+    list, as it does on the copies of ``PQPair``'s terms, so both layouts
+    give the same values.
     """
 
     __slots__ = ("variables", "rows", "p_half", "q_half", "_sizes", "_tops")
@@ -221,8 +225,12 @@ class PairBox:
 
     def _front(self, i: int) -> tuple:
         """The rows of the box grown by one row along axis ``i``, and the
-        first half of the product's slots of P and of Q times (a + a^{-1})/2
-        and times (a - a^{-1})/2: P's cosine part, Q's, P's sine part, Q's.
+        first half of the grown box's slots of the two copies of P / 2 and
+        of Q / 2 shifted along it (``_halves``): P's low copy, which holds
+        the coefficient at k - e_i at k, P's high copy, which holds the one
+        at k + e_i, then Q's low and high copies.  A component's copies sum
+        to its product with (a + a^{-1})/2 and differ by its product with
+        (a - a^{-1})/2; the combine forms both.
 
         The front reads the input rows that the new half depends on: the
         chunks of the axes before ``i`` up to the one the half ends in, or
@@ -236,9 +244,9 @@ class PairBox:
         chunk = min(rows[i], (half - 1) // block + 1) * block
         length = ((half - 1) // (grown[i] * block) + 1) * chunk
         p, q = self._prefixes(length)
-        cos, sin = _halves(p + q, chunk, block)
-        out = len(cos) // 2
-        return grown, cos[:half], cos[out : out + half], sin[:half], sin[out : out + half]
+        low, high = _halves(p + q, chunk, block)
+        out = len(low) // 2
+        return grown, low[:half], high[:half], low[out : out + half], high[out : out + half]
 
     # -- the box geometry -------------------------------------------------------
 
@@ -287,17 +295,20 @@ class PairBox:
 
 
 def _halves(values: list, chunk: int, pad: int) -> tuple[list, list]:
-    """``values`` times (a + a^{-1})/2 and times (a - a^{-1})/2, for a the
-    variable of one box axis: the step kernel.  ``values`` is a run of
-    chunks of ``chunk`` entries, one chunk per index of the axes before the
-    stepped one, and each chunk grows by ``pad`` entries, one row of the
-    stepped axis, below and above.  The products are not cut; evaluation's
-    step cuts once, after the whole step.
+    """The two shifted copies of ``values`` / 2 whose sum is ``values``
+    times (a + a^{-1})/2 and whose difference is ``values`` times
+    (a - a^{-1})/2, for a the variable of one box axis: the step kernel's
+    shift.  ``values`` is a run of chunks of ``chunk`` entries, one chunk
+    per index of the axes before the stepped one, and each chunk grows by
+    ``pad`` entries, one row of the stepped axis, below and above.  The
+    products are not cut; evaluation's step cuts once, after the whole
+    step.
 
     The product's coefficient at k is 0j + c[k - e] / 2 +- c[k + e] / 2,
     and c[k - e] sits one row below c[k + e] on the grown axis.  So the
-    halved input is padded with zero rows below and above, and one pass
-    adds the two copies, another subtracts them.  Adding two terms
+    halved input is padded with a zero row below, the low copy ``below``,
+    and with one above, the high copy ``above``, and the combines of
+    ``su2`` add and subtract the two slot by slot.  Adding two terms
     commutes, and subtracting c[k + e] / 2 instead of adding
     c[k + e] * (-0.5) changes at most the sign of a zero part, which
     vanishes in the sum (the first term, 0j + x, has no -0.0 part), so the
@@ -323,7 +334,7 @@ def _halves(values: list, chunk: int, pad: int) -> tuple[list, list]:
             column = half[at::chunk]
             below[pad + at :: grown] = column
             above[at::grown] = column
-    return list(map(add, below, above)), list(map(sub, below, above))
+    return below, above
 
 
 def _lattice(pair: PQPair) -> tuple[list[int], list[int], list[int]]:

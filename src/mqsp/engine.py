@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import repeat
-from operator import mul, sub
+from operator import index, mul, sub
 
 from .laurent import DROP_EPS, EPS, _axis, _budget, _tolerance
 from .box import PairBox, _lattice
@@ -158,13 +158,14 @@ def find_phase(pair: PQPair | PairBox, j: int, degree: int, tol: float = EPS) ->
     principal representative in (-pi/2, pi/2]; any representative mod pi
     reproduces the pair.  A ``PQPair`` stored as its box is read on the
     box, as ``effective_degrees`` and ``reduce_step`` read it.  ``tol``
-    must be a finite number >= 0, or ValueError is raised, and ``j`` a
-    variable index from 1 to m, or IndexError is raised, on either storage
-    and on a ``PairBox``.
+    must be a finite number >= 0, or ValueError is raised, ``j`` a
+    variable index from 1 to m, or IndexError is raised, and ``degree`` an
+    integer by ``operator.index``, or TypeError is raised (a float such as
+    2.0 too), on either storage and on a ``PairBox``.
     """
     tol = _tolerance(tol)
     _axis(j, pair.variables)
-    cp, cq = (pair._box or pair)._top_slices(j, degree)
+    cp, cq = (pair._box or pair)._top_slices(j, index(degree))
     top_p = max(map(abs, cp), default=0.0)
     sizes = list(map(abs, cq))
     top_q = max(sizes, default=0.0)

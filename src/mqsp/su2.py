@@ -8,7 +8,8 @@ operator per variable, constant z-rotations, their matrix products, and the
 ``evaluate_sequence`` carries only the top row.  It steps the pair on a
 ``box.PairBox``: P and Q as flat coefficient lists on one centred stride-2
 box, of which only the half that the inversion symmetries do not fix is
-stored, and where multiplying by (a_j +- a_j^{-1})/2 is one shift-add pass.
+stored, and where multiplying by (a_j +- a_j^{-1})/2 is one shift pass,
+whose two copies the step's combine adds and subtracts.
 Its one loop calls the state's ``_step``: ``PairBox._step`` trims the
 box's zero end rows and hands the pair over as terms once the box gets too
 sparse (the density rule, ``box._BOX_PER_TERM``), and ``PQPair._step``
@@ -20,7 +21,7 @@ and builds its terms only when they are read.  The decision in ``engine``
 peels factors off the same half box with the same step front.  A pair
 whose box would be mostly empty, or that lacks the symmetries (a perturbed
 or hand-written document, say), stays as ``LaurentPoly`` terms, whose
-front makes the same shift-add on the exponent keys; both layouts share
+front makes the same shift on the exponent keys; both layouts share
 one combine per direction, so they give bitwise the same values.  The peel
 makes no ``DROP_EPS`` cut; evaluation makes one per step, after the whole
 step.  Multiplying the full ``Mat2`` factors out term by term without
@@ -315,9 +316,9 @@ class PQPair(_BoxSlot):
 
     def _front(self, j: int) -> tuple:
         """``PairBox._front`` on the terms: the product's keys, and the four
-        parts aligned on them.  As in ``_halves``, each term's 0j + c / 2 is
-        copied to k + e_j and k - e_j, and each key adds (cosine) or
-        subtracts (sine) its two copies, an absent one being 0j."""
+        shifted copies aligned on them.  As in ``_halves``, each term's
+        0j + c / 2 is copied to k + e_j, P's or Q's low copy, and to
+        k - e_j, its high copy; a key that a copy misses holds 0j there."""
         i = j - 1
         copies = []  # P's terms moved up and down, then Q's
         for terms in (self.p.terms, self.q.terms):
@@ -325,10 +326,7 @@ class PQPair(_BoxSlot):
             for e in (1, -1):
                 copies.append(dict(zip([k[:i] + (k[i] + e,) + k[i + 1 :] for k in terms], halves)))
         keys = list(dict.fromkeys(chain(*copies)))
-        p_low, p_high, q_low, q_high = (list(map(c.get, keys, repeat(_ZERO))) for c in copies)
-        cos = list(map(add, p_low, p_high)), list(map(add, q_low, q_high))
-        sin = list(map(sub, p_low, p_high)), list(map(sub, q_low, q_high))
-        return keys, *cos, *sin
+        return keys, *[list(map(c.get, keys, repeat(_ZERO))) for c in copies]
 
     def _truncated(self, j: int, top: int, cutoff: float) -> PQPair:
         """``PairBox._truncated`` on the terms."""
@@ -350,15 +348,19 @@ _ZERO = 0j
 _HALF = complex(0.5)
 
 
-def _stepped(p_cos: list, q_cos: list, p_sin: list, q_sin: list, phase: complex) -> tuple:
-    """Evaluation's combine in both layouts: P's cosine part plus Q's sine
-    part turned as 0j + x e^{i phi}, the product with a constant, and Q's
-    cosine part plus P's sine part as 0j + x e^{-i phi}.  Then each is cut
-    once: its values at or below ``DROP_EPS`` times max(1, its own largest
-    modulus) become 0j.  Returns P, Q and their moduli, which the cut
-    measures and which are 0.0 where it cuts."""
+def _stepped(p_low: list, p_high: list, q_low: list, q_high: list, phase: complex) -> tuple:
+    """Evaluation's combine in both layouts, on the front's shifted copies.
+    A component's cosine part is its low copy plus its high one, and its
+    sine part its low copy less its high one.  P's cosine part plus Q's sine
+    part is turned as 0j + x e^{i phi}, the product with a constant, and
+    Q's cosine part plus P's sine part as 0j + x e^{-i phi}, each in one
+    pass over the copies.  Then each is cut once: its values at or below
+    ``DROP_EPS`` times max(1, its own largest modulus) become 0j.  Returns
+    P, Q and their moduli, which the cut measures and which are 0.0 where
+    it cuts."""
     out = []
-    for cos, sin, turn in (p_cos, q_sin, phase), (q_cos, p_sin, phase.conjugate()):
+    for cos, sin, turn in ((map(add, p_low, p_high), map(sub, q_low, q_high), phase),
+                           (map(add, q_low, q_high), map(sub, p_low, p_high), phase.conjugate())):
         part = list(map(add, repeat(_ZERO), map(mul, map(add, cos, sin), repeat(turn))))
         sizes = list(map(abs, part))
         cutoff = DROP_EPS * max(1.0, max(sizes))
@@ -370,13 +372,19 @@ def _stepped(p_cos: list, q_cos: list, p_sin: list, q_sin: list, phase: complex)
     return p, q, (p_sizes, q_sizes)
 
 
-def _peeled(p_cos: list, q_cos: list, p_sin: list, q_sin: list, e: complex) -> tuple:
-    """The peel's combine in both layouts, with no cut: P's cosine part
-    turned by e^{-i phi} less Q's sine part turned by e^{i phi}, and Q's
-    cosine part turned by e^{i phi} less P's sine part turned by e^{-i phi}."""
+def _peeled(p_low: list, p_high: list, q_low: list, q_high: list, e: complex) -> list:
+    """The peel's combine in both layouts, on the front's shifted copies and
+    with no cut: P's cosine part turned by e^{-i phi} less Q's sine part
+    turned by e^{i phi}, and Q's cosine part turned by e^{i phi} less P's
+    sine part turned by e^{-i phi}, each in one pass over the copies, the
+    parts formed as in ``_stepped``.  A zero part stays ``0j`` when turned:
+    a product of polynomials holds no term there, and 0j times e can have a
+    -0.0 part that would leak into the difference.  A nonzero value times a
+    unimodular factor is never zero, even below the normal range."""
     ec = e.conjugate()
-    return (list(map(sub, _turned(p_cos, ec), _turned(q_sin, e))),
-            list(map(sub, _turned(q_cos, e), _turned(p_sin, ec))))
+    return [[(x * c if x else _ZERO) - (y * d if y else _ZERO) for x, y in zip(cos, sin)]
+            for cos, sin, c, d in ((map(add, p_low, p_high), map(sub, q_low, q_high), ec, e),
+                                   (map(add, q_low, q_high), map(sub, p_low, p_high), e, ec))]
 
 
 def _as_terms(variables: int, keys: list, *parts: list) -> tuple[LaurentPoly, ...]:
@@ -386,14 +394,6 @@ def _as_terms(variables: int, keys: list, *parts: list) -> tuple[LaurentPoly, ..
         LaurentPoly._from_arithmetic(variables, dict(compress(zip(keys, values), values)), 0.0)
         for values in parts
     )
-
-
-def _turned(values: list, c: complex) -> list:
-    """``values`` times the unimodular ``c``, with every zero slot left as
-    ``0j``.  A product of polynomials holds no term there, and 0j * c can
-    have a -0.0 part that would leak into a later difference.  A nonzero value
-    times a unimodular factor is never zero, even below the normal range."""
-    return [v * c if v else _ZERO for v in values]
 
 
 class MqspSequence(_Record):

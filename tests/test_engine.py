@@ -355,12 +355,15 @@ def test_box_steps_keep_signed_zeros_and_holes():
 def test_box_slots_without_a_term_stay_exact_zeros():
     # 0j times a phase with a negative real part is (-0.0 + 0j); the general
     # product holds no term there, so the box must hold 0j, or a -0.0 part
-    # would leak into a difference such as 0j - (+0.0 + 1j)
-    phase = cmath.exp(-2.0j).conjugate()
+    # would leak into a difference such as 0j - (+0.0 + 1j).  P's first slot
+    # has a zero cosine part and Q a zero sine part, so the peel's P there
+    # is 0j - 0j; its second slot's cosine part is 0.5 + 0.5j
+    e = cmath.exp(-2.0j)
+    phase = e.conjugate()
     assert repr(0j * phase) != "0j"
-    values = su2._turned([0j, 0.5 + 0.5j], phase)
-    assert repr(values[0]) == "0j"
-    assert values[1] == (0.5 + 0.5j) * phase
+    p, _ = su2._peeled([0j, 0.25 + 0.25j], [0j, 0.25 + 0.25j], [0j, 0j], [0j, 0j], e)
+    assert repr(p[0]) == "0j"
+    assert p[1] == (0.5 + 0.5j) * phase
 
 
 def test_box_peel_keeps_slots_without_a_term_exact_zeros():
@@ -541,8 +544,9 @@ def level_outcome(call, storage, exact=True):
 def test_level_functions_agree_on_every_storage(m, n, mode):
     # an evaluated pair stored as its box, the box itself and the pair's
     # term copy give one value, or one exception and message, for a
-    # variable index in or out of 1..m, a degree above the top row or of
-    # the other parity, and a tolerance that is not a finite number >= 0
+    # variable index in or out of 1..m, a degree above the top row, of
+    # the other parity or not an integer, and a tolerance that is not a
+    # finite number >= 0
     pair = evaluate_sequence(random_sequence(OracleConfig(m, n, 6800 + m, mode)))
     storages = (pair, pair._box, pickle.loads(pickle.dumps(pair)))
     assert pair._box is not None and storages[2]._box is None
@@ -552,7 +556,7 @@ def test_level_functions_agree_on_every_storage(m, n, mode):
         calls.append(lambda s, tol=tol: engine.effective_degrees(s, tol))
         for j in (0, -1, m + 1, *range(1, m + 1)):
             top = degrees[j - 1] if 1 <= j <= m else max(degrees)
-            for degree in (top, top + 1, top + 2):
+            for degree in (top, top + 1, top + 2, float(top), str(top), None):
                 calls.append(lambda s, j=j, d=degree, tol=tol: find_phase(s, j, d, tol))
     for j in (0, -1, m + 1, *range(1, m + 1)):
         phi = find_phase(pair, j, degrees[j - 1], TOL) if 1 <= j <= m else None
@@ -565,6 +569,11 @@ def test_level_functions_agree_on_every_storage(m, n, mode):
         for storage in storages:
             assert level_outcome(lambda s: find_phase(s, j, 1), storage) == out_of_range
             assert level_outcome(lambda s: reduce_step(s, j, 0.3), storage) == out_of_range
+    # a degree that is not an integer is refused as operator.index refuses it
+    for degree in (2.0, "2", None):
+        for storage in storages:
+            outcome = level_outcome(lambda s: find_phase(s, 1, degree), storage, exact=False)
+            assert outcome == (TypeError, None), (degree, outcome)
     # the message of a non-finite peel names a flat slot on the box and an
     # exponent key on the terms
     for phi in (math.nan, math.inf):
