@@ -51,17 +51,21 @@ class PairBox:
     first ceil(N / 2) slots of P and of Q, and the rest is their mirror
     image (``_prefixes``).  Absent terms are exact zeros ``0j``.
     ``_sizes`` holds the moduli of the stored slots of P and of Q, which
-    the step's cut, the peel or the trim that built the box hands over, and
+    the step's cut or the trim that built the box hands over, and
     which are otherwise measured when the box is built; ``_moduli``, the
     largest |coefficient| of P and of Q, is read from them when first
     asked for.  The peel keeps the symmetries as evaluation's step does: its
     value at -k is the same sum as at k with its terms swapped, or negated
-    for Q, and ``_peeled`` keeps an empty slot from gaining a -0.0 part.
+    for Q, and both combines end each value in 0j + v, so no slot gains a
+    -0.0 part.
 
     The box and ``PQPair`` provide the same storage primitives, over which
     the peel in ``engine`` is written once: ``_moduli``,
     ``_visible_degrees``, ``_top_slices``, ``_origin``, ``_peel``,
-    ``_truncated`` and ``to_pair``.  Those that take a variable index take
+    ``_truncated`` and ``to_pair``.  Each storage reads its quiet end rows
+    by one scan, which ``_visible_degrees`` asks about P and ``_truncated``
+    about P and Q: ``_quiet_rows`` on the box, ``su2._visible_keys`` on the
+    terms.  Those that take a variable index take
     it checked: the level functions of ``engine`` check it by
     ``laurent._axis``, and the walk and evaluation pass valid ones.
     Evaluation's ``_step`` and the decision's ``_peel`` share one front
@@ -125,20 +129,13 @@ class PairBox:
         return self._tops
 
     def _visible_degrees(self, cutoff: float) -> tuple[int, ...]:
-        """P's degrees over its slots above ``cutoff``; zeros when no slot
-        is visible."""
+        """P's degrees over its slots above ``cutoff``: per axis, the top
+        exponent n - 1 less 2 per pair of quiet end rows of P
+        (``_quiet_rows``); zeros when no slot is visible."""
         if not self._moduli[0] > cutoff:
             return (0,) * self.variables
-        # rows k and -k hold the same moduli, so the first visible row of
-        # an axis gives its degree
-        sizes = self._sizes[0]
-        degrees = []
-        for i, n in enumerate(self.rows):
-            first = 0
-            while not self._row_top(sizes, i, first) > cutoff:
-                first += 1
-            degrees.append(n - 1 - 2 * first)
-        return tuple(degrees)
+        return tuple([n - 1 - 2 * self._quiet_rows(i, self._sizes[:1], cutoff, n)
+                      for i, n in enumerate(self.rows)])
 
     def _top_slices(self, j: int, exponent: int) -> tuple[list, list]:
         """Row r of axis j - 1 of P and of Q in flat order, read from the
@@ -177,16 +174,13 @@ class PairBox:
         """The box without the rows of variable ``j`` beyond +-``top`` whose
         entries in P and Q are all at or below ``cutoff``, trimmed from both
         ends of the axis: from either end, the first row within +-``top`` or
-        with an entry above the cutoff stops the trim.  With ``top`` below 0
-        any row can go.  Rows r and -r hold the same moduli, so they go in
-        mirrored pairs."""
+        with an entry above the cutoff stops the trim (``_quiet_rows``).
+        With ``top`` below 0 any row can go.  Rows r and -r hold the same
+        moduli, so they go in mirrored pairs."""
         i, n = j - 1, self.rows[j - 1]
-        parts = self._sizes
-        trim = 0
-        while 2 * trim < n and n - 1 - 2 * trim > top and not any(
-            self._row_top(part, i, trim) > cutoff for part in parts
-        ):
-            trim += 1
+        # (n - top) // 2 rows lie beyond +-top, and (n + 1) // 2 pairs of
+        # mirrored rows make the axis
+        trim = self._quiet_rows(i, self._sizes, cutoff, min(n + 1, n - top) // 2)
         if not trim:
             return self
         rows = list(self.rows)
@@ -194,11 +188,9 @@ class PairBox:
         # the kept rows are centred as before, so the new half is a prefix
         # of the kept rows' entries in the old one
         half = (math.prod(rows) + 1) // 2
-        p, q, p_sizes, q_sizes = (
-            self._rows(values, i, trim, trim + rows[i])[:half]
-            for values in (self.p_half, self.q_half, *parts)
-        )
-        return PairBox(rows, p, q, (p_sizes, q_sizes))
+        p, q, *sizes = [self._rows(values, i, trim, trim + rows[i])[:half]
+                        for values in (self.p_half, self.q_half, *self._sizes)]
+        return PairBox(rows, p, q, sizes)
 
     # -- the step front -------------------------------------------------------
 
@@ -261,14 +253,21 @@ class PairBox:
         far = slice(slots - length, slots - size)
         return p + p[far][::-1], q + list(map(sub, repeat(_ZERO), q[far][::-1]))
 
-    def _row_top(self, sizes: list, i: int, r: int) -> float:
-        """The largest modulus in row ``r`` of axis ``i`` of the whole box,
-        from ``sizes``, the moduli of P's or Q's half: the row's slots in the
-        half and those of row n - 1 - r, which hold the mirror images of the
-        rest; 0.0 for an empty row."""
-        n = self.rows[i]
-        row = self._rows(sizes, i, r, r + 1) + self._rows(sizes, i, n - 1 - r, n - r)
-        return max(row, default=0.0)
+    def _quiet_rows(self, i: int, parts: tuple, cutoff: float, limit: int) -> int:
+        """The number of mirrored end rows r and n - 1 - r of axis ``i``,
+        for r = 0, 1, ... up to ``limit``, whose stored moduli in ``parts``
+        (those of P's half, or of P's and Q's) are all at or below
+        ``cutoff``: the count stops at the first pair that holds one above.
+        Row r's slots past the half are the mirror images of row
+        n - 1 - r's in it, so each pair is read from the half."""
+        n, count = self.rows[i], 0
+        while count < limit:
+            for sizes in parts:
+                for r in (count, n - 1 - count):
+                    if max(self._rows(sizes, i, r, r + 1), default=0.0) > cutoff:
+                        return count
+            count += 1
+        return count
 
     def _rows(self, values: list, i: int, start: int, stop: int) -> list:
         """The entries of ``values``, the box's first slots, in rows ``start``

@@ -22,12 +22,15 @@ peels factors off the same half box with the same step front.  A pair
 whose box would be mostly empty, or that lacks the symmetries (a perturbed
 or hand-written document, say), stays as ``LaurentPoly`` terms, whose
 front makes the same shift on the exponent keys; both layouts share
-one combine per direction, so they give bitwise the same values.  The peel
-makes no ``DROP_EPS`` cut; evaluation makes one per step, after the whole
-step.  Multiplying the full ``Mat2`` factors out term by term without
-cuts, and cutting the product once after each step, is the independent
-test oracle; the public ``Mat2`` product itself cuts after every
-operation.
+one combine per direction, so they give bitwise the same values.  Both
+combines end each value in 0j + v, the one zero rule: no zero part is
+-0.0.  Each storage reads its quiet end rows by one scan, which gives both
+its degrees and its trim (``PairBox._quiet_rows`` on the box,
+``_visible_keys`` on the terms).  The peel makes no ``DROP_EPS`` cut;
+evaluation makes one per step, after the whole step.  Multiplying the
+full ``Mat2`` factors out term by term without cuts, and cutting the
+product once after each step, is the independent test oracle; the public
+``Mat2`` product itself cuts after every operation.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import chain, compress, repeat
-from operator import add, mul, neg, sub
+from operator import add, itemgetter, mul, neg, sub
 
-from .laurent import DROP_EPS, EPS, LaurentPoly, _axis, _tolerance, _variables
+from .laurent import DROP_EPS, EPS, LaurentPoly, _axis, _budget, _tolerance, _variables
 
 
 #: Stores a field of a record from its constructor, past ``_Record.__setattr__``.
@@ -286,10 +289,10 @@ class PQPair(_BoxSlot):
         return (self.p.max_modulus(), self.q.max_modulus()) if box is None else box._moduli
 
     def _visible_degrees(self, cutoff: float) -> tuple[int, ...]:
-        """P's degrees over its terms above ``cutoff``; zeros when no term
-        is visible, as the origin's key heads the columns."""
-        terms = self.p.terms
-        visible = compress(terms, map(cutoff.__lt__, map(abs, terms.values())))
+        """P's degrees over its terms above ``cutoff`` (``_visible_keys``);
+        zeros when no term is visible, as the origin's key heads the
+        columns."""
+        visible = _visible_keys(cutoff, self.p.terms)
         return tuple(max(map(abs, column)) for column in zip((0,) * self.variables, *visible))
 
     def _top_slices(self, j: int, exponent: int) -> tuple[list, list]:
@@ -329,10 +332,10 @@ class PQPair(_BoxSlot):
         return keys, *[list(map(c.get, keys, repeat(_ZERO))) for c in copies]
 
     def _truncated(self, j: int, top: int, cutoff: float) -> PQPair:
-        """``PairBox._truncated`` on the terms."""
+        """``PairBox._truncated`` on the terms, whose bounds are the keys
+        above ``cutoff`` (``_visible_keys``)."""
         i = j - 1
-        terms = [*self.p.terms.items(), *self.q.terms.items()]
-        bounds = [k[i] for k, c in terms if not abs(c) <= cutoff]
+        bounds = list(map(itemgetter(i), _visible_keys(cutoff, self.p.terms, self.q.terms)))
         if top >= 0:
             bounds += (-top, top)
         low, high = min(bounds, default=1), max(bounds, default=0)
@@ -354,7 +357,8 @@ def _stepped(p_low: list, p_high: list, q_low: list, q_high: list, phase: comple
     sine part its low copy less its high one.  P's cosine part plus Q's sine
     part is turned as 0j + x e^{i phi}, the product with a constant, and
     Q's cosine part plus P's sine part as 0j + x e^{-i phi}, each in one
-    pass over the copies.  Then each is cut once: its values at or below
+    pass over the copies; the 0j + is the zero rule that ``_peeled``
+    follows too.  Then each is cut once: its values at or below
     ``DROP_EPS`` times max(1, its own largest modulus) become 0j.  Returns
     P, Q and their moduli, which the cut measures and which are 0.0 where
     it cuts."""
@@ -377,14 +381,23 @@ def _peeled(p_low: list, p_high: list, q_low: list, q_high: list, e: complex) ->
     with no cut: P's cosine part turned by e^{-i phi} less Q's sine part
     turned by e^{i phi}, and Q's cosine part turned by e^{i phi} less P's
     sine part turned by e^{-i phi}, each in one pass over the copies, the
-    parts formed as in ``_stepped``.  A zero part stays ``0j`` when turned:
-    a product of polynomials holds no term there, and 0j times e can have a
-    -0.0 part that would leak into the difference.  A nonzero value times a
-    unimodular factor is never zero, even below the normal range."""
+    parts formed as in ``_stepped``.  Each value ends as 0j + (x c - y d),
+    for x the cosine part and y the sine part, the zero rule of
+    ``_stepped``: 0j times a turn can have a -0.0 part, and adding it to 0j
+    makes that +0.0, so a slot where the product holds no term is 0j."""
     ec = e.conjugate()
-    return [[(x * c if x else _ZERO) - (y * d if y else _ZERO) for x, y in zip(cos, sin)]
-            for cos, sin, c, d in ((map(add, p_low, p_high), map(sub, q_low, q_high), ec, e),
-                                   (map(add, q_low, q_high), map(sub, p_low, p_high), e, ec))]
+    return [list(map(add, repeat(_ZERO), map(sub, map(mul, x, repeat(c)), map(mul, y, repeat(d)))))
+            for x, y, c, d in ((map(add, p_low, p_high), map(sub, q_low, q_high), ec, e),
+                               (map(add, q_low, q_high), map(sub, p_low, p_high), e, ec))]
+
+
+def _visible_keys(cutoff: float, *terms: dict) -> list:
+    """The keys of ``terms``, the term dicts of P or of P and Q, whose
+    values lie above ``cutoff``: the one scan of a pair held as terms, for
+    its degrees (``PQPair._visible_degrees``) and its trim
+    (``PQPair._truncated``)."""
+    moduli = map(abs, chain.from_iterable(map(dict.values, terms)))
+    return list(compress(chain(*terms), map(cutoff.__lt__, moduli)))
 
 
 def _as_terms(variables: int, keys: list, *parts: list) -> tuple[LaurentPoly, ...]:
@@ -402,8 +415,10 @@ class MqspSequence(_Record):
     ``indices`` are 1-based variable choices; there is always exactly one
     more phase than there are indices.  ``variables`` passes the variable
     count check of ``LaurentPoly`` (``laurent._variables``), so a float
-    count raises TypeError; ``phases`` and ``indices`` are stored as tuples
-    of float and of int.
+    count raises TypeError, and the step count passes the budget check of
+    the decision (``laurent._budget``), so a sequence of more than
+    ``MAX_STEPS`` steps raises ValueError; ``phases`` and ``indices`` are
+    stored as tuples of float and of int.
     """
 
     __slots__ = ("variables", "phases", "indices")
@@ -412,6 +427,7 @@ class MqspSequence(_Record):
         variables = _variables(variables)
         phases = tuple(map(float, phases))
         indices = tuple(map(int, indices))
+        _budget(len(indices))
         if not all(map(math.isfinite, phases)):
             phi = next(phi for phi in phases if not math.isfinite(phi))
             raise ValueError(f"phase {phi!r} is not finite")
@@ -473,8 +489,9 @@ def evaluate_sequence(seq: MqspSequence) -> PQPair:
     inversion symmetries P(a^{-1}) = P(a) and Q(a^{-1}) = -Q(a) bitwise:
     P's coefficient at -k is the same sum as at k with its terms swapped,
     and addition commutes; Q's is the sum of the negated terms, and
-    rounding to nearest commutes with negation.  Every list of the step
-    passes through 0j + x, or is a sum or difference of such lists, so no
+    rounding to nearest commutes with negation.  Every list that either
+    direction builds passes through 0j + x (the front's halved input and
+    each combine's values), or is a sum or difference of such lists, so no
     zero part is -0.0, and Q's coefficient at -k is 0j - v for v the one at
     k, which the cut keeps: a slot and its mirror have one modulus.  So the
     state is the half box, the first ceil(N / 2) slots of P and of Q in two

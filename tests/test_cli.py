@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mqsp import LaurentPoly, PQPair
+from mqsp import LaurentPoly, PQPair, laurent
 from mqsp.cli import main
 from mqsp.documents import save_pair
 from helpers import OVERFLOWING_MISMATCH
@@ -416,6 +416,22 @@ def test_verify_oversized_phase_is_an_input_error(identity_path, tmp_path, capsy
     assert err.startswith("error: ") and "range of a double" in err
 
 
+def test_verify_refuses_a_sequence_past_the_step_bound(identity_path, tmp_path, capsys,
+                                                       monkeypatch):
+    # a sequence document passes the decision's budget check: with the bound
+    # at 2 steps, the 2-step padding still verifies and 4 steps are refused
+    monkeypatch.setattr(laurent, "MAX_STEPS", 2)
+    pad = write_sequence(tmp_path, "pad.json", 1, [0.0, math.pi / 2, -math.pi / 2], [1, 1])
+    assert main(["verify", identity_path, pad]) == 0
+    capsys.readouterr()
+    phases = [0.0] + [math.pi / 2, -math.pi / 2] * 2
+    seq = write_sequence(tmp_path, "long.json", 1, phases, [1] * 4)
+    assert main(["verify", identity_path, seq]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {seq}: need at most 2 steps, got 4\n"
+
+
 def test_verify_arity_mismatch(identity_path, tmp_path, capsys):
     seq = write_sequence(tmp_path, "two.json", 2, [0.0, 0.0], [2])
     assert main(["verify", identity_path, seq]) == 2
@@ -469,6 +485,20 @@ def test_gen_invalid_parameters(tmp_path):
         "--pair-out", str(tmp_path / "p.json"), "--sequence-out", str(tmp_path / "s.json"),
     ]
     assert main(args) == 2
+
+
+def test_gen_refuses_a_negative_seed(tmp_path, capsys):
+    # random.Random seeds with |seed|, so --seed -5 would write seed 5's
+    # pair under the name seed-5
+    pair_out = tmp_path / "p.json"
+    args = [
+        "gen", "-m", "1", "--steps", "2", "--seed", "-5",
+        "--pair-out", str(pair_out), "--sequence-out", str(tmp_path / "s.json"),
+    ]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: seed must be non-negative, got -5\n"
+    assert not pair_out.exists()
 
 
 def test_gen_unwritable_output(tmp_path, capsys):

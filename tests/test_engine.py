@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -666,6 +667,34 @@ def test_a_box_with_empty_end_rows_acts_as_its_term_twin():
                     assert verdict == stored_twin.is_normalized(tol) == (factor == 1.0)
             assert padded.normalization_defect() <= 1e-13
             assert repr(padded.normalization_defect()) == repr(twin.normalization_defect())
+    # quiet end rows, which hold terms at or below the cutoff: axis j has
+    # the visible rows 0 and +-2 and the quiet rows +-4, +-6 and +-8.  The
+    # trim at top = 5, as the walk trims after a peel at degree 6, drops the
+    # two rows beyond +-5 and keeps +-4; at top = -1 it drops all three, or
+    # every row when none is visible.  A row limit one off keeps or drops a
+    # pair of rows too many, on the box and on the terms alike
+    for m, j in ((1, 1), (2, 1), (2, 2)):
+        axes = [range(-8, 9, 2) if i == j - 1 else (-1, 1) for i in range(m)]
+        keys = list(itertools.product(*axes))
+        scale = {k: 1.0 if abs(k[j - 1]) <= 2 else 1e-12 for k in keys}
+        pair = PQPair(
+            LaurentPoly(m, {k: scale[k] * (1 + 0.1 * k[0] * k[-1]) for k in keys}),
+            LaurentPoly(m, {k: scale[k] * sum(k) / 8 for k in keys}),
+        )
+        box = PairBox.from_pair(pair)
+        assert box is not None and box.rows[j - 1] == 9
+        degrees = tuple(2 if i == j - 1 else 1 for i in range(m))
+        trimmed = []
+        for state in (box, pair):
+            assert state._visible_degrees(1e-9) == degrees
+            kept = []
+            for top, cutoff in ((5, 1e-9), (-1, 1e-9), (-1, 10.0)):
+                cut = state._truncated(j, top, cutoff).to_pair()
+                kept.append(max((abs(k[j - 1]) for k in cut.p.terms), default=None))
+                trimmed.append((fingerprint(cut.p), fingerprint(cut.q)))
+            assert kept == [4, 2, None], (m, j, state)
+        assert trimmed[:3] == trimmed[3:]
+        assert box._truncated(j, -1, 10.0).rows[j - 1] == 0
 
 
 def test_only_centred_mirror_images_go_on_the_box():

@@ -60,6 +60,11 @@ def test_config_validation():
         OracleConfig(1, -1, seed=0)
     with pytest.raises(ValueError):
         OracleConfig(1, 1, seed=0, angle_mode="grid")
+    # random.Random draws a None seed from the system's entropy, so two
+    # draws would differ
+    for seed in (None, 1.0, "1"):
+        with pytest.raises(TypeError):
+            OracleConfig(1, 1, seed=seed)
 
 
 # -- roundtrip ------------------------------------------------------------------

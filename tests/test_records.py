@@ -200,6 +200,17 @@ MINUS_TENS = "-1" + "0" * 98 + r"\.\.\."
             )
         ),
         (lambda: OracleConfig(1, MAX_STEPS + 1, 1), r"^need at most 1000000 steps, got 1000001$"),
+        # a sequence passes the same budget check as its step count
+        (
+            lambda: MqspSequence(1, [0.0] * (MAX_STEPS + 3), [1] * (MAX_STEPS + 2)),
+            r"^need at most 1000000 steps, got 1000002$",
+        ),
+        # random.Random seeds with |seed|, so -5 would draw seed 5's sequence
+        (lambda: OracleConfig(1, 3, -5), r"^seed must be non-negative, got -5$"),
+        (
+            lambda: OracleConfig(1, 3, -(10**5000)),
+            rf"^seed must be non-negative, got {MINUS_TENS}$",
+        ),
         # a bad value shows its first 100 characters, also when it is an
         # integer past Python's 4300-digit limit on conversion to text
         (lambda: OracleConfig(1, 10**200, 1), rf"^need at most 1000000 steps, got {TENS}$"),
