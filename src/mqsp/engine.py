@@ -158,10 +158,10 @@ def find_phase(pair: PQPair | PairBox, j: int, degree: int, tol: float = EPS) ->
     principal representative in (-pi/2, pi/2]; any representative mod pi
     reproduces the pair.  A ``PQPair`` stored as its box is read on the
     box, as ``effective_degrees`` and ``reduce_step`` read it.  ``tol``
-    must be a finite number >= 0, or ValueError is raised, ``j`` a
-    variable index from 1 to m, or IndexError is raised, and ``degree`` an
-    integer by ``operator.index``, or TypeError is raised (a float such as
-    2.0 too), on either storage and on a ``PairBox``.
+    must be a finite number >= 0, or ValueError is raised, ``j`` and
+    ``degree`` integers by ``operator.index``, or TypeError is raised (a
+    float such as 2.0 too), and ``j`` from 1 to m, or IndexError is raised,
+    on either storage and on a ``PairBox``.
     """
     tol = _tolerance(tol)
     _axis(j, pair.variables)
@@ -212,9 +212,10 @@ def reduce_step(pair: PQPair | PairBox, j: int, phi: float) -> PQPair | PairBox:
     terms, and a ``PairBox`` a ``PairBox``.  This is the decision's level
     step (``_reduced``) with any row free to go and the cutoff at
     ``DROP_EPS``; the decision's own walk keeps the rows within +-(d - 1)
-    and cuts at max(tol, ``DROP_EPS``) (see ``_walk``).  ``j`` must be a
-    variable index from 1 to m, or IndexError is raised, on either storage
-    and on a ``PairBox``.
+    and cuts at max(tol, ``DROP_EPS``) (see ``_walk``).  ``j`` must be an
+    integer by ``operator.index``, or TypeError is raised, and a variable
+    index from 1 to m, or IndexError is raised, on either storage and on a
+    ``PairBox``.
     """
     _axis(j, pair.variables)
     reduced = _reduced(pair._box or pair, j, phi, -1, DROP_EPS)
@@ -399,7 +400,7 @@ def _base_case(pair: PQPair | PairBox, tol: float) -> BaseAccept | Reject:
     mod_p, mod_q = pair._moduli
     if abs(abs(c0) - 1.0) > tol:
         return Reject(0, REASON_BASE)
-    if rest > tol * max(1.0, mod_p, abs(c0)):  # P.approx_eq(constant c0)
+    if rest > tol * max(1.0, mod_p):  # P.approx_eq(constant c0)
         return Reject(0, REASON_BASE)
     if mod_q > tol * max(1.0, mod_q):  # Q.is_zero
         return Reject(0, REASON_BASE)

@@ -47,13 +47,15 @@ class LaurentPoly:
 
     The variable count passes ``_variables``, the check that ``MqspSequence``
     and ``OracleConfig`` share: an integer from 1 to ``MAX_VARIABLES``.
-    The zero polynomial is the empty mapping.  Construction normalizes the
-    term mapping: coefficients whose modulus is at most ``DROP_EPS`` times
-    the input's own maximum modulus (floored at 1) are dropped.  Operations
-    cut at the scale of their operands instead, which keeps dropping
-    behaviour stable under unimodular rescaling.  The maximum modulus of the
-    kept terms is recorded at construction, since every operation reads it
-    for its drop scale.
+    Each exponent of a key goes through ``operator.index``, the one integer
+    rule, so an exponent of 0.5, 1.0 or "a" raises TypeError here rather
+    than in a later operation.  The zero polynomial is the empty mapping.
+    Construction normalizes the term mapping: coefficients whose modulus is
+    at most ``DROP_EPS`` times the input's own maximum modulus (floored at
+    1) are dropped.  Operations cut at the scale of their operands instead,
+    which keeps dropping behaviour stable under unimodular rescaling.  The
+    maximum modulus of the kept terms is recorded at construction, since
+    every operation reads it for its drop scale.
     """
 
     __slots__ = ("variables", "terms", "_max_modulus")
@@ -62,7 +64,7 @@ class LaurentPoly:
         variables = _variables(variables)
         validated: dict[Exponents, complex] = {}
         for exps, coeff in (terms or {}).items():
-            key = tuple(exps)
+            key = tuple(map(operator.index, exps))
             if len(key) != variables:
                 raise ValueError(
                     f"exponent vector {key} has length {len(key)}, expected {variables}"
@@ -130,8 +132,11 @@ class LaurentPoly:
 
         The result keeps the ambient arity with the j-th exponent zeroed, so
         every polynomial in one computation shares the same variable count.
+        ``j`` passes ``_axis`` and ``exponent`` goes through
+        ``operator.index``: a float such as 1.0 raises TypeError.
         """
         i = _axis(j, self.variables)
+        exponent = operator.index(exponent)
         picked = {
             k[:i] + (0,) + k[i + 1 :]: c for k, c in self.terms.items() if k[i] == exponent
         }
@@ -302,7 +307,10 @@ def _require_finite(values: list, sizes: list, keys=None) -> None:
 # The argument checks live here, not in ``engine``, so that every module,
 # the command line and ``oracle`` included, runs them without loading the
 # decision.  Their messages, and those of ``documents``, show a bad value by
-# ``_shown``.
+# ``_shown``.  Every integer a caller passes, a variable count, step budget,
+# seed, variable index, sequence index or exponent, goes through
+# ``operator.index`` once: a float (2.0 included), a string or None raises
+# TypeError rather than being read as another integer.
 
 #: The longest repr of a bad value that a message shows whole.
 _SHOWN = 100
@@ -356,9 +364,12 @@ def _variables(count) -> int:
 
 
 def _axis(j: int, variables: int) -> int:
-    """The axis, from 0, of variable ``j`` of ``variables``: IndexError
-    unless 1 <= j <= variables.  Run where an index comes in from outside;
-    the step primitives of ``su2`` and ``box`` take checked indices."""
+    """The axis, from 0, of variable ``j`` of ``variables``: ``j`` by
+    ``operator.index`` (TypeError for a float, 1.0 included), then
+    IndexError unless 1 <= j <= variables.  Run where an index comes in
+    from outside; the step primitives of ``su2`` and ``box`` take checked
+    indices."""
+    j = operator.index(j)
     if not 1 <= j <= variables:
         raise IndexError(f"variable index {j} out of range 1..{variables}")
     return j - 1
@@ -376,10 +387,12 @@ def _budget(n) -> int:
     return _counted(n, 0, MAX_STEPS, "steps", "step count must be non-negative")
 
 
-def _counted(value, low: int, high: int, unit: str, below: str) -> int:
+def _counted(value, low: int, high: float, unit: str, below: str) -> int:
     """``value`` by ``operator.index``, then ValueError below ``low`` with
-    the message ``below``, then above ``high`` as "need at most ``high``
-    ``unit``"; each message ends with the value as ``_shown``."""
+    the message ``below``, then above ``high`` (``math.inf``: no bound) as
+    "need at most ``high`` ``unit``"; each message ends with the value as
+    ``_shown``.  Counts, budgets and seeds pass here; variable indices pass
+    ``_axis``, exponents and sequence indices ``operator.index`` itself."""
     value = operator.index(value)
     if value < low:
         raise ValueError(f"{below}, got {_shown(value)}")

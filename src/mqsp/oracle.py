@@ -9,9 +9,8 @@ reproducible from the synthesized parameters.
 from __future__ import annotations
 
 import math
-import operator
 
-from .laurent import EPS, _budget, _shown, _variables
+from .laurent import EPS, _budget, _counted, _variables
 from .su2 import MqspSequence, _Record, evaluate_sequence
 
 ANGLE_MODES = ("continuous", "discrete")
@@ -31,9 +30,9 @@ class OracleConfig(_Record):
     ``variables`` passes the variable count check of ``LaurentPoly``
     (``laurent._variables``), and ``steps`` goes through ``operator.index``
     as a budget does for ``engine.run_decision``: a float raises TypeError.
-    ``seed`` goes through ``operator.index`` too and must be >= 0, as
-    ``random.Random`` would draw a ``None`` seed from the system's entropy
-    and seed -s as s.
+    ``seed`` passes the same check (``laurent._counted``) with no upper
+    bound and must be >= 0, as ``random.Random`` would draw a ``None`` seed
+    from the system's entropy and seed -s as s.
     """
 
     __slots__ = ("variables", "steps", "seed", "angle_mode")
@@ -41,9 +40,7 @@ class OracleConfig(_Record):
     def __init__(self, variables: int, steps: int, seed: int, angle_mode: str = "continuous"):
         variables = _variables(variables)
         steps = _budget(steps)
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {_shown(seed)}")
+        seed = _counted(seed, 0, math.inf, "seed", "seed must be non-negative")
         if angle_mode not in ANGLE_MODES:
             raise ValueError(f"angle_mode must be one of {ANGLE_MODES}, got {angle_mode!r}")
         _Record.__init__(self, variables, steps, seed, angle_mode)

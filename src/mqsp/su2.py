@@ -38,7 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import chain, compress, repeat
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, index, itemgetter, mul, neg, sub
 
 from .laurent import DROP_EPS, EPS, LaurentPoly, _axis, _budget, _tolerance, _variables
 
@@ -417,20 +417,24 @@ class MqspSequence(_Record):
     count check of ``LaurentPoly`` (``laurent._variables``), so a float
     count raises TypeError, and the step count passes the budget check of
     the decision (``laurent._budget``), so a sequence of more than
-    ``MAX_STEPS`` steps raises ValueError; ``phases`` and ``indices`` are
-    stored as tuples of float and of int.
+    ``MAX_STEPS`` steps raises ValueError.  Each index goes through
+    ``operator.index``, the integer rule of ``laurent``, so an index of 1.7
+    or "2" raises TypeError rather than being read as 1 or 2.  Each phase
+    passes ``math.isfinite`` as given, the rule a tolerance follows, so a
+    string phase raises TypeError.  ``phases`` and ``indices`` are stored as
+    tuples of float and of int.
     """
 
     __slots__ = ("variables", "phases", "indices")
 
     def __init__(self, variables: int, phases, indices):
         variables = _variables(variables)
-        phases = tuple(map(float, phases))
-        indices = tuple(map(int, indices))
+        phases = tuple(phases)
+        indices = tuple(map(index, indices))
         _budget(len(indices))
         if not all(map(math.isfinite, phases)):
             phi = next(phi for phi in phases if not math.isfinite(phi))
-            raise ValueError(f"phase {phi!r} is not finite")
+            raise ValueError(f"phase {float(phi)!r} is not finite")
         if len(phases) != len(indices) + 1:
             raise ValueError(
                 f"got {len(phases)} phases for {len(indices)} indices; "
@@ -439,7 +443,7 @@ class MqspSequence(_Record):
         if indices and not 1 <= min(indices) <= max(indices) <= variables:
             s = next(s for s in indices if not 1 <= s <= variables)
             raise ValueError(f"index {s} out of range 1..{variables}")
-        _Record.__init__(self, variables, phases, indices)
+        _Record.__init__(self, variables, tuple(map(float, phases)), indices)
 
     @property
     def steps(self) -> int:

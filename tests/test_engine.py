@@ -545,9 +545,9 @@ def level_outcome(call, storage, exact=True):
 def test_level_functions_agree_on_every_storage(m, n, mode):
     # an evaluated pair stored as its box, the box itself and the pair's
     # term copy give one value, or one exception and message, for a
-    # variable index in or out of 1..m, a degree above the top row, of
-    # the other parity or not an integer, and a tolerance that is not a
-    # finite number >= 0
+    # variable index in or out of 1..m or not an integer, a degree above
+    # the top row, of the other parity or not an integer, and a tolerance
+    # that is not a finite number >= 0
     pair = evaluate_sequence(random_sequence(OracleConfig(m, n, 6800 + m, mode)))
     storages = (pair, pair._box, pickle.loads(pickle.dumps(pair)))
     assert pair._box is not None and storages[2]._box is None
@@ -575,6 +575,11 @@ def test_level_functions_agree_on_every_storage(m, n, mode):
         for storage in storages:
             outcome = level_outcome(lambda s: find_phase(s, 1, degree), storage, exact=False)
             assert outcome == (TypeError, None), (degree, outcome)
+    # and so is a variable index, 1.0 included, with operator.index's message
+    not_an_index = (TypeError, "'float' object cannot be interpreted as an integer")
+    for storage in storages:
+        assert level_outcome(lambda s: find_phase(s, 1.0, 1), storage) == not_an_index
+        assert level_outcome(lambda s: reduce_step(s, 1.0, 0.3), storage) == not_an_index
     # the message of a non-finite peel names a flat slot on the box and an
     # exponent key on the terms
     for phi in (math.nan, math.inf):

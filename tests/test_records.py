@@ -172,6 +172,18 @@ TWO_VARS = LaurentPoly.zero(2)
 # characters and "..."
 TENS = "1" + "0" * 99 + r"\.\.\."
 MINUS_TENS = "-1" + "0" * 98 + r"\.\.\."
+NOT_AN_INTEGER = r"^'{}' object cannot be interpreted as an integer$"
+# inputs refused by the one integer rule, operator.index, or, for a phase,
+# by math.isfinite as a tolerance is: each raises its own TypeError
+NOT_INTEGERS = [
+    (lambda: MqspSequence(1, [0.0, 0.3], [1.7]), NOT_AN_INTEGER.format("float")),
+    (lambda: MqspSequence(2, [0.0, 0.3], ["2"]), NOT_AN_INTEGER.format("str")),
+    (lambda: LaurentPoly(1, {(0.5,): 1.0}), NOT_AN_INTEGER.format("float")),
+    (lambda: LaurentPoly(2, {(0, 1.0): 1.0}), NOT_AN_INTEGER.format("float")),
+    (lambda: LaurentPoly(1, {("a",): 1.0}), NOT_AN_INTEGER.format("str")),
+    (lambda: ONE_VAR.coeff_slice(1, 1.0), NOT_AN_INTEGER.format("float")),
+    (lambda: MqspSequence(1, [0.0, "0.5"], [1]), r"^must be real number, not str$"),
+]
 
 
 @pytest.mark.parametrize(
@@ -224,17 +236,20 @@ MINUS_TENS = "-1" + "0" * 98 + r"\.\.\."
             rf"^step count must be non-negative, got {MINUS_TENS}$",
         ),
         (lambda: LaurentPoly(-(10**5000)), rf"^need at least one variable, got {MINUS_TENS}$"),
+        *NOT_INTEGERS,
     ],
 )
 def test_construction_checks_raise_as_before(build, message):
-    with pytest.raises(ValueError, match=message):
+    error = TypeError if (build, message) in NOT_INTEGERS else ValueError
+    with pytest.raises(error, match=message):
         build()
 
 
 def test_sequence_phases_convert_before_the_checks():
     with pytest.raises(OverflowError):
         MqspSequence(1, [0.0, 10**400], [1])
-    with pytest.raises(ValueError):
+    # a phase that is not a real number is refused, not parsed
+    with pytest.raises(TypeError, match=r"^must be real number, not str$"):
         MqspSequence(1, ["x", 0.0], [1])
 
 

@@ -75,6 +75,11 @@ def test_half_factors_index_out_of_range(half, m):
         with pytest.raises(IndexError) as raised:
             half(j, m)
         assert str(raised.value) == f"variable index {j} out of range 1..{m}"
+    # an index that is not an integer is refused as operator.index refuses
+    # it, 1.0 included
+    with pytest.raises(TypeError) as raised:
+        half(1.0, m)
+    assert str(raised.value) == "'float' object cannot be interpreted as an integer"
 
 
 @pytest.mark.parametrize("build", [half_sum, half_diff, signal_operator])
